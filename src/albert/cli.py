@@ -7,9 +7,9 @@
     albert check-cert  <cert.txt>    validate a certificate file independently
 
 Common flags: --seed N (global seed for sampled suites), --samples N,
---format {text,machine}, --parallel.  Exit status is 0 iff every check
-passes; error classes get distinct nonzero statuses (1 failed checks,
-2 parse error, 3 unresolved reference, 4 invalid parameters, 5 I/O).
+--format {text,machine}.  Exit status is 0 iff every check passes; error
+classes get distinct nonzero statuses (1 failed checks, 2 parse error,
+3 unresolved reference, 4 invalid parameters, 5 I/O).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     ScenarioParseError,
     UnresolvedReference,
 )
-from .report import Report
 
 EXIT_CHECKS_FAILED = 1
 EXIT_PARSE = 2
@@ -36,8 +35,6 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="global seed for sampled suites")
     sub.add_argument("--samples", type=int, default=None, help="override sample counts")
     sub.add_argument("--format", choices=("text", "machine"), default="text")
-    sub.add_argument("--parallel", action="store_true",
-                     help="run independent checks concurrently (deterministic merge)")
 
 
 def build_parser():
@@ -64,13 +61,7 @@ def _run_scenario(args):
     with open(args.scenario, "r", encoding="utf-8") as fh:
         text = fh.read()
     parsed = scen.parse_scenario(text)
-    report, env = scen.execute(
-        parsed,
-        seed_override=args.seed,
-        samples_override=args.samples,
-        parallel=args.parallel,
-    )
-    return report, env
+    return scen.execute(parsed, seed_override=args.seed, samples_override=args.samples)
 
 
 def main(argv=None):
@@ -97,11 +88,7 @@ def main(argv=None):
             from .certfile import load_certificate
             from .rpaths import cert_check
 
-            cert = load_certificate(args.certificate)
-            rep = cert_check(cert)
-            report = Report()
-            for check_id, passed, details in rep.items:
-                report.record(check_id, passed, details)
+            report = cert_check(load_certificate(args.certificate))
             sys.stdout.write(report.render(args.format))
             return report.exit_status
         return EXIT_VALIDATION

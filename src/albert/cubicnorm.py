@@ -33,6 +33,7 @@ from .errors import AlbertError, NotInvertible
 from .scalars import BiDualElement, BiDualRing, DualElement, DualRing, lift
 from .multipoly import PolyRing
 from .deg3 import vadd, vscale, vsub
+from .report import Report
 from . import linalg
 
 AXIOM_IDS = (
@@ -238,13 +239,17 @@ class CubicJordan:
         are then decided symbolically over generic polynomial coordinates,
         which settles them in every commutative base change.  Nondegeneracy
         of the trace form is a base-field check on the Gram determinant.
-        Failures are reported, never raised.
+        Failures are reported, never raised: the returned :class:`Report`
+        holds one check per entry of AXIOM_IDS, in that order.
         """
         if sample_count < 1:
             raise AlbertError("sample_count must be at least 1")
         rng = random.Random(seed)
         field = self.field
-        report = AxiomReport(self.label, sample_count)
+        report = Report()
+
+        def record(axiom_id, ok, ce=None):
+            report.record(axiom_id, ok, f"counterexample {ce}" if (not ok and ce) else "")
 
         def fmt(vec):
             return "(" + ",".join(field.format(c) for c in vec) + ")"
@@ -252,11 +257,25 @@ class CubicJordan:
         c = self.unit_vec()
         samples = [c] + [self.sample_vec(rng, 4) for _ in range(sample_count - 1)]
 
-        # unit-norm: N(c) = 1
-        report.record("unit-norm", self.norm(c) == field.one(), None)
+        # checks run and are recorded in AXIOM_IDS order
+        record("unit-norm", self.norm(c) == field.one())
 
-        # unit-adjoint: c^# = c
-        report.record("unit-adjoint", tuple(self.sharp(c)) == tuple(c), None)
+        record("trace-nondegenerate", self.nondegenerate())
+
+        # adjoint-trace: T(x^#, y) equals the directional derivative of N at x
+        # in direction y
+        ok, ce = True, None
+        for x, y in zip(samples, samples[1:] + samples[:1]):
+            if self.trace_pair(self.sharp(x), y) != self.directional_norm_derivative(x, y):
+                ok, ce = False, f"x={fmt(x)} y={fmt(y)}"
+                break
+        if ok:
+            ring, X, Y = self.generic_vectors(2)
+            lhs = self.trace_pair(self.sharp_program(ring, X), Y, S=ring)
+            rhs = self.directional_norm_derivative(X, Y, S=ring)
+            if lhs != rhs:
+                ok, ce = False, "generic coordinates"
+        record("adjoint-trace", ok, ce)
 
         # adjoint-double: x^{##} = N(x) x
         ok, ce = True, None
@@ -270,7 +289,9 @@ class CubicJordan:
             rhs = vscale(self.norm_program(ring, X), X)
             if tuple(lhs) != tuple(rhs):
                 ok, ce = False, "generic coordinates"
-        report.record("adjoint-double", ok, ce)
+        record("adjoint-double", ok, ce)
+
+        record("unit-adjoint", tuple(self.sharp(c)) == tuple(c))
 
         # unit-cross: c X x = T(x) c - x
         ok, ce = True, None
@@ -287,25 +308,7 @@ class CubicJordan:
             rhs = vsub(vscale(self.trace_linear(X, S=ring), cS), X)
             if tuple(lhs) != tuple(rhs):
                 ok, ce = False, "generic coordinates"
-        report.record("unit-cross", ok, ce)
-
-        # adjoint-trace: T(x^#, y) equals the directional derivative of N at x
-        # in direction y
-        ok, ce = True, None
-        for x, y in zip(samples, samples[1:] + samples[:1]):
-            if self.trace_pair(self.sharp(x), y) != self.directional_norm_derivative(x, y):
-                ok, ce = False, f"x={fmt(x)} y={fmt(y)}"
-                break
-        if ok:
-            ring, X, Y = self.generic_vectors(2)
-            lhs = self.trace_pair(self.sharp_program(ring, X), Y, S=ring)
-            rhs = self.directional_norm_derivative(X, Y, S=ring)
-            if lhs != rhs:
-                ok, ce = False, "generic coordinates"
-        report.record("adjoint-trace", ok, ce)
-
-        # trace-nondegenerate
-        report.record("trace-nondegenerate", self.nondegenerate(), None)
+        record("unit-cross", ok, ce)
         return report
 
     def directional_norm_derivative(self, x, y, S=None):
@@ -370,28 +373,7 @@ def subspace_structure(J, basis, label="restricted"):
     m = len(basis)
     cols = [list(b) for b in basis]
     # pivot rows with an invertible m x m minor, plus its inverse
-    tmp = [list(col) for col in cols]
-    piv = []
-    r = 0
-    for c in range(n):
-        found = None
-        for i in range(r, m):
-            if not field.is_zero(tmp[i][c]):
-                found = i
-                break
-        if found is None:
-            continue
-        tmp[r], tmp[found] = tmp[found], tmp[r]
-        inv_p = field.inv(tmp[r][c])
-        tmp[r] = [v * inv_p for v in tmp[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(tmp[i][c]):
-                f = tmp[i][c]
-                tmp[i] = [x - f * y for x, y in zip(tmp[i], tmp[r])]
-        piv.append(c)
-        r += 1
-        if r == m:
-            break
+    piv = linalg.echelon(field, [list(col) for col in cols])
     if len(piv) != m:
         raise AlbertError("subspace basis is rank deficient")
     minor = [[cols[i][piv[j]] for i in range(m)] for j in range(m)]
@@ -484,37 +466,3 @@ class DPlus(CubicJordan):
 
     def sharp_program(self, S, coords):
         return self.algebra.sharp(S, coords)
-
-
-class AxiomReport:
-    """Per-axiom verdicts with the first counterexample found, if any."""
-
-    def __init__(self, label, sample_count):
-        self.label = label
-        self.sample_count = sample_count
-        self.verdicts = {}
-
-    def record(self, axiom_id, passed, counterexample):
-        self.verdicts[axiom_id] = (bool(passed), counterexample)
-
-    @property
-    def all_pass(self):
-        return all(v for v, _ in self.verdicts.values())
-
-    def render_lines(self):
-        lines = []
-        for axiom_id in AXIOM_IDS:
-            if axiom_id not in self.verdicts:
-                continue
-            passed, ce = self.verdicts[axiom_id]
-            verdict = "pass" if passed else "fail"
-            suffix = f" counterexample {ce}" if (not passed and ce) else ""
-            lines.append(f"axiom {axiom_id} {verdict}{suffix}")
-        return lines
-
-    def render(self):
-        return "\n".join(self.render_lines())
-
-    def __repr__(self):
-        state = "pass" if self.all_pass else "FAIL"
-        return f"<AxiomReport {self.label}: {state}>"

@@ -371,12 +371,6 @@ def coerce_scalar(ring, value, line=None):
     raise ScenarioParseError(f"not a scalar literal: {value!r}", line)
 
 
-def coerce_vector(ring, value, line=None):
-    if not (isinstance(value, tuple) and value and value[0] == "list"):
-        raise ScenarioParseError("expected a coordinate list", line)
-    return tuple(coerce_scalar(ring, v, line) for v in value[1])
-
-
 def literal_eval(ast, line=None):
     """Evaluate literal-only subtrees to raw data; identifiers not allowed."""
     kind = ast[0]

@@ -45,10 +45,6 @@ def mat_vec(A, v):
     return out
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -61,7 +57,7 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _echelon(field, M, track=None):
+def echelon(field, M, track=None):
     """In-place row echelon; returns pivot column list.  ``track`` rows get the
     same row operations (used for inversion and solving)."""
     rows = len(M)
@@ -99,7 +95,7 @@ def _echelon(field, M, track=None):
 
 def rank(field, A):
     M = [list(row) for row in A]
-    return len(_echelon(field, M))
+    return len(echelon(field, M))
 
 
 def det(field, A):
@@ -131,7 +127,7 @@ def inverse(field, A):
     n = len(A)
     M = [list(row) for row in A]
     inv = identity(field, n)
-    piv = _echelon(field, M, track=inv)
+    piv = echelon(field, M, track=inv)
     if len(piv) != n:
         raise NotInvertible("singular matrix")
     return inv
@@ -141,7 +137,7 @@ def solve(field, A, b):
     """One solution of Ax = b, or None if inconsistent."""
     rows, cols = len(A), len(A[0])
     M = [list(A[i]) + [b[i]] for i in range(rows)]
-    piv = _echelon(field, M)
+    piv = echelon(field, M)
     z = field.zero()
     x = [z] * cols
     for r, c in enumerate(piv):
@@ -161,7 +157,7 @@ def kernel(field, A):
     """Basis of the right null space, as a list of vectors."""
     rows, cols = len(A), len(A[0]) if A else 0
     M = [list(row) for row in A]
-    piv = _echelon(field, M)
+    piv = echelon(field, M)
     piv_set = set(piv)
     free = [c for c in range(cols) if c not in piv_set]
     basis = []
@@ -180,7 +176,7 @@ def row_space_basis(field, vectors):
     if not vectors:
         return []
     M = [list(v) for v in vectors]
-    piv = _echelon(field, M)
+    piv = echelon(field, M)
     return [M[r] for r in range(len(piv))]
 
 

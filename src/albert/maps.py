@@ -22,12 +22,10 @@ from .errors import (
     ParentMismatch,
     SimilarityError,
 )
-from .multipoly import MPoly, PolyRing, proportionality
+from .multipoly import PolyRing, proportionality
 from .deg3 import Element, membership
 from .tits import FirstTits, SecondTits
 from . import linalg
-
-_BITS = 8
 
 
 class SimilarityMap:
@@ -66,22 +64,6 @@ class SimilarityMap:
         )
 
 
-def _generic_image(ring, matrix, field):
-    """The vector of linear forms M*X in generic coordinates, built directly
-    as sparse normal forms."""
-    n = len(matrix)
-    out = []
-    for i in range(n):
-        terms = {}
-        row = matrix[i]
-        for j in range(n):
-            c = row[j]
-            if not field.is_zero(c):
-                terms[1 << (_BITS * j)] = c
-        out.append(MPoly(terms, ring, 1))
-    return out
-
-
 def certify_between(target, source, matrix):
     """Certify a linear map from ``source`` to ``target`` coordinates as a
     norm similarity: N_target(M X) = nu N_source(X) at the coefficient level.
@@ -98,7 +80,7 @@ def certify_between(target, source, matrix):
         raise SimilarityError("matrix is singular", code="singular-matrix")
     ring = PolyRing(field, n)
     gens = ring.gens()
-    fX = _generic_image(ring, matrix, field)
+    fX = [ring.linear_form([(c,) for c in row]) for row in matrix]
     composed = target.norm_program(ring, fX)
     plain = source.norm_program(ring, gens)
     nu = proportionality(composed, plain)

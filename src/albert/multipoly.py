@@ -9,6 +9,9 @@ coefficient level rather than the function level.
 
 The 8-bit packing caps total degree at 255; every polynomial carries a
 conservative degree bound and multiplication refuses to overflow the packing.
+Only this module knows the key layout: other modules build polynomials with
+the :class:`PolyRing` constructors and read them through ``unpack`` and
+:meth:`MPoly.coefficient`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from .errors import AlbertError, ParentMismatch
 from .scalars import Ring
 
 _BITS = 8
-_MAXDEG = 255
+_MASK = (1 << _BITS) - 1
+_MAXDEG = _MASK
 
 
 class MPoly:
@@ -140,24 +144,8 @@ class MPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(0, self.ring.field.zero())
-
     def nterms(self):
         return len(self.terms)
-
-    def total_degree(self):
-        best = 0
-        for k in self.terms:
-            d = 0
-            while k:
-                d += k & 0xFF
-                k >>= _BITS
-            best = max(best, d)
-        return best
 
     def coefficient(self, exponents):
         key = self.ring.pack(exponents)
@@ -171,24 +159,7 @@ class MPoly:
             term = c
             i = 0
             while k:
-                e = k & 0xFF
-                if e:
-                    v = values[i]
-                    for _ in range(e):
-                        term = term * v
-                k >>= _BITS
-                i += 1
-            acc = acc + term
-        return acc
-
-    def evaluate_in(self, ring, values, lift_fn):
-        """Evaluate at payloads of an extension ring, lifting coefficients."""
-        acc = ring.zero()
-        for k, c in self.terms.items():
-            term = lift_fn(c)
-            i = 0
-            while k:
-                e = k & 0xFF
+                e = k & _MASK
                 if e:
                     v = values[i]
                     for _ in range(e):
@@ -239,7 +210,7 @@ class PolyRing(Ring):
     def unpack(self, key):
         exps = []
         for _ in range(self.nvars):
-            exps.append(key & 0xFF)
+            exps.append(key & _MASK)
             key >>= _BITS
         return exps
 
@@ -268,6 +239,34 @@ class PolyRing(Ring):
         if self.field.is_zero(coeff):
             return self.zero()
         return MPoly({self.pack(exponents): coeff}, self, sum(exponents))
+
+    def univariate(self, coeffs):
+        """sum_d coeffs[d] x_0^d, coefficients in ascending powers."""
+        if len(coeffs) > _MAXDEG + 1:
+            raise AlbertError("exponent exceeds packing limit")
+        terms = {d: c for d, c in enumerate(coeffs) if not self.field.is_zero(c)}
+        return MPoly(terms, self, max(len(coeffs) - 1, 0))
+
+    def linear_form(self, coeffs, first=0):
+        """The form sum_j p_j(x_0) x_{first+j}.
+
+        ``coeffs[j]`` lists the coefficients of p_j in ascending powers of
+        x_0, which is a parameter when ``first`` > 0.  Constant p_j give the
+        plain linear form sum_j c_j x_{first+j}.
+        """
+        is_zero = self.field.is_zero
+        terms = {}
+        deg = 0
+        for j, poly in enumerate(coeffs):
+            var = 1 << (_BITS * (first + j))
+            for d, c in enumerate(poly):
+                if not is_zero(c):
+                    terms[var + d] = c
+                    if d > deg:
+                        deg = d
+        if deg >= _MAXDEG:
+            raise AlbertError("exponent exceeds packing limit")
+        return MPoly(terms, self, deg + 1)
 
     def characteristic(self):
         return self.field.characteristic()

@@ -15,6 +15,11 @@ class Report:
     def record(self, check_id, passed, details=""):
         self.items.append((check_id, bool(passed), str(details)))
 
+    def extend(self, other, prefix):
+        """Append the checks of ``other`` with ids under ``prefix``."""
+        for check_id, passed, details in other.items:
+            self.items.append((f"{prefix}:{check_id}", passed, details))
+
     @property
     def all_pass(self):
         return all(p for _, p, _ in self.items)

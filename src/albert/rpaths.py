@@ -21,13 +21,12 @@ from __future__ import annotations
 from .errors import AlbertError, ConstraintError, NotInvertible, PathError
 from .scalars import lift
 from .upoly import UPoly, RationalFunctionField, poly_lcm
-from .multipoly import MPoly, PolyRing
+from .multipoly import PolyRing
 from .deg3 import CubicEtale, Element, Matrix3, transvection_factorization, vadd, vscale
 from .tits import FirstTits
 from .maps import SimilarityMap, aut_conj_I, aut_J, aut_stab_D, certify, compose
+from .report import Report
 from . import linalg
-
-_BITS = 8
 
 
 class RPath:
@@ -95,41 +94,18 @@ def path_certify(J, matrix):
     ]
     # generic fiber check in k[t, X1..Xn]: variable 0 is t
     ring = PolyRing(field, ["t"] + [f"x{i+1}" for i in range(n)])
-    gens = ring.gens()
-    fX = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            p = cleared[i][j]
-            for d, c in enumerate(p.coeffs):
-                if not field.is_zero(c):
-                    key = (1 << (_BITS * (j + 1))) + d
-                    terms[key] = terms.get(key, field.zero()) + c
-            # accumulated coefficients of t^d x_j
-        terms = {k: c for k, c in terms.items() if c}
-        deg = max((p.degree for p in cleared[i] if p.degree >= 0), default=0)
-        fX.append(MPoly(terms, ring, deg + 1))
+    fX = [ring.linear_form([p.coeffs for p in row], first=1) for row in cleared]
     composed = J.norm_program(ring, fX)
-    plain = J.norm_program(ring, list(gens[1:]))
-    if not plain.terms:
+    plain = J.norm_program(ring, ring.gens()[1:])
+    if not plain:
         raise AlbertError("norm form vanished; invalid structure")
-    key0 = next(iter(plain.terms))
-    beta = plain.terms[key0]
-    # collect the t-profile of the composed form at the reference X-monomial
-    profile = {}
-    for k, c in composed.terms.items():
-        if (k >> _BITS) == (key0 >> _BITS):
-            profile[k & 0xFF] = c
-    w_coeffs = [field.zero()] * (max(profile, default=0) + 1)
-    binv = field.inv(beta)
-    for d, c in profile.items():
-        w_coeffs[d] = c * binv
-    w = UPoly(w_coeffs, field)
-    w_mp = MPoly(
-        {d: c for d, c in enumerate(w.coeffs) if not field.is_zero(c)},
-        ring,
-        max(w.degree, 0),
-    )
+    # the multiplier is the t-profile of the composed form at a reference
+    # X-monomial of the plain one, divided by the plain coefficient there
+    x_exps = ring.unpack(next(iter(plain.terms)))[1:]
+    binv = field.inv(plain.coefficient([0] + x_exps))
+    w = UPoly([composed.coefficient([d] + x_exps) * binv
+               for d in range(composed.degbound + 1)], field)
+    w_mp = ring.univariate(w.coeffs)
     if composed != plain * w_mp:
         raise PathError(
             "family is not a norm similarity at the generic fiber",
@@ -428,38 +404,13 @@ def cert_build_stab(J, a, b):
     return cert
 
 
-class CertReport:
-    """Itemized validation results for a certificate."""
-
-    def __init__(self):
-        self.items = []
-
-    def record(self, check_id, passed, details=""):
-        self.items.append((check_id, bool(passed), details))
-
-    @property
-    def all_pass(self):
-        return all(p for _, p, _ in self.items)
-
-    def render_lines(self):
-        out = []
-        for check_id, passed, details in self.items:
-            verdict = "pass" if passed else "fail"
-            suffix = f" {details}" if details else ""
-            out.append(f"cert {check_id} {verdict}{suffix}")
-        return out
-
-    def render(self):
-        return "\n".join(self.render_lines())
-
-
 def cert_check(cert):
     """Independent validation of a certificate.
 
     Re-certifies the target, re-certifies every path from its raw matrix,
     and verifies the endpoint chain from the target to the identity.  Nothing
     the builder computed is trusted; only matrices are read."""
-    report = CertReport()
+    report = Report()
     J = cert.parent
     try:
         target = certify(J, cert.target_matrix)

@@ -115,11 +115,6 @@ def parse_scenario(text):
     return Scenario(directives)
 
 
-def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
-
-
 def _static_checks(directive):
     """Cheap literal validation before any computation."""
     ast = directive.ast
@@ -131,14 +126,16 @@ def _static_checks(directive):
                 if lam is None and len(node[2]) > 1:
                     lam = node[2][1]
                 if lam is not None and lam[0] == "scalar" and lam[1] == 0:
-                    raise ScenarioParseError(
-                        "first_tits scale must be nonzero", directive.line
+                    raise ConstraintError(
+                        f"first_tits scale must be nonzero (line {directive.line})",
+                        code="zero-lambda",
                     )
             if node[1] == "cyclic":
                 b = node[3].get("b")
                 if b is not None and b[0] == "scalar" and b[1] == 0:
-                    raise ScenarioParseError(
-                        "cyclic algebra parameter b must be nonzero", directive.line
+                    raise ConstraintError(
+                        f"cyclic algebra parameter b must be nonzero (line {directive.line})",
+                        code="zero-parameter",
                     )
                 rho = node[3].get("rho")
                 if rho is not None and rho[0] == "scalar":
@@ -538,14 +535,7 @@ def run_suite(name, ev, ast, line, report, seed_override=None, samples_override=
     if name == "axioms":
         J = _jordan_arg(args, line)
         samples = _as_int(kwargs.get("samples", Fraction(25)), "samples", line)
-        rep = J.axiom_suite(sample_count=samples, seed=seed_of())
-        from .cubicnorm import AXIOM_IDS
-
-        for axiom_id in AXIOM_IDS:
-            if axiom_id in rep.verdicts:
-                passed, ce = rep.verdicts[axiom_id]
-                report.record(f"{prefix}:{axiom_id}", passed,
-                              f"counterexample {ce}" if (not passed and ce) else "")
+        report.extend(J.axiom_suite(sample_count=samples, seed=seed_of()), prefix)
         return
 
     if name == "fundamental":
@@ -666,9 +656,7 @@ def run_suite(name, ev, ast, line, report, seed_override=None, samples_override=
         cert = args[0]
         if not isinstance(cert, rpaths_mod.RCertificate):
             raise ConstraintError("check_cert needs a certificate")
-        rep = rpaths_mod.cert_check(cert)
-        for check_id, passed, details in rep.items:
-            report.record(f"{prefix}:{check_id}", passed, details)
+        report.extend(rpaths_mod.cert_check(cert), prefix)
         return
 
     if name == "split_identity":
@@ -688,7 +676,7 @@ def run_suite(name, ev, ast, line, report, seed_override=None, samples_override=
     raise ScenarioParseError(f"unknown suite {name!r}", line)
 
 
-def execute(scenario, seed_override=None, samples_override=None, parallel=False):
+def execute(scenario, seed_override=None, samples_override=None):
     """Run every directive in order; returns (Report, environment)."""
     ev = Evaluator()
     report = Report()
@@ -698,23 +686,6 @@ def execute(scenario, seed_override=None, samples_override=None, parallel=False)
             ev.env[d.name] = ev.eval(d.ast, d.line)
         else:
             run_dirs.append(d)
-    if parallel and len(run_dirs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        partials = [Report() for _ in run_dirs]
-
-        def work(idx):
-            d = run_dirs[idx]
-            run_suite(d.name, ev, d.ast, d.line, partials[idx],
-                      seed_override, samples_override)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(work, range(len(run_dirs))))
-        for part in partials:
-            for check_id, passed, details in part.items:
-                report.record(check_id, passed, details)
-    else:
-        for d in run_dirs:
-            run_suite(d.name, ev, d.ast, d.line, report,
-                      seed_override, samples_override)
+    for d in run_dirs:
+        run_suite(d.name, ev, d.ast, d.line, report, seed_override, samples_override)
     return report, ev.env

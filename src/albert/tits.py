@@ -64,10 +64,6 @@ class FirstTits(CubicJordan):
         parts[block] = coords
         return self.assemble(*parts)
 
-    def block_elements(self, vec, ring=None):
-        ring = ring or self.field
-        return tuple(Element(self.D, ring, b) for b in self.blocks(vec))
-
     def norm_program(self, S, coords):
         D = self.D
         x, y, z = self.blocks(coords)
@@ -172,33 +168,10 @@ class SecondTits(CubicJordan):
         ]
         # left inverse of the 2m x m matrix with the hermitian basis as
         # columns, realized as (pivot row selection, inverse of the m x m minor)
-        M = [[herm_k[j][i] for j in range(m)] for i in range(2 * m)]
-        Mt = [[M[i][j] for i in range(2 * m)] for j in range(m)]
-        tmp = [list(row) for row in Mt]
-        piv = []
-        r = 0
-        for c in range(2 * m):
-            found = None
-            for i in range(r, m):
-                if not field.is_zero(tmp[i][c]):
-                    found = i
-                    break
-            if found is None:
-                continue
-            tmp[r], tmp[found] = tmp[found], tmp[r]
-            inv_p = field.inv(tmp[r][c])
-            tmp[r] = [v * inv_p for v in tmp[r]]
-            for i in range(m):
-                if i != r and not field.is_zero(tmp[i][c]):
-                    f = tmp[i][c]
-                    tmp[i] = [a - f * b for a, b in zip(tmp[i], tmp[r])]
-            piv.append(c)
-            r += 1
-            if r == m:
-                break
+        piv = linalg.echelon(field, [list(v) for v in herm_k])
         if len(piv) != m:
             raise AlbertError("hermitian basis matrix is rank deficient")
-        minor = [[M[piv[i]][j] for j in range(m)] for i in range(m)]
+        minor = [[herm_k[j][p] for j in range(m)] for p in piv]
         self._herm_piv = piv
         self._herm_pinv = linalg.inverse(field, minor)
 
@@ -265,11 +238,6 @@ class SecondTits(CubicJordan):
             out.append(a)
             out.append(b)
         return tuple(out)
-
-    def pair_to_vec(self, b_elem, x_elem):
-        return tuple(
-            p + q for p, q in zip(self.embed_hermitian(b_elem), self.embed_b(x_elem))
-        )
 
     def vec_to_pair(self, vec, ring=None):
         """(b, x) as elements of B over the (extended) center."""

@@ -159,13 +159,6 @@ class UPoly:
             acc = c if acc is None else acc * point + c
         return acc
 
-    def eval_in(self, ring, point, lift_fn):
-        """Evaluate at ``point`` of ``ring`` with coefficients lifted by lift_fn."""
-        acc = ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + lift_fn(c)
-        return acc
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -343,9 +336,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def is_polynomial(self):
-        return self.den.degree == 0
 
     def __repr__(self):
         v = self.ring.var

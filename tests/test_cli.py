@@ -1,7 +1,13 @@
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from albert.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 AXIOM_SCEN = """
 D = matrix3(Q)
@@ -85,16 +91,33 @@ def test_machine_report_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_parallel_flag(tmp_path, capsys):
-    scen = write(
-        tmp_path, "s.txt",
-        AXIOM_SCEN + "run fundamental(J, pairs=4, seed=2)\n",
-    )
-    main(["check-axioms", scen, "--format", "machine"])
-    seq = capsys.readouterr().out
-    main(["check-axioms", scen, "--format", "machine", "--parallel"])
-    par = capsys.readouterr().out
-    assert seq == par
+# outputs captured from the command line; "{cert}" stands for the -o path
+GOLDEN_CASES = {
+    "certificate.machine": ["check-axioms", str(ROOT / "scenarios/certificate.txt")],
+    "second_construction.machine":
+        ["check-axioms", str(ROOT / "scenarios/second_construction.txt")],
+    "build_cert.machine":
+        ["build-cert", str(ROOT / "scenarios/certificate.txt"), "-o", "{cert}"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_CASES))
+def test_output_matches_golden(golden, tmp_path, capsys):
+    cert_path = str(tmp_path / "cert.txt")
+    argv = [cert_path if a == "{cert}" else a for a in GOLDEN_CASES[golden]]
+    assert main(argv + ["--format", "machine"]) == 0
+    out = capsys.readouterr().out.replace(cert_path, "{cert}")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    if "{cert}" in GOLDEN_CASES[golden]:
+        assert Path(cert_path).read_bytes() == (GOLDEN / "certificate.cert").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "D = matrix3(Q)\nJ = first_tits(D, lambda=0)\n",
+    "L = Q[x]/(x^3-3*x-1)\nC = cyclic(L, rho=[2,0,-1], b=0)\n",
+])
+def test_zero_parameter_exit_code(tmp_path, text):
+    assert main(["check-axioms", write(tmp_path, "s.txt", text)]) == 4
 
 
 def test_console_entry_point():

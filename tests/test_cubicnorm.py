@@ -150,7 +150,7 @@ def test_u_recovers_element_from_inverse(J27):
 def test_axiom_suite_first_tits_passes(J27):
     rep = J27.axiom_suite(sample_count=10, seed=1)
     assert rep.all_pass
-    assert set(rep.verdicts) == set(AXIOM_IDS)
+    assert [check_id for check_id, _, _ in rep.items] == list(AXIOM_IDS)
 
 
 def test_axiom_suite_dplus_char2():
@@ -166,17 +166,17 @@ def test_axiom_suite_zero_sharp_fails(J27):
     )
     rep = mock.axiom_suite(sample_count=5, seed=1)
     assert not rep.all_pass
-    failed, counterexample = rep.verdicts["adjoint-double"]
-    assert not failed
+    passed, details = next((p, d) for c, p, d in rep.items if c == "adjoint-double")
+    assert not passed
     # the base point itself is the first counterexample tried
-    assert counterexample.startswith("x=(1,")
+    assert details.startswith("counterexample x=(1,")
 
 
 def test_axiom_report_rendering(J27):
     rep = J27.axiom_suite(sample_count=5, seed=3)
-    lines = rep.render_lines()
-    assert len(lines) == len(AXIOM_IDS)
-    assert all(line.endswith("pass") for line in lines)
+    lines = rep.render_machine().splitlines()
+    assert lines[-1] == "RESULT PASS"
+    assert lines[:-1] == [f"CHECK {axiom_id} PASS" for axiom_id in AXIOM_IDS]
 
 
 # ---- gram and nondegeneracy --------------------------------------------------
