@@ -10,8 +10,8 @@ one-parameter families over rational function fields.
 
 Everything else is derived from (N, #, c):
 
-* the linear trace T(x): the eps-coefficient of N(c + eps*x) over the dual
-  numbers;
+* the linear trace T(x): the e1 coefficient of N(c + e1*x) over the
+  two-infinitesimal extension ``BiDualRing``;
 * the bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y), where D2N is the mixed
   second directional derivative of N at c read off the two-infinitesimal
   extension; this closed form is the polynomial unfolding of the logarithmic
@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 
 from .errors import AlbertError, NotInvertible
-from .scalars import BiDualElement, BiDualRing, DualElement, DualRing, lift
+from .scalars import BiDualElement, BiDualRing, lift
 from .multipoly import PolyRing
 from .deg3 import vadd, vscale, vsub
 from .report import Report
@@ -125,11 +125,7 @@ class CubicJordan:
 
     def trace_linear(self, x, S=None):
         """T(x): first directional derivative of N at c in direction x."""
-        S = S or self.field
-        DS = DualRing(S)
-        c = self.unit_vec(S)
-        arg = tuple(DualElement(a, b, DS) for a, b in zip(c, x))
-        return self.norm_program(DS, arg).b
+        return self.directional_norm_derivative(self.unit_vec(S), x, S)
 
     def second_derivative_at_unit(self, x, y, S=None):
         """The e1*e2 coefficient of N(c + e1 x + e2 y)."""
@@ -220,7 +216,7 @@ class CubicJordan:
         for e in self.basis(S):
             t = self.trace_pair(x, e, S)
             cols.append(vsub(vscale(t, x), self.cross(xsharp, e, S)))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return linalg.transpose(cols)
 
     def jordan_inverse(self, x, S=None):
         S = S or self.field
@@ -312,12 +308,13 @@ class CubicJordan:
         return report
 
     def directional_norm_derivative(self, x, y, S=None):
-        """The eps-coefficient of N(x + eps*y): the derivative of N at x
+        """The e1 coefficient of N(x + e1*y): the derivative of N at x
         in direction y."""
         S = S or self.field
-        DS = DualRing(S)
-        arg = tuple(DualElement(a, b, DS) for a, b in zip(x, y))
-        return self.norm_program(DS, arg).b
+        BS = BiDualRing(S)
+        z = S.zero()
+        arg = tuple(BiDualElement(a, b, z, z, BS) for a, b in zip(x, y))
+        return self.norm_program(BS, arg).b1
 
     # -- subspaces ------------------------------------------------------------
 

@@ -195,6 +195,12 @@ class Deg3Algebra:
     # elements over the base ring
 
     def element(self, coords, ring=None):
+        """An element from coordinates; an element of this algebra is
+        returned unchanged, one of another algebra is refused."""
+        if isinstance(coords, Element):
+            if coords.algebra is not self and coords.algebra != self:
+                raise ParentMismatch("elements of different algebras")
+            return coords
         ring = ring or self.base_ring
         return Element(self, ring, tuple(coords))
 
@@ -250,8 +256,7 @@ class Element:
 
     def _coerce(self, other):
         if isinstance(other, Element):
-            if other.algebra is not self.algebra and other.algebra != self.algebra:
-                raise ParentMismatch("elements of different algebras")
+            other = self.algebra.element(other)
             if other.ring != self.ring:
                 raise ParentMismatch("elements over different scalar rings")
             return other
@@ -391,8 +396,7 @@ class CubicEtale(Deg3Algebra):
             (S.zero(), S.one(), S.zero()),
             (S.zero(), S.zero(), S.one()),
         ]
-        cols = [self.mul(S, a, b) for b in basis]
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
+        return linalg.transpose([self.mul(S, a, b) for b in basis])
 
     def char_data(self, S, a):
         return _char3(self._regular_matrix(S, a))

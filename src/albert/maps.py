@@ -129,33 +129,30 @@ def u_similarity(J, a):
     return certify(J, J.u_matrix(a))
 
 
-def _first_tits_map(J, images):
-    """Matrix of the block-wise map given by three functions on D."""
-    D = J.D
-    field = J.field
-    cols = []
-    for block in range(3):
-        for e in D.basis():
-            img_elem, img_block = images[block](e)
-            cols.append(J.embed(img_elem, img_block))
-    return [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)]
+def first_tits_map(J, images, ring):
+    """Matrix over ``ring`` of a block-wise map on the carrier D + D + D.
+
+    ``images`` holds three functions.  ``images[i]`` takes a basis element e
+    of D over ``ring`` and returns the image of e in block i as an element of
+    D over ``ring``; that image lands in block i again.  ``ring`` is the base
+    field for a single map and k(t) for a one-parameter family.
+    """
+    basis = J.D.basis(ring)
+    return linalg.transpose(
+        [J.embed(image(e), block) for block, image in enumerate(images) for e in basis]
+    )
 
 
 def aut_conj_I(J, d):
     """Coordinatewise conjugation (x,y,z) -> (d x d^{-1}, d y d^{-1}, d z d^{-1})."""
     if not isinstance(J, FirstTits):
         raise AlbertError("conjugation map lives on a first construction")
-    if not isinstance(d, Element):
-        d = J.D.element(d)
+    d = J.D.element(d)
     if not d.is_invertible():
         raise NotInvertible("conjugating element must be invertible")
     dinv = d.inverse()
-    matrix = _first_tits_map(J, {
-        0: lambda e: (d * e * dinv, 0),
-        1: lambda e: (d * e * dinv, 1),
-        2: lambda e: (d * e * dinv, 2),
-    })
-    return certify(J, matrix)
+    conj = lambda e: d * e * dinv
+    return certify(J, first_tits_map(J, [conj, conj, conj], J.field))
 
 
 def aut_J(J, c_elt, variant):
@@ -169,26 +166,18 @@ def aut_J(J, c_elt, variant):
     """
     if not isinstance(J, FirstTits):
         raise AlbertError("J-maps live on a first construction")
-    if not isinstance(c_elt, Element):
-        c_elt = J.D.element(c_elt)
+    c_elt = J.D.element(c_elt)
     if c_elt.norm() != J.field.one():
         raise ConstraintError("J-map needs a norm-one element", code="not-norm-one")
     cinv = c_elt.inverse()
     if variant == "A":
-        images = {
-            0: lambda e: (e, 0),
-            1: lambda e: (e * c_elt, 1),
-            2: lambda e: (cinv * e * c_elt, 2),
-        }
+        third = lambda e: cinv * e * c_elt
     elif variant == "B":
-        images = {
-            0: lambda e: (e, 0),
-            1: lambda e: (e * c_elt, 1),
-            2: lambda e: (cinv * e, 2),
-        }
+        third = lambda e: cinv * e
     else:
         raise AlbertError(f"unknown J-map variant {variant!r}")
-    return certify(J, _first_tits_map(J, images))
+    images = [lambda e: e, lambda e: e * c_elt, third]
+    return certify(J, first_tits_map(J, images, J.field))
 
 
 def jmap_disambiguation(J, c_elt):
@@ -210,21 +199,14 @@ def aut_ext_D(J, g, h):
     """
     if not isinstance(J, FirstTits):
         raise AlbertError("extension map lives on a first construction")
-    if not isinstance(g, Element):
-        g = J.D.element(g)
-    if not isinstance(h, Element):
-        h = J.D.element(h)
+    g, h = J.D.element(g), J.D.element(h)
     if not g.is_invertible() or not h.is_invertible():
         raise NotInvertible("g and h must be invertible")
     if g.norm() != h.norm():
         raise ConstraintError("requires N(g) = N(h)", code="norm-mismatch")
     ginv, hinv = g.inverse(), h.inverse()
-    images = {
-        0: lambda e: (g * e * ginv, 0),
-        1: lambda e: (g * e * hinv, 1),
-        2: lambda e: (h * e * ginv, 2),
-    }
-    return certify(J, _first_tits_map(J, images))
+    images = [lambda e: g * e * ginv, lambda e: g * e * hinv, lambda e: h * e * ginv]
+    return certify(J, first_tits_map(J, images, J.field))
 
 
 def aut_stab_D(J, a, b):
@@ -244,13 +226,9 @@ def str_ext_D(J, gamma, a, b, c):
     field = J.field
     if field.is_zero(gamma):
         raise ConstraintError("gamma must be nonzero", code="norm-constraint-violated")
-    elems = []
-    for v in (a, b, c):
-        v = v if isinstance(v, Element) else J.D.element(v)
-        if not v.is_invertible():
-            raise NotInvertible("a, b, c must be invertible")
-        elems.append(v)
-    a, b, c = elems
+    a, b, c = (J.D.element(v) for v in (a, b, c))
+    if not all(v.is_invertible() for v in (a, b, c)):
+        raise NotInvertible("a, b, c must be invertible")
     if a.norm() != b.norm() * c.norm():
         raise ConstraintError(
             "requires N(a) = N(b)N(c)", code="norm-constraint-violated"
@@ -258,12 +236,12 @@ def str_ext_D(J, gamma, a, b, c):
     bsharp = b.sharp()
     asharp = a.sharp()
     cinv = c.inverse()
-    images = {
-        0: lambda e: ((a * e * b).scale(gamma), 0),
-        1: lambda e: ((bsharp * e * c).scale(gamma), 1),
-        2: lambda e: ((cinv * e * asharp).scale(gamma), 2),
-    }
-    return certify(J, _first_tits_map(J, images))
+    images = [
+        lambda e: (a * e * b).scale(gamma),
+        lambda e: (bsharp * e * c).scale(gamma),
+        lambda e: (cinv * e * asharp).scale(gamma),
+    ]
+    return certify(J, first_tits_map(J, images, J.field))
 
 
 def _second_tits_map(J, herm_image, free_image):
@@ -284,8 +262,7 @@ def _second_tits_map(J, herm_image, free_image):
             x = Element(B, K, tuple(coords))
             img = free_image(x)
             cols.append(list(J.embed_b(img)))
-    n = J.dim
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return linalg.transpose(cols)
 
 
 def _unitary_twisted(J, q):
@@ -303,8 +280,8 @@ def aut_ext_second(J, g, q):
     if not isinstance(J, SecondTits):
         raise AlbertError("extension map lives on a second construction")
     B, K = J.B, J.K
-    g = g if isinstance(g, Element) else B.element(g)
-    q = q if isinstance(q, Element) else B.element(q)
+    g = B.element(g)
+    q = B.element(q)
     ok, lam = membership(g, "Sim")
     if not ok:
         raise ConstraintError("g is not a similitude", code="not-a-similitude")
@@ -328,8 +305,8 @@ def aut_stab_second(J, p, q):
     if not isinstance(J, SecondTits):
         raise AlbertError("stabilizer map lives on a second construction")
     B, K = J.B, J.K
-    p = p if isinstance(p, Element) else B.element(p)
-    q = q if isinstance(q, Element) else B.element(q)
+    p = B.element(p)
+    q = B.element(q)
     if not membership(p, "U"):
         raise ConstraintError("p is not unitary", code="not-a-similitude")
     if not _unitary_twisted(J, q):
@@ -351,8 +328,8 @@ def str_ext_second(J, gamma, g, q):
     field = J.field
     if field.is_zero(gamma):
         raise ConstraintError("gamma must be nonzero", code="norm-constraint-violated")
-    g = g if isinstance(g, Element) else B.element(g)
-    q = q if isinstance(q, Element) else B.element(q)
+    g = B.element(g)
+    q = B.element(q)
     if not g.is_invertible():
         raise NotInvertible("g must be invertible")
     sg = g.conj()
@@ -376,8 +353,8 @@ def factor_aut_stab_D(J, a, b, phi=None):
     the map built directly from (a, b)."""
     if not isinstance(J, FirstTits):
         raise AlbertError("factorization lives on a first construction")
-    a = a if isinstance(a, Element) else J.D.element(a)
-    b = b if isinstance(b, Element) else J.D.element(b)
+    a = J.D.element(a)
+    b = J.D.element(b)
     if phi is None:
         phi = aut_stab_D(J, a, b)
     i_part = aut_conj_I(J, a)

@@ -19,12 +19,11 @@ entries.
 from __future__ import annotations
 
 from .errors import AlbertError, ConstraintError, NotInvertible, PathError
-from .scalars import lift
-from .upoly import UPoly, RationalFunctionField, poly_lcm
+from .upoly import UPoly, RatFunc, RationalFunctionField, poly_lcm
 from .multipoly import PolyRing
-from .deg3 import CubicEtale, Element, Matrix3, transvection_factorization, vadd, vscale
+from .deg3 import CubicEtale, Matrix3, transvection_factorization
 from .tits import FirstTits
-from .maps import SimilarityMap, aut_conj_I, aut_J, aut_stab_D, certify, compose
+from .maps import aut_conj_I, aut_J, aut_stab_D, certify, first_tits_map
 from .report import Report
 from . import linalg
 
@@ -57,6 +56,14 @@ class RPath:
 
 def function_field(J):
     return RationalFunctionField(J.field, "t")
+
+
+def _toward_one(Rt, a):
+    """a_t = (1-t) a + t over k(t): a at t = 0, the unit at t = 1."""
+    t = Rt.gen()
+    D = a.algebra
+    lifted = D.element(D.lift_coords(Rt, a.coords), Rt)
+    return lifted.scale(Rt.one() - t) + D.one(Rt).scale(t)
 
 
 def path_certify(J, matrix):
@@ -116,7 +123,7 @@ def path_certify(J, matrix):
             "multiplier vanishes identically", code="generic-fiber-failure"
         )
     q3 = q * q * q
-    nu = _ratfunc(Rt, w, q3)
+    nu = RatFunc(w, q3, Rt)
     # multiplier regularity and nonvanishing at 0 and 1
     zero, one = field.zero(), field.one()
     for point, name in ((zero, "0"), (one, "1")):
@@ -136,12 +143,6 @@ def path_certify(J, matrix):
     if start.multiplier != Rt.evaluate(nu, zero) or end.multiplier != Rt.evaluate(nu, one):
         raise AlbertError("endpoint multipliers disagree with the family multiplier")
     return RPath(J, [list(r) for r in matrix], nu, start, end)
-
-
-def _ratfunc(Rt, num, den):
-    from .upoly import RatFunc
-
-    return RatFunc(num, den, Rt)
 
 
 def constant_path(J, simmap):
@@ -168,28 +169,14 @@ def conj_path(J, a):
     endpoints."""
     if not isinstance(J, FirstTits):
         raise AlbertError("conjugation paths live on a first construction")
-    D = J.D
-    if not isinstance(a, Element):
-        a = D.element(a)
+    a = J.D.element(a)
     if not a.is_invertible():
         raise NotInvertible("conjugating element must be invertible")
     Rt = function_field(J)
-    t = Rt.gen()
-    one_mt = Rt.one() - t
-    a_t = vadd(
-        vscale(one_mt, D.lift_coords(Rt, a.coords)),
-        vscale(t, D.one_coords(Rt)),
-    )
-    a_t_inv = D.inverse_coords(Rt, a_t)
-    cols = []
-    for block in range(3):
-        for e in D.basis(Rt):
-            img = D.mul(Rt, D.mul(Rt, a_t, e.coords), a_t_inv)
-            parts = [D.zero_coords(Rt)] * 3
-            parts[block] = img
-            cols.append(parts[0] + parts[1] + parts[2])
-    matrix = [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)]
-    path = path_certify(J, matrix)
+    a_t = _toward_one(Rt, a)
+    a_t_inv = a_t.inverse()
+    conj = lambda e: a_t * e * a_t_inv
+    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt))
     expected0 = aut_conj_I(J, a)
     if not linalg.mat_eq(path.start.matrix, expected0.matrix):
         raise AlbertError("conjugation path start mismatch")
@@ -229,30 +216,17 @@ def sl1_path_split(J, d, variant="B"):
         raise ConstraintError(
             "SL1 path needs split matrix coordinates", code="non-split-coordinates"
         )
-    if not isinstance(d, Element):
-        d = D.element(d)
+    d = D.element(d)
     if d.norm() != J.field.one():
         raise ConstraintError("element must have reduced norm 1", code="not-norm-one")
     gamma = transvection_path(D, d)
-    Rt = gamma.ring
-    gamma_inv = D.inverse_coords(Rt, gamma.coords)
-    cols = []
-    zero = D.zero_coords(Rt)
-    for block in range(3):
-        for e in D.basis(Rt):
-            parts = [zero, zero, zero]
-            if block == 0:
-                parts[0] = e.coords
-            elif block == 1:
-                parts[1] = D.mul(Rt, e.coords, gamma.coords)
-            else:
-                if variant == "B":
-                    parts[2] = D.mul(Rt, gamma_inv, e.coords)
-                else:
-                    parts[2] = D.mul(Rt, D.mul(Rt, gamma_inv, e.coords), gamma.coords)
-            cols.append(parts[0] + parts[1] + parts[2])
-    matrix = [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)]
-    path = path_certify(J, matrix)
+    gamma_inv = gamma.inverse()
+    if variant == "B":
+        third = lambda e: gamma_inv * e
+    else:
+        third = lambda e: gamma_inv * e * gamma
+    images = [lambda e: e, lambda e: e * gamma, third]
+    path = path_certify(J, first_tits_map(J, images, gamma.ring))
     expected0 = aut_J(J, d, variant)
     if not linalg.mat_eq(path.start.matrix, expected0.matrix):
         raise AlbertError("SL1 path start mismatch")
@@ -272,9 +246,7 @@ def str_path(J, a, b, d, gamma=None):
     if not isinstance(J, FirstTits):
         raise AlbertError("structure paths live on a first construction")
     D = J.D
-    a = a if isinstance(a, Element) else D.element(a)
-    b = b if isinstance(b, Element) else D.element(b)
-    d = d if isinstance(d, Element) else D.element(d)
+    a, b, d = D.element(a), D.element(b), D.element(d)
     if not a.is_invertible() or not b.is_invertible():
         raise NotInvertible("a and b must be invertible")
     if d.norm() != J.field.one():
@@ -282,30 +254,16 @@ def str_path(J, a, b, d, gamma=None):
     if gamma is None:
         gamma = transvection_path(D, d)
     Rt = gamma.ring
-    t = Rt.gen()
-    one_mt = Rt.one() - t
-    lift_c = lambda e: D.lift_coords(Rt, e.coords)
-    a_t = vadd(vscale(one_mt, lift_c(a)), vscale(t, D.one_coords(Rt)))
-    b_t = vadd(vscale(one_mt, lift_c(b)), vscale(t, D.one_coords(Rt)))
-    b_t_inv = D.inverse_coords(Rt, b_t)
-    c_t = D.mul(Rt, D.mul(Rt, a_t, b_t_inv), gamma.coords)
-    c_t_inv = D.inverse_coords(Rt, c_t)
-    a_t_sharp = D.sharp(Rt, a_t)
-    b_t_sharp = D.sharp(Rt, b_t)
-    cols = []
-    zero = D.zero_coords(Rt)
-    for block in range(3):
-        for e in D.basis(Rt):
-            parts = [zero, zero, zero]
-            if block == 0:
-                parts[0] = D.mul(Rt, D.mul(Rt, a_t, e.coords), b_t)
-            elif block == 1:
-                parts[1] = D.mul(Rt, D.mul(Rt, b_t_sharp, e.coords), c_t)
-            else:
-                parts[2] = D.mul(Rt, D.mul(Rt, c_t_inv, e.coords), a_t_sharp)
-            cols.append(parts[0] + parts[1] + parts[2])
-    matrix = [[cols[j][i] for j in range(J.dim)] for i in range(J.dim)]
-    path = path_certify(J, matrix)
+    a_t, b_t = _toward_one(Rt, a), _toward_one(Rt, b)
+    c_t = a_t * b_t.inverse() * gamma
+    c_t_inv = c_t.inverse()
+    a_t_sharp, b_t_sharp = a_t.sharp(), b_t.sharp()
+    images = [
+        lambda e: a_t * e * b_t,
+        lambda e: b_t_sharp * e * c_t,
+        lambda e: c_t_inv * e * a_t_sharp,
+    ]
+    path = path_certify(J, first_tits_map(J, images, Rt))
     if not path.end.is_identity():
         raise AlbertError("structure path end is not the identity")
     return path
@@ -325,7 +283,7 @@ def chi_map(J, a, middle="element-scaled"):
         raise AlbertError("chi lives on a first construction over a cubic etale algebra")
     E = J.D
     field = J.field
-    a = a if isinstance(a, Element) else E.element(a)
+    a = E.element(a)
     na = a.norm()
     if field.is_zero(na):
         raise NotInvertible("element must be invertible")
@@ -349,8 +307,7 @@ def chi_unit_check(J, a):
     """Evaluate chi((a,0,0)) for both middle-operand choices.
 
     Returns {choice: (SimilarityMap, maps_to_unit: bool)}."""
-    E = J.D
-    a = a if isinstance(a, Element) else E.element(a)
+    a = J.D.element(a)
     out = {}
     for choice in ("unit-scaled", "element-scaled"):
         f = chi_map(J, a, choice)
@@ -388,9 +345,7 @@ def cert_build_stab(J, a, b):
     length two."""
     if not isinstance(J, FirstTits):
         raise AlbertError("certificates built here live on a first construction")
-    D = J.D
-    a = a if isinstance(a, Element) else D.element(a)
-    b = b if isinstance(b, Element) else D.element(b)
+    a, b = J.D.element(a), J.D.element(b)
     phi = aut_stab_D(J, a, b)
     p = a * b.inverse()
     jmap = aut_J(J, p, "B")

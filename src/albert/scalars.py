@@ -9,7 +9,8 @@ Supported rings:
   ``SplitElement`` (honest component pairs, valid in every characteristic);
 * ``RationalFunctionField(base, var)`` - univariate rational functions, see
   :mod:`albert.upoly`;
-* dual-number extensions used for exact directional derivatives.
+* ``BiDualRing(base)`` - the two-infinitesimal extension base[e1, e2]/(e1^2, e2^2)
+  used for exact first and mixed second directional derivatives.
 
 Elements are plain payload objects carrying native Python operators; rings are
 lightweight parent objects providing construction, sampling, canonical
@@ -593,102 +594,6 @@ class SplitQuadratic(Ring):
 
     def __hash__(self):
         return hash(("split", self.base))
-
-
-class DualElement:
-    """a + b*eps with eps^2 = 0; carries first-order derivative data."""
-
-    __slots__ = ("a", "b", "ring")
-
-    def __init__(self, a, b, ring):
-        self.a = a
-        self.b = b
-        self.ring = ring
-
-    def _coerce(self, other):
-        if isinstance(other, DualElement):
-            return other
-        if isinstance(other, int):
-            z = self.ring.base
-            return DualElement(z.from_int(other), z.zero(), self.ring)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualElement(self.a + o.a, self.b + o.b, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualElement(self.a - o.a, self.b - o.b, self.ring)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualElement(o.a - self.a, o.b - self.b, self.ring)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualElement(self.a * o.a, self.a * o.b + self.b * o.a, self.ring)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DualElement(-self.a, -self.b, self.ring)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        return f"({self.a}) + ({self.b})*eps"
-
-
-class DualRing(Ring):
-    """base[eps] / (eps^2)."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def zero(self):
-        return DualElement(self.base.zero(), self.base.zero(), self)
-
-    def one(self):
-        return DualElement(self.base.one(), self.base.zero(), self)
-
-    def from_int(self, n):
-        return DualElement(self.base.from_int(n), self.base.zero(), self)
-
-    def from_base(self, value):
-        return DualElement(value, self.base.zero(), self)
-
-    def eps(self):
-        return DualElement(self.base.zero(), self.base.one(), self)
-
-    def characteristic(self):
-        return self.base.characteristic()
-
-    def __eq__(self, other):
-        return isinstance(other, DualRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("dual", self.base))
-
-    def spec_string(self):
-        return f"{self.base.spec_string()}[eps]"
 
 
 class BiDualElement:

@@ -10,10 +10,11 @@ Line oriented:
     run axioms(J, samples=25, seed=1)
     run verify_map(M)
 
-Every reference must resolve to an earlier declaration or a builtin; full
-syntax and reference validation happens before any computation.  Sampled
-suites must carry a seed (the --seed CLI flag can supply one globally), and
-identical scenario plus seed yields a byte-identical machine report.
+Every name is declared once, every reference must resolve to an earlier
+declaration or a builtin, and directives run in file order; full syntax and
+reference validation happens before any computation.  Sampled suites must
+carry a seed (the --seed CLI flag can supply one globally), and identical
+scenario plus seed yields a byte-identical machine report.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def parse_scenario(text):
             name = name.strip()
             if not name.isidentifier():
                 raise ScenarioParseError(f"bad declaration name {name!r}", line_no)
+            if name in declared:
+                raise ScenarioParseError(f"{name!r} is already declared", line_no)
             ast = parse_expression(expr.strip(), line_no)
             directives.append(Directive("let", line_no, name, ast))
         else:
@@ -680,12 +683,9 @@ def execute(scenario, seed_override=None, samples_override=None):
     """Run every directive in order; returns (Report, environment)."""
     ev = Evaluator()
     report = Report()
-    run_dirs = []
     for d in scenario.directives:
         if d.kind == "let":
             ev.env[d.name] = ev.eval(d.ast, d.line)
         else:
-            run_dirs.append(d)
-    for d in run_dirs:
-        run_suite(d.name, ev, d.ast, d.line, report, seed_override, samples_override)
+            run_suite(d.name, ev, d.ast, d.line, report, seed_override, samples_override)
     return report, ev.env

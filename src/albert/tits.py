@@ -58,10 +58,8 @@ class FirstTits(CubicJordan):
 
     def embed(self, elem, block=0):
         """Carrier vector with the element's coordinates in one block."""
-        zero = self.D.zero_coords(elem.ring if isinstance(elem, Element) else self.field)
-        coords = elem.coords if isinstance(elem, Element) else tuple(elem)
-        parts = [zero, zero, zero]
-        parts[block] = coords
+        parts = [self.D.zero_coords(elem.ring)] * 3
+        parts[block] = elem.coords
         return self.assemble(*parts)
 
     def norm_program(self, S, coords):
@@ -86,10 +84,6 @@ class FirstTits(CubicJordan):
         return first + second + third
 
 
-def first_tits(D, lam, division_asserted=False):
-    return FirstTits(D, lam, division_asserted)
-
-
 class SecondTits(CubicJordan):
     """J(B, sigma, u, mu) on the carrier Herm(B, sigma) + B, over the bottom
     field of B's quadratic etale center."""
@@ -105,8 +99,7 @@ class SecondTits(CubicJordan):
         field = K.base
         self.B = B
         self.K = K
-        if not isinstance(u, Element):
-            u = B.element(u)
+        u = B.element(u)
         self.u = u
         self.mu = mu
         self.mu_bar = K.conj(mu)
@@ -155,8 +148,7 @@ class SecondTits(CubicJordan):
             coords_K = [K.make(kvec[2 * i], kvec[2 * i + 1]) for i in range(m)]
             img = B.involution_apply(K, coords_K)
             sigma_cols.append(self._k_coords(img))
-        sigma_mat = [[sigma_cols[j][i] for j in range(2 * m)] for i in range(2 * m)]
-        delta = linalg.mat_sub(sigma_mat, linalg.identity(field, 2 * m))
+        delta = linalg.mat_sub(linalg.transpose(sigma_cols), linalg.identity(field, 2 * m))
         herm_k = linalg.kernel(field, delta)
         if len(herm_k) != m:
             raise ConstraintError(
@@ -301,10 +293,6 @@ class SecondTits(CubicJordan):
         return tuple(out_b) + tuple(out_x)
 
 
-def second_tits(B, u, mu, division_asserted=False):
-    return SecondTits(B, u, mu, division_asserted)
-
-
 def embed_first_summand(J):
     """Inclusion matrix of the distinguished first summand.
 
@@ -359,7 +347,7 @@ def split_identify(D, mu):
         col_b[2 * m + i] = field.one()
         cols.append(col_a)
         cols.append(col_b)
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+    matrix = linalg.transpose(cols)
     fmap = certify_between(J1, J2, matrix)
     if fmap.multiplier != field.one():
         raise AlbertError(

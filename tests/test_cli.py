@@ -53,6 +53,19 @@ def test_validation_exit_code(tmp_path):
     assert main(["check-axioms", scen, "--seed", "5"]) == 0
 
 
+def test_redeclared_name_exit_code(tmp_path, capsys):
+    # the run must not report the map declared after it under the same name
+    text = (
+        "D = matrix3(Q)\nJ = first_tits(D, lambda=2)\n"
+        "M = aut_ext_D(J, g=[[1,0,0],[0,2,0],[0,0,3]], h=[[6,0,0],[0,1,0],[0,0,1]])\n"
+        "run verify_map(M)\n"
+        "M = str_ext_D(J, gamma=2, a=[[1,0,0],[0,2,0],[0,0,3]], "
+        "b=[[1,0,0],[0,1,0],[0,0,1]], c=[[1,0,0],[0,2,0],[0,0,3]])\n"
+    )
+    assert main(["check-axioms", write(tmp_path, "s.txt", text)]) == 2
+    assert "already declared" in capsys.readouterr().err
+
+
 def test_io_exit_code():
     assert main(["check-axioms", "/nonexistent/path.txt"]) == 5
 
@@ -96,6 +109,7 @@ GOLDEN_CASES = {
     "certificate.machine": ["check-axioms", str(ROOT / "scenarios/certificate.txt")],
     "second_construction.machine":
         ["check-axioms", str(ROOT / "scenarios/second_construction.txt")],
+    "verify.machine": ["check-axioms", str(ROOT / "scenarios/verify.txt")],
     "build_cert.machine":
         ["build-cert", str(ROOT / "scenarios/certificate.txt"), "-o", "{cert}"],
 }

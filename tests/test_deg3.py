@@ -329,3 +329,13 @@ def test_parent_mismatch_rejected():
     E = CubicEtale(QQ, [F(0), F(-1), F(0), F(1)])
     with pytest.raises(ParentMismatch):
         M3.one() + E.one()
+
+
+def test_element_coercion():
+    a = M3.diag([F(1), F(2), F(3)])
+    assert M3.element(a) is a
+    assert Matrix3(QQ).element(a) is a  # an equal algebra is the same parent
+    assert M3.element(a.coords) == a
+    E = CubicEtale(QQ, [F(0), F(-1), F(0), F(1)])
+    with pytest.raises(ParentMismatch):
+        M3.element(E.one())

@@ -7,7 +7,6 @@ from albert.errors import AlbertError, DivisionByZero, PoleAtPoint
 from albert.scalars import (
     QQ,
     BiDualRing,
-    DualRing,
     PrimeField,
     QuadraticExtension,
     SplitQuadratic,
@@ -136,10 +135,11 @@ def test_scalar_format_parse_round_trip():
 
 
 def test_dual_numbers_derivative():
-    D = DualRing(QQ)
-    x = D.from_base(F(3)) + D.eps()
+    B = BiDualRing(QQ)
+    x = B.from_base(F(3)) + B.e1()
     cube = x * x * x
-    assert cube.a == F(27) and cube.b == F(27)  # d/dx x^3 at 3
+    assert cube.a == F(27) and cube.b1 == F(27)  # d/dx x^3 at 3
+    assert cube.b2 == F(0) and cube.c == F(0)
 
 
 def test_bidual_mixed_term():
@@ -152,6 +152,6 @@ def test_bidual_mixed_term():
 
 def test_lift_chain():
     Rt = RationalFunctionField(QQ, "t")
-    D = DualRing(Rt)
-    v = lift(D, QQ, F(7))
-    assert v == D.from_int(7)
+    B = BiDualRing(Rt)
+    v = lift(B, QQ, F(7))
+    assert v == B.from_int(7)

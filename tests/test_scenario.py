@@ -24,6 +24,11 @@ def test_unresolved_reference():
         parse_scenario("J = first_tits(D2, lambda=2)\n")
 
 
+def test_redeclared_name_rejected():
+    with pytest.raises(ScenarioParseError, match="already declared"):
+        parse_scenario("D = matrix3(Q)\nJ = first_tits(D, 2)\nD = matrix3(F5)\n")
+
+
 def test_zero_lambda_rejected_at_validation():
     with pytest.raises(ConstraintError):
         parse_scenario("D = matrix3(Q)\nJ = first_tits(D, lambda=0)\n")
