@@ -21,7 +21,7 @@ verdicts are reproducible bit for bit:
 from __future__ import annotations
 
 from .errors import CertificateError
-from .scalars import parse_field_spec
+from .deg3 import Deg3Algebra
 from .upoly import RationalFunctionField
 from .tits import FirstTits
 from .rpaths import RCertificate
@@ -91,10 +91,20 @@ def parse_certificate(text):
             raise CertificateError(f"expected {key!r} line, found {ln!r}")
         return ln[len(key) + 1:].strip()
 
-    field = parse_field_spec(expect_key("field"))
+    field_spec = expect_key("field")
     algebra = evaluate_descriptor(expect_key("algebra"))
+    if not (isinstance(algebra, Deg3Algebra) and algebra.base_ring.is_field):
+        raise CertificateError("algebra line must name a degree-3 algebra over a field")
+    field = algebra.base_ring
+    if field_spec != field.spec_string():
+        raise CertificateError(
+            f"field {field_spec!r} is not the algebra's base field {field.spec_string()!r}"
+        )
     lam = field.parse(expect_key("lambda"))
-    dim = int(expect_key("dim"))
+    try:
+        dim = int(expect_key("dim"))
+    except ValueError:
+        raise CertificateError("dim is not an integer") from None
     J = FirstTits(algebra, lam)
     if J.dim != dim:
         raise CertificateError(

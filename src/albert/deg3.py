@@ -574,7 +574,7 @@ class Cyclic(Deg3Algebra):
         self.L = L
         self.b = b
         self.division_asserted = division_asserted
-        rho_image = tuple(rho_image)
+        rho_image = L.element(rho_image).coords
         # rho as a 3x3 matrix over k: columns are rho(1), rho(x), rho(x^2)
         one = L.one_coords(field)
         rx = rho_image

@@ -19,7 +19,7 @@ Field and algebra sugar:
     Q[x]/(x^3-3*x-1)       cubic etale algebra (any variable other than s)
 
 Literals evaluate to raw Python data (Fraction, ("pair", a, b), lists); the
-constructor registry coerces them into payloads of the appropriate ring.
+scenario signature table coerces them into payloads of the appropriate ring.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ class Parser:
                         and self.peek(1).text == "="
                     ):
                         key = self.next().text
+                        if key in kwargs:
+                            self.error(f"repeated keyword {key!r}")
                         self.next()
                         kwargs[key] = self.parse_expr()
                     else:
@@ -295,29 +297,25 @@ def parse_expression(text, line=None):
     return ast
 
 
-def free_names(ast, acc=None):
-    """All bare identifiers referenced by an AST (call names excluded)."""
-    if acc is None:
-        acc = []
+def subexpressions(ast):
+    """The direct subexpressions of an AST node."""
     kind = ast[0]
-    if kind == "name":
-        acc.append(ast[1])
-    elif kind == "call":
-        for a in ast[2]:
-            free_names(a, acc)
-        for a in ast[3].values():
-            free_names(a, acc)
-    elif kind == "quotient":
-        free_names(ast[1], acc)
-    elif kind == "ratfield":
-        free_names(ast[1], acc)
-    elif kind == "list":
-        for a in ast[1]:
-            free_names(a, acc)
-    elif kind == "pair":
-        free_names(ast[1], acc)
-        free_names(ast[2], acc)
-    return acc
+    if kind == "call":
+        return list(ast[2]) + list(ast[3].values())
+    if kind == "list":
+        return ast[1]
+    if kind == "pair":
+        return [ast[1], ast[2]]
+    if kind in ("quotient", "ratfield"):
+        return [ast[1]]
+    return []
+
+
+def free_names(ast):
+    """All bare identifiers referenced by an AST (call names excluded)."""
+    if ast[0] == "name":
+        return [ast[1]]
+    return [name for sub in subexpressions(ast) for name in free_names(sub)]
 
 
 _PRIME_FIELD_RE = re.compile(r"^F(\d+)$")
@@ -369,15 +367,3 @@ def coerce_scalar(ring, value, line=None):
             return ring.from_base(coerce_scalar(ring.base, value, line))
         raise ScenarioParseError(f"cannot coerce scalar into {ring!r}", line)
     raise ScenarioParseError(f"not a scalar literal: {value!r}", line)
-
-
-def literal_eval(ast, line=None):
-    """Evaluate literal-only subtrees to raw data; identifiers not allowed."""
-    kind = ast[0]
-    if kind == "scalar":
-        return ast[1]
-    if kind == "pair":
-        return ("pair", literal_eval(ast[1], line), literal_eval(ast[2], line))
-    if kind == "list":
-        return ("list", [literal_eval(a, line) for a in ast[1]])
-    raise ScenarioParseError("expected a literal", line)

@@ -721,50 +721,3 @@ def lift(target, source, value):
     if target.base is None:
         raise ParentMismatch(f"cannot lift from {source!r} into {target!r}")
     return target.from_base(lift(target.base, source, value))
-
-
-def parse_field_spec(text):
-    """Parse the textual field syntax: ``Q``, ``F7``, ``Q[s]/(s^2-(-1))``, ``Q(t)``.
-
-    Tower nesting is limited to depth 3.
-    """
-    field = _parse_field_spec(text.strip())
-    if field.depth() > 3:
-        raise AlbertError(f"field tower deeper than 3: {text!r}")
-    return field
-
-
-def _parse_field_spec(text):
-    from .upoly import RationalFunctionField
-
-    if text == "Q":
-        return QQ
-    if text.startswith("F") and text[1:].isdigit():
-        return PrimeField(int(text[1:]))
-    if text.endswith(")") and "[s]/(" in text:
-        idx = text.index("[s]/(")
-        base = _parse_field_spec(text[:idx])
-        inner = text[idx + len("[s]/("):-1]
-        if not inner.startswith("s^2"):
-            raise AlbertError(f"bad quadratic extension spec {text!r}")
-        rest = inner[3:]
-        if rest.startswith("-"):
-            lit, sign = rest[1:], 1
-        elif rest.startswith("+"):
-            lit, sign = rest[1:], -1
-        else:
-            raise AlbertError(f"bad quadratic extension spec {text!r}")
-        if lit.startswith("(") and lit.endswith(")"):
-            lit = lit[1:-1]
-        d = base.parse(lit)
-        if sign < 0:
-            d = -d
-        return QuadraticExtension(base, d)
-    if text.endswith(")") and "(" in text:
-        idx = text.index("(")
-        base = _parse_field_spec(text[:idx])
-        var = text[idx + 1:-1]
-        if not var.isidentifier():
-            raise AlbertError(f"bad function field variable {var!r}")
-        return RationalFunctionField(base, var)
-    raise AlbertError(f"unknown field spec {text!r}")

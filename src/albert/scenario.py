@@ -10,26 +10,32 @@ Line oriented:
     run axioms(J, samples=25, seed=1)
     run verify_map(M)
 
-Every name is declared once, every reference must resolve to an earlier
-declaration or a builtin, and directives run in file order; full syntax and
-reference validation happens before any computation.  Sampled suites must
-carry a seed (the --seed CLI flag can supply one globally), and identical
-scenario plus seed yields a byte-identical machine report.
+Every constructor and suite is one row of a signature table (``CONSTRUCTORS``,
+``SUITES``): its callable and its parameters, each with a kind and maybe a
+default.  :func:`parse_scenario` reads the table before any computation:
+unknown names and keywords, wrong arity, missing arguments and literals of the
+wrong shape are parse errors (exit 2); a literal zero ``lambda`` or ``b`` is a
+validation error (exit 4).  At evaluation one binder checks each argument's
+kind (a wrong kind is a parse error too) and coerces literals into the ring or
+algebra of the row's first argument.  Names are declared once, before use;
+directives run in file order; sampled suites need a seed (or --seed), and the
+same scenario and seed give a byte-identical machine report.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConstraintError, ScenarioParseError, UnresolvedReference
-from .scalars import QuadraticExtension
+from .scalars import QuadraticExtension, Ring
 from .upoly import RationalFunctionField
 from .deg3 import (
     ConjugateTranspose,
     CubicEtale,
     Cyclic,
-    Element,
+    Deg3Algebra,
     Matrix3,
     ProductWithOpposite,
     Switch,
@@ -46,39 +52,20 @@ from .exprs import (
     free_names,
     is_builtin_name,
     parse_expression,
+    subexpressions,
 )
 from . import linalg
 
-SAMPLED_SUITES = {"axioms", "fundamental", "trace_oracle", "chi_suite"}
 
-KNOWN_SUITES = SAMPLED_SUITES | {
-    "verify_map",
-    "degree_identities",
-    "jmap_choice",
-    "check_path",
-    "check_cert",
-    "split_identity",
-}
+Directive = namedtuple("Directive", "kind line name ast")
 
 
-class Directive:
-    __slots__ = ("kind", "line", "name", "ast")
-
-    def __init__(self, kind, line, name, ast):
-        self.kind = kind
-        self.line = line
-        self.name = name
-        self.ast = ast
-
-
-class Scenario:
-    def __init__(self, directives):
-        self.directives = directives
+Scenario = namedtuple("Scenario", "directives")
 
 
 def parse_scenario(text):
-    """Parse and statically validate a scenario (syntax, references, simple
-    parameter sanity).  No computation happens here."""
+    """Parse and statically validate a scenario against the signature table.
+    No computation happens here."""
     directives = []
     declared = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -91,9 +78,7 @@ def parse_scenario(text):
             ast = parse_expression(line[4:].strip(), line_no)
             if ast[0] != "call":
                 raise ScenarioParseError("run needs a suite call", line_no)
-            if ast[1] not in KNOWN_SUITES:
-                raise ScenarioParseError(f"unknown suite {ast[1]!r}", line_no)
-            directives.append(Directive("run", line_no, ast[1], ast))
+            d = Directive("run", line_no, ast[1], ast)
         elif "=" in line:
             name, expr = line.split("=", 1)
             name = name.strip()
@@ -101,114 +86,286 @@ def parse_scenario(text):
                 raise ScenarioParseError(f"bad declaration name {name!r}", line_no)
             if name in declared:
                 raise ScenarioParseError(f"{name!r} is already declared", line_no)
-            ast = parse_expression(expr.strip(), line_no)
-            directives.append(Directive("let", line_no, name, ast))
+            d = Directive("let", line_no, name, parse_expression(expr.strip(), line_no))
         else:
             raise ScenarioParseError("expected a declaration or a run directive", line_no)
-        # reference resolution against everything declared so far
-        d = directives[-1]
+        _check(d.ast, d.line, SUITES if d.kind == "run" else CONSTRUCTORS)
         for ref in free_names(d.ast):
             if ref not in declared and not is_builtin_name(ref):
-                raise UnresolvedReference(
-                    f"undefined name {ref!r} (line {d.line})"
-                )
-        _static_checks(d)
+                raise UnresolvedReference(f"undefined name {ref!r} (line {d.line})")
+        directives.append(d)
         if d.kind == "let":
             declared.add(d.name)
     return Scenario(directives)
 
 
-def _static_checks(directive):
-    """Cheap literal validation before any computation."""
-    ast = directive.ast
+# ---------------------------------------------------------------------------
+# the signature table
 
-    def walk(node):
-        if node[0] == "call":
-            if node[1] == "first_tits":
-                lam = node[3].get("lambda")
-                if lam is None and len(node[2]) > 1:
-                    lam = node[2][1]
-                if lam is not None and lam[0] == "scalar" and lam[1] == 0:
-                    raise ConstraintError(
-                        f"first_tits scale must be nonzero (line {directive.line})",
-                        code="zero-lambda",
-                    )
-            if node[1] == "cyclic":
-                b = node[3].get("b")
-                if b is not None and b[0] == "scalar" and b[1] == 0:
-                    raise ConstraintError(
-                        f"cyclic algebra parameter b must be nonzero (line {directive.line})",
-                        code="zero-parameter",
-                    )
-                rho = node[3].get("rho")
-                if rho is not None and rho[0] == "scalar":
-                    raise ScenarioParseError(
-                        "rho must be the explicit image of the generator "
-                        "(a coordinate list); generator indices are not supported",
-                        directive.line,
-                    )
-            for a in node[2]:
-                walk(a)
-            for a in node[3].values():
-                walk(a)
-        elif node[0] in ("list",):
-            for a in node[1]:
-                walk(a)
-        elif node[0] in ("pair",):
-            walk(node[1])
-            walk(node[2])
-        elif node[0] in ("quotient", "ratfield"):
-            walk(node[1])
+#: ``shapes``: the argument forms the static pass admits, literal nodes
+#: ("scalar", "list", "pair") or "value" for anything computed; bare names are
+#: checked once evaluated.  ``coerce(value, owner)`` checks an evaluated
+#: argument and converts literals into the ring or algebra of ``owner``, the
+#: row's first argument.
+Kind = namedtuple("Kind", "what shapes coerce")
 
-    walk(ast)
+
+def _is(what, classes, test=lambda value: True):
+    """The kind of computed values that are instances of ``classes``."""
+    def coerce(value, owner):
+        if not (isinstance(value, classes) and test(value)):
+            raise ScenarioParseError(f"must be {what}")
+        return value
+    return Kind(what, ("value",), coerce)
+
+
+def _ring(owner):
+    """Scalars of a row's first argument: a ring itself, an algebra's base
+    ring, or a cubic norm structure's field."""
+    if isinstance(owner, CubicJordan):
+        return owner.field
+    return owner.base_ring if isinstance(owner, Deg3Algebra) else owner
+
+
+def _parts(value, tag):
+    """The parts of an evaluated literal or marker tagged ``tag``."""
+    if not (isinstance(value, tuple) and value[0] == tag):
+        raise ScenarioParseError(f"must be of kind {tag}")
+    return value[1:]
+
+
+def _items(value):
+    return _parts(value, "list")[0]
+
+
+def _coerce_element(alg, value):
+    """Turn a literal list into an element of a degree-3 algebra; a 3x3
+    matrix may be given as nested rows."""
+    items = _items(value)
+    if items and isinstance(items[0], tuple) and items[0][0] == "list":
+        if not isinstance(alg, Matrix3) or [len(_items(row)) for row in items] != [3, 3, 3]:
+            raise ScenarioParseError("nested rows only describe 3x3 matrices")
+        items = [v for row in items for v in row[1]]
+    if len(items) != alg.dim:
+        raise ScenarioParseError(f"element needs {alg.dim} coordinates, got {len(items)}")
+    return alg.element([coerce_scalar(alg.base_ring, v) for v in items])
+
+
+def _coeffs(value, owner):
+    return [coerce_scalar(_ring(owner), c) for c in _items(value)]
+
+
+def _vector(value, J):
+    """Carrier coordinates; on a first construction an element of J.D
+    stands for its copy in the first block."""
+    if isinstance(J, FirstTits) and len(_items(value)) != J.dim:
+        return J.embed(_coerce_element(J.D, value), 0)
+    if len(_items(value)) != J.dim:
+        raise ScenarioParseError(f"must have {J.dim} coordinates")
+    return tuple(_coeffs(value, J))
+
+
+def _involution(value, B):
+    """An involution for the algebra B; a utwist's u is an element of B."""
+    name, u = _parts(value, "involution")
+    if name == "switch":
+        return Switch()
+    if name == "conjtrans":
+        return ConjugateTranspose()
+    inner = Switch() if isinstance(B, ProductWithOpposite) else ConjugateTranspose()
+    return UTwist(inner, _coerce_element(B, u))
+
+
+def _integer(value, least=None):
+    if not (isinstance(value, Fraction) and value.denominator == 1):
+        raise ScenarioParseError("must be an integer")
+    if least is not None and value < least:
+        raise ConstraintError(f"must be at least {least}", code="bad-count")
+    return int(value)
+
+
+def _seed(value, owner):
+    if value is None:
+        raise ConstraintError("the suite samples randomly and needs seed=... or --seed")
+    return _integer(value)
+
+
+def _flag(value, owner):
+    if not (isinstance(value, Fraction) and value in (0, 1)):
+        raise ScenarioParseError("must be 0 or 1")
+    return value == 1
+
+
+_ALGEBRA = _is("a degree-3 algebra", Deg3Algebra)
+
+KINDS = {
+    "ring": _is("a ring of scalars", Ring),
+    "field": _is("a field", Ring, lambda ring: ring.is_field),
+    "algebra": _ALGEBRA,
+    "etale": _is("a cubic etale algebra", CubicEtale),
+    "carrier": Kind("a degree-3 algebra or its dplus", ("value",), lambda v, owner:
+                    _ALGEBRA.coerce(v.algebra if isinstance(v, DPlus) else v, owner)),
+    "first": _is("a first construction", FirstTits),
+    "second": _is("a second construction", SecondTits),
+    "jordan": _is("a cubic norm structure", CubicJordan),
+    "map": _is("a similarity map", maps_mod.SimilarityMap),
+    "path": _is("a path", rpaths_mod.RPath),
+    "cert": _is("a certificate", rpaths_mod.RCertificate),
+    "involution": Kind("an involution", ("value",), _involution),
+    "elem": Kind("an element", ("list",), lambda v, alg: _coerce_element(alg, v)),
+    "elem_D": Kind("an element of J.D", ("list",), lambda v, J: _coerce_element(J.D, v)),
+    "elem_B": Kind("an element of J.B", ("list",), lambda v, J: _coerce_element(J.B, v)),
+    "vector": Kind("a carrier vector", ("list",), _vector),
+    "matrix": Kind("a list of rows", ("list",),
+                   lambda v, J: [_coeffs(row, J) for row in _items(v)]),
+    "scalar": Kind("a scalar", ("scalar", "pair"), lambda v, o: coerce_scalar(_ring(o), v)),
+    "coeffs": Kind("a coefficient list", ("list",), _coeffs),
+    "list": Kind("a list", ("list",), lambda v, owner: ("list", _items(v))),
+    "pair": Kind("a pair (a;b)", ("pair",), lambda v, owner:
+                 tuple(coerce_scalar(_ring(owner), c) for c in _parts(v, "pair"))),
+    "count": Kind("a count", ("scalar",), lambda v, owner: _integer(v, least=1)),
+    "seed": Kind("an integer seed", ("scalar",), _seed),
+    "flag": Kind("0 or 1", ("scalar",), _flag),
+}
+
+_REQUIRED = object()
+Param = namedtuple("Param", "kind default")
+
+
+class Sig:
+    """One row of the signature table: a callable and its parameters.
+
+    ``spec`` reads like a Python signature, ``name: kind [= default]`` per
+    parameter and keyword-only ones after ``*``; a seed is optional, as --seed
+    may supply it.  A literal zero for a parameter in ``nonzero`` fails at
+    parse time with the error code given there."""
+
+    def __init__(self, fn, spec, nonzero=None):
+        self.fn, self.spec, self.nonzero = fn, spec, nonzero or {}
+        self.params = {}
+        self.positional = spec.partition("*")[0].count(":")
+        for item in spec.replace("*, ", "").split(", "):
+            head, _, default = item.partition(" = ")
+            name, kind = head.split(": ")
+            if default:
+                default = Fraction(default)
+            else:
+                default = None if kind == "seed" else _REQUIRED
+            self.params[name] = Param(KINDS[kind], default)
+
+
+def _late(module, name, *extra):
+    """Call ``module.name`` looked up at call time, so a wrapper installed on
+    the module after import (by a profiler, say) is the one that runs."""
+    return lambda *args: getattr(module, name)(*args, *extra)
+
+
+def _second_tits(B, sigma, u, mu, division):
+    B = B.attach_involution(sigma)
+    return SecondTits(B, B.element(u.coords), mu, division)
+
+
+CONSTRUCTORS = {
+    "matrix3": Sig(Matrix3, "ring: ring"),
+    "cubic_etale": Sig(CubicEtale, "field: field, *, f: coeffs"),
+    "cyclic": Sig(Cyclic, "L: etale, *, rho: elem, b: scalar, division: flag = 0",
+                  nonzero={"b": "zero-parameter"}),
+    "prodop": Sig(ProductWithOpposite, "D: algebra"),
+    "dplus": Sig(DPlus, "D: algebra"),
+    "first_tits": Sig(FirstTits, "D: algebra, lambda: scalar, *, division: flag = 0",
+                      nonzero={"lambda": "zero-lambda"}),
+    "utwist": Sig(lambda u: ("involution", "utwist", u), "*, u: list"),
+    "second_tits": Sig(_second_tits, "B: algebra, sigma: involution, *, u: elem, "
+                       "mu: scalar, division: flag = 0"),
+    "aut_conj_I": Sig(_late(maps_mod, "aut_conj_I"), "J: first, *, d: elem_D"),
+    "aut_J_A": Sig(_late(maps_mod, "aut_J", "A"), "J: first, *, c: elem_D"),
+    "aut_J_B": Sig(_late(maps_mod, "aut_J", "B"), "J: first, *, c: elem_D"),
+    "aut_ext_D": Sig(_late(maps_mod, "aut_ext_D"), "J: first, *, g: elem_D, h: elem_D"),
+    "str_ext_D": Sig(_late(maps_mod, "str_ext_D"),
+                     "J: first, *, gamma: scalar, a: elem_D, b: elem_D, c: elem_D"),
+    "aut_ext_second": Sig(_late(maps_mod, "aut_ext_second"),
+                          "J: second, *, g: elem_B, q: elem_B"),
+    "aut_stab_second": Sig(_late(maps_mod, "aut_stab_second"),
+                           "J: second, *, p: elem_B, q: elem_B"),
+    "str_ext_second": Sig(_late(maps_mod, "str_ext_second"),
+                          "J: second, *, gamma: scalar, g: elem_B, q: elem_B"),
+    "u_similarity": Sig(_late(maps_mod, "u_similarity"), "J: jordan, *, a: vector"),
+    "certify": Sig(_late(maps_mod, "certify"), "J: jordan, *, matrix: matrix"),
+    "chi": Sig(_late(rpaths_mod, "chi_map"), "J: first, *, a: elem_D"),
+    "conj_path": Sig(_late(rpaths_mod, "conj_path"), "J: first, *, a: elem_D"),
+    "sl1_path": Sig(_late(rpaths_mod, "sl1_path_split"), "J: first, *, d: elem_D"),
+    "str_path": Sig(_late(rpaths_mod, "str_path"),
+                    "J: first, *, a: elem_D, b: elem_D, d: elem_D"),
+    "build_stab_cert": Sig(_late(rpaths_mod, "cert_build_stab"),
+                           "J: first, *, a: elem_D, b: elem_D"),
+}
+
+
+def _row(table, name, line):
+    if name not in table:
+        what = "suite" if table is SUITES else "constructor"
+        raise ScenarioParseError(f"unknown {what} {name!r}", line)
+    return table[name]
+
+
+def _match(sig, name, args, kwargs, line):
+    """The argument AST given for each parameter, by parameter name."""
+    if len(args) > sig.positional:
+        raise ScenarioParseError(f"{name} takes {sig.positional} positional argument(s)", line)
+    given = dict(zip(sig.params, args))
+    for key, arg in kwargs.items():
+        if key not in sig.params:
+            raise ScenarioParseError(f"{name} has no argument {key!r}", line)
+        if key in given:
+            raise ScenarioParseError(f"{name} got argument {key!r} twice", line)
+        given[key] = arg
+    for key, param in sig.params.items():
+        if key not in given and param.default is _REQUIRED:
+            raise ScenarioParseError(f"{name} is missing argument {key!r}", line)
+    return given
+
+
+def _check(ast, line, table):
+    """Static pass over one expression: calls against ``table`` (nested ones
+    against CONSTRUCTORS), literal shapes, literal zeros where forbidden."""
+    if ast[0] == "call":
+        name = ast[1]
+        sig = _row(table, name, line)
+        for key, arg in _match(sig, name, ast[2], ast[3], line).items():
+            kind = sig.params[key].kind
+            shape = arg[0] if arg[0] in ("scalar", "list", "pair") else "value"
+            if arg[0] != "name" and shape not in kind.shapes:
+                raise ScenarioParseError(f"argument {key!r} of {name}: must be {kind.what}", line)
+            if key in sig.nonzero and arg == ("scalar", 0):
+                raise ConstraintError(f"argument {key!r} of {name} must be nonzero "
+                                      f"(line {line})", code=sig.nonzero[key])
+    for sub in subexpressions(ast):
+        _check(sub, line, CONSTRUCTORS)
+
+
+def _bind(ev, sig, ast, line, overrides):
+    """Evaluate a call's arguments in parameter order, each checked and
+    coerced by its kind; ``overrides`` replace arguments by name."""
+    _, name, args, kwargs = ast
+    given = _match(sig, name, args, kwargs, line)
+    values = []
+    for key, param in sig.params.items():
+        if overrides.get(key) is not None:
+            value = Fraction(overrides[key])
+        else:
+            value = ev.eval(given[key], line) if key in given else param.default
+        try:
+            values.append(param.kind.coerce(value, values[0] if values else None))
+        except ScenarioParseError as exc:
+            raise ScenarioParseError(f"argument {key!r} of {name}: {exc}", line) from None
+        except ConstraintError as exc:
+            raise ConstraintError(f"argument {key!r} of {name}: {exc} (line {line})",
+                                  code=exc.code) from None
+    return values
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _as_int(value, what, line):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    raise ScenarioParseError(f"{what} must be an integer", line)
-
-
-def _coerce_element(alg, value, line):
-    """Turn a literal list into an element of a degree-3 algebra."""
-    if isinstance(value, Element):
-        return value
-    if not (isinstance(value, tuple) and value and value[0] == "list"):
-        raise ScenarioParseError("expected an element literal", line)
-    items = value[1]
-    ring = alg.base_ring
-    if items and isinstance(items[0], tuple) and items[0][0] == "list":
-        if not isinstance(alg, Matrix3) or len(items) != 3:
-            raise ScenarioParseError("nested rows only describe 3x3 matrices", line)
-        flat = []
-        for row in items:
-            if len(row[1]) != 3:
-                raise ScenarioParseError("matrix row must have 3 entries", line)
-            flat.extend(coerce_scalar(ring, v, line) for v in row[1])
-        return alg.element(flat)
-    coords = [coerce_scalar(ring, v, line) for v in items]
-    if len(coords) != alg.dim:
-        raise ScenarioParseError(
-            f"element needs {alg.dim} coordinates, got {len(coords)}", line
-        )
-    return alg.element(coords)
-
-
-def _attach(alg, marker, line):
-    kind = marker[1]
-    if kind == "switch":
-        return alg.attach_involution(Switch())
-    if kind == "conjtrans":
-        return alg.attach_involution(ConjugateTranspose())
-    if kind == "utwist":
-        inner = Switch() if isinstance(alg, ProductWithOpposite) else ConjugateTranspose()
-        u = _coerce_element(alg, marker[2]["u"], line)
-        return alg.attach_involution(UTwist(inner, u))
-    raise ScenarioParseError(f"unknown involution {kind!r}", line)
 
 
 class Evaluator:
@@ -236,447 +393,158 @@ class Evaluator:
             base = self.eval(ast[1], line)
             coeffs = [coerce_scalar(base, c, line) for c in ast[3]]
             if ast[2] == "s":
-                if len(coeffs) != 3 or base.is_zero(coeffs[2]):
-                    raise ScenarioParseError("quadratic extension needs s^2 - d", line)
-                one = base.one()
-                if coeffs[2] != one or not base.is_zero(coeffs[1]):
-                    raise ScenarioParseError(
-                        "quadratic extension must be given as s^2 - d", line
-                    )
+                if len(coeffs) != 3 or coeffs[2] != base.one() or not base.is_zero(coeffs[1]):
+                    raise ScenarioParseError("quadratic extension must be given as s^2 - d", line)
                 return QuadraticExtension(base, -coeffs[0])
             return CubicEtale(base, coeffs)
         if kind == "ratfield":
             base = self.eval(ast[1], line)
             return RationalFunctionField(base, ast[2])
         if kind == "call":
-            return self.eval_call(ast, line)
+            sig = _row(CONSTRUCTORS, ast[1], line)
+            return sig.fn(*_bind(self, sig, ast, line, {}))
         raise ScenarioParseError(f"cannot evaluate node {kind!r}", line)
-
-    def eval_call(self, ast, line):
-        _, name, arg_asts, kwarg_asts = ast
-        if name == "utwist":
-            return (
-                "involution",
-                "utwist",
-                {k: self.eval(v, line) for k, v in kwarg_asts.items()},
-            )
-        args = [self.eval(a, line) for a in arg_asts]
-        kwargs = {k: self.eval(v, line) for k, v in kwarg_asts.items()}
-        builder = _CONSTRUCTORS.get(name)
-        if builder is None:
-            raise ScenarioParseError(f"unknown constructor {name!r}", line)
-        return builder(self, args, kwargs, line)
-
-
-# constructor registry -------------------------------------------------------
-
-
-def _need(kwargs, key, line):
-    if key not in kwargs:
-        raise ScenarioParseError(f"missing argument {key!r}", line)
-    return kwargs[key]
-
-
-def _jordan_arg(args, line):
-    if not args or not isinstance(args[0], CubicJordan):
-        raise ScenarioParseError("first argument must be a cubic norm structure", line)
-    return args[0]
-
-
-def _build_matrix3(ev, args, kwargs, line):
-    if len(args) != 1:
-        raise ScenarioParseError("matrix3 takes one ring argument", line)
-    return Matrix3(args[0])
-
-
-def _build_cubic_etale(ev, args, kwargs, line):
-    field = args[0]
-    f = kwargs.get("f")
-    if f is None or not (isinstance(f, tuple) and f[0] == "list"):
-        raise ScenarioParseError("cubic_etale needs f=[c0,c1,c2,1]", line)
-    coeffs = [coerce_scalar(field, c, line) for c in f[1]]
-    return CubicEtale(field, coeffs)
-
-
-def _build_cyclic(ev, args, kwargs, line):
-    L = args[0]
-    if not isinstance(L, CubicEtale):
-        raise ScenarioParseError("cyclic needs a cubic etale first argument", line)
-    rho = _need(kwargs, "rho", line)
-    if not (isinstance(rho, tuple) and rho[0] == "list"):
-        raise ScenarioParseError(
-            "rho must be the explicit image of the generator "
-            "(a coordinate list); generator indices are not supported",
-            line,
-        )
-    rho_coords = [coerce_scalar(L.base_ring, c, line) for c in rho[1]]
-    b = coerce_scalar(L.base_ring, _need(kwargs, "b", line), line)
-    division = kwargs.get("division") == Fraction(1)
-    return Cyclic(L, rho_coords, b, division_asserted=division)
-
-
-def _build_prodop(ev, args, kwargs, line):
-    return ProductWithOpposite(args[0])
-
-
-def _build_dplus(ev, args, kwargs, line):
-    return DPlus(args[0])
-
-
-def _build_first_tits(ev, args, kwargs, line):
-    D = args[0]
-    lam_raw = kwargs.get("lambda")
-    if lam_raw is None:
-        if len(args) < 2:
-            raise ScenarioParseError("first_tits needs a scale (lambda)", line)
-        lam_raw = args[1]
-    lam = coerce_scalar(D.base_ring, lam_raw, line)
-    division = kwargs.get("division") == Fraction(1)
-    return FirstTits(D, lam, division_asserted=division)
-
-
-def _build_second_tits(ev, args, kwargs, line):
-    B = args[0]
-    if len(args) < 2 or not (isinstance(args[1], tuple) and args[1][0] == "involution"):
-        raise ScenarioParseError(
-            "second_tits needs an involution as its second argument", line
-        )
-    B = _attach(B, args[1], line)
-    u = _coerce_element(B, _need(kwargs, "u", line), line)
-    mu = coerce_scalar(B.base_ring, _need(kwargs, "mu", line), line)
-    division = kwargs.get("division") == Fraction(1)
-    return SecondTits(B, u, mu, division_asserted=division)
-
-
-def _first_tits_elem(J, kwargs, key, line):
-    if not isinstance(J, FirstTits):
-        raise ScenarioParseError("this constructor needs a first construction", line)
-    return _coerce_element(J.D, _need(kwargs, key, line), line)
-
-
-def _second_tits_elem(J, kwargs, key, line):
-    if not isinstance(J, SecondTits):
-        raise ScenarioParseError("this constructor needs a second construction", line)
-    return _coerce_element(J.B, _need(kwargs, key, line), line)
-
-
-def _build_aut_conj_I(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_conj_I(J, _first_tits_elem(J, kwargs, "d", line))
-
-
-def _build_aut_J_A(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_J(J, _first_tits_elem(J, kwargs, "c", line), "A")
-
-
-def _build_aut_J_B(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_J(J, _first_tits_elem(J, kwargs, "c", line), "B")
-
-
-def _build_aut_ext_D(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_ext_D(
-        J,
-        _first_tits_elem(J, kwargs, "g", line),
-        _first_tits_elem(J, kwargs, "h", line),
-    )
-
-
-def _build_str_ext_D(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    gamma = coerce_scalar(J.field, _need(kwargs, "gamma", line), line)
-    return maps_mod.str_ext_D(
-        J,
-        gamma,
-        _first_tits_elem(J, kwargs, "a", line),
-        _first_tits_elem(J, kwargs, "b", line),
-        _first_tits_elem(J, kwargs, "c", line),
-    )
-
-
-def _build_aut_ext_second(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_ext_second(
-        J,
-        _second_tits_elem(J, kwargs, "g", line),
-        _second_tits_elem(J, kwargs, "q", line),
-    )
-
-
-def _build_aut_stab_second(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return maps_mod.aut_stab_second(
-        J,
-        _second_tits_elem(J, kwargs, "p", line),
-        _second_tits_elem(J, kwargs, "q", line),
-    )
-
-
-def _build_str_ext_second(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    gamma = coerce_scalar(J.field, _need(kwargs, "gamma", line), line)
-    return maps_mod.str_ext_second(
-        J,
-        gamma,
-        _second_tits_elem(J, kwargs, "g", line),
-        _second_tits_elem(J, kwargs, "q", line),
-    )
-
-
-def _build_u_similarity(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    vec_raw = _need(kwargs, "a", line)
-    if isinstance(J, FirstTits) and isinstance(vec_raw, tuple) and vec_raw[0] == "list" \
-            and len(vec_raw[1]) != J.dim:
-        elem = _coerce_element(J.D, vec_raw, line)
-        vec = J.embed(elem, 0)
-    else:
-        vec = tuple(coerce_scalar(J.field, v, line) for v in vec_raw[1])
-    return maps_mod.u_similarity(J, vec)
-
-
-def _build_certify(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    m_raw = _need(kwargs, "matrix", line)
-    rows = []
-    for row in m_raw[1]:
-        rows.append([coerce_scalar(J.field, v, line) for v in row[1]])
-    return maps_mod.certify(J, rows)
-
-
-def _build_chi(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    a = _first_tits_elem(J, kwargs, "a", line)
-    middle = kwargs.get("middle", "element-scaled")
-    if isinstance(middle, tuple):
-        raise ScenarioParseError("middle must be a bare name", line)
-    return rpaths_mod.chi_map(J, a, middle)
-
-
-def _build_conj_path(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return rpaths_mod.conj_path(J, _first_tits_elem(J, kwargs, "a", line))
-
-
-def _build_sl1_path(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return rpaths_mod.sl1_path_split(J, _first_tits_elem(J, kwargs, "d", line))
-
-
-def _build_str_path(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return rpaths_mod.str_path(
-        J,
-        _first_tits_elem(J, kwargs, "a", line),
-        _first_tits_elem(J, kwargs, "b", line),
-        _first_tits_elem(J, kwargs, "d", line),
-    )
-
-
-def _build_stab_cert(ev, args, kwargs, line):
-    J = _jordan_arg(args, line)
-    return rpaths_mod.cert_build_stab(
-        J,
-        _first_tits_elem(J, kwargs, "a", line),
-        _first_tits_elem(J, kwargs, "b", line),
-    )
-
-
-_CONSTRUCTORS = {
-    "matrix3": _build_matrix3,
-    "cubic_etale": _build_cubic_etale,
-    "cyclic": _build_cyclic,
-    "prodop": _build_prodop,
-    "dplus": _build_dplus,
-    "first_tits": _build_first_tits,
-    "second_tits": _build_second_tits,
-    "aut_conj_I": _build_aut_conj_I,
-    "aut_J_A": _build_aut_J_A,
-    "aut_J_B": _build_aut_J_B,
-    "aut_ext_D": _build_aut_ext_D,
-    "str_ext_D": _build_str_ext_D,
-    "aut_ext_second": _build_aut_ext_second,
-    "aut_stab_second": _build_aut_stab_second,
-    "str_ext_second": _build_str_ext_second,
-    "u_similarity": _build_u_similarity,
-    "certify": _build_certify,
-    "chi": _build_chi,
-    "conj_path": _build_conj_path,
-    "sl1_path": _build_sl1_path,
-    "str_path": _build_str_path,
-    "build_stab_cert": _build_stab_cert,
-}
 
 
 def evaluate_descriptor(text):
     """Evaluate a self-contained constructor expression (certificate headers)."""
-    ev = Evaluator()
-    return ev.eval(parse_expression(text), None)
+    ast = parse_expression(text)
+    _check(ast, None, CONSTRUCTORS)
+    return Evaluator().eval(ast, None)
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes the report, the line prefix, then its bound arguments
+
+
+def _axioms(report, prefix, J, samples, seed):
+    report.extend(J.axiom_suite(sample_count=samples, seed=seed), prefix)
+
+
+def _fundamental(report, prefix, J, pairs, seed):
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(pairs):
+        x = J.sample_vec(rng, 3)
+        y = J.sample_vec(rng, 3)
+        ux, uy = J.u_matrix(x), J.u_matrix(y)
+        uxy = J.u_matrix(J.u_op(x, y))
+        if not linalg.mat_eq(uxy, linalg.mat_mul(ux, linalg.mat_mul(uy, ux))):
+            failures += 1
+    report.record(f"{prefix}:u-composition", failures == 0,
+                  f"{pairs} pairs, {failures} failures")
+
+
+def _degree_identities(report, prefix, J):
+    ring, X = J.generic_vectors(1)
+    lhs = J.norm_program(ring, J.sharp_program(ring, X))
+    nx = J.norm_program(ring, X)
+    report.record(f"{prefix}:norm-of-adjoint", lhs == nx * nx)
+    ring2, X2, Y2 = J.generic_vectors(2)
+    u = J.u_op(X2, Y2, S=ring2)
+    lhs2 = J.norm_program(ring2, u)
+    nx2 = J.norm_program(ring2, X2)
+    ny2 = J.norm_program(ring2, Y2)
+    report.record(f"{prefix}:norm-of-u-operator", lhs2 == nx2 * nx2 * ny2)
+
+
+def _trace_oracle(report, prefix, alg, samples, seed):
+    Jp = DPlus(alg)
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(samples):
+        x = Jp.sample_vec(rng, 4)
+        y = Jp.sample_vec(rng, 4)
+        if Jp.trace_bilinear(x, y) != alg.trace_pairing(alg.base_ring, x, y):
+            failures += 1
+    report.record(f"{prefix}:derived-trace-matches-pairing", failures == 0,
+                  f"{samples} pairs, {failures} failures")
+
+
+def _verify_map(report, prefix, fmap):
+    fresh = maps_mod.certify_between(fmap.target, fmap.parent, fmap.matrix)
+    report.record(f"{prefix}:certified", True,
+                  f"multiplier {fmap.parent.field.format(fresh.multiplier)}")
+    kind = "automorphism" if fresh.is_automorphism else "similarity"
+    report.record(f"{prefix}:kind", True, kind)
+
+
+def _jmap_choice(report, prefix, J, c):
+    outcome = maps_mod.jmap_disambiguation(J, c)
+    survivors = [v for v in ("A", "B")
+                 if not isinstance(outcome[v], str) and outcome[v].is_automorphism]
+    report.record(
+        f"{prefix}:exactly-one-variant",
+        len(survivors) == 1,
+        f"surviving variant: {','.join(survivors) or 'none'}",
+    )
+    for v in ("A", "B"):
+        detail = outcome[v] if isinstance(outcome[v], str) else "automorphism"
+        report.record(f"{prefix}:variant-{v}", True, detail)
+
+
+def _chi_suite(report, prefix, J, a, trials, seed):
+    res = rpaths_mod.chi_unit_check(J, a)
+    hits = [choice for choice, (_, ok) in res.items() if ok]
+    report.record(f"{prefix}:one-middle-operand-works", hits == ["element-scaled"],
+                  f"unit reached by: {','.join(hits) or 'none'}")
+    report.record(
+        f"{prefix}:variant-discrepancy",
+        res["unit-scaled"][1] != res["element-scaled"][1],
+        "unit-scaled sends (a,0,0) to (N(a)^{-1}a,0,0); "
+        "element-scaled sends it to the base point",
+    )
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        cand = J.D.sample_invertible(rng, 4)
+        if not rpaths_mod.chi_unit_check(J, cand)["element-scaled"][1]:
+            failures += 1
+    report.record(f"{prefix}:element-scaled-on-samples", failures == 0,
+                  f"{trials} elements, {failures} failures")
+
+
+def _check_path(report, prefix, path):
+    fresh = rpaths_mod.path_certify(path.parent, path.matrix)
+    report.record(f"{prefix}:generic-fiber", True)
+    report.record(f"{prefix}:multiplier-one-identically",
+                  fresh.is_automorphism_family(),
+                  "" if fresh.is_automorphism_family() else "similarity family")
+    report.record(f"{prefix}:ends-at-identity", fresh.end.is_identity())
+
+
+def _check_cert(report, prefix, cert):
+    report.extend(rpaths_mod.cert_check(cert), prefix)
+
+
+def _split_identity(report, prefix, D, mu):
+    fmap = split_identify(D, mu)
+    report.record(f"{prefix}:identification-certified", True,
+                  f"lambda {D.base_ring.format(fmap.target.lam)}")
+    report.record(f"{prefix}:multiplier-one",
+                  fmap.multiplier == D.base_ring.one())
+    img = fmap.apply(fmap.parent.unit)
+    report.record(f"{prefix}:unit-preserved", tuple(img) == tuple(fmap.target.unit))
+
+
+SUITES = {
+    "axioms": Sig(_axioms, "J: jordan, *, samples: count = 25, seed: seed"),
+    "fundamental": Sig(_fundamental, "J: jordan, *, pairs: count = 25, seed: seed"),
+    "degree_identities": Sig(_degree_identities, "J: jordan"),
+    "trace_oracle": Sig(_trace_oracle, "D: carrier, *, samples: count = 50, seed: seed"),
+    "verify_map": Sig(_verify_map, "M: map"),
+    "jmap_choice": Sig(_jmap_choice, "J: first, *, c: elem_D"),
+    "chi_suite": Sig(_chi_suite, "J: first, *, a: elem_D, trials: count = 10, seed: seed"),
+    "check_path": Sig(_check_path, "P: path"),
+    "check_cert": Sig(_check_cert, "C: cert"),
+    "split_identity": Sig(_split_identity, "D: algebra, *, mu: pair"),
+}
 
 
 def run_suite(name, ev, ast, line, report, seed_override=None, samples_override=None):
-    args = [ev.eval(a, line) for a in ast[2]]
-    kwargs = {k: ev.eval(v, line) for k, v in ast[3].items()}
-    if samples_override is not None:
-        kwargs["samples"] = Fraction(samples_override)
-    prefix = f"L{line}:{name}"
-
-    def seed_of():
-        seed = seed_override if seed_override is not None else kwargs.get("seed")
-        if seed is None:
-            raise ConstraintError(
-                f"suite {name!r} samples randomly and needs seed=... (line {line})"
-            )
-        return _as_int(Fraction(seed), "seed", line)
-
-    if name == "axioms":
-        J = _jordan_arg(args, line)
-        samples = _as_int(kwargs.get("samples", Fraction(25)), "samples", line)
-        report.extend(J.axiom_suite(sample_count=samples, seed=seed_of()), prefix)
-        return
-
-    if name == "fundamental":
-        J = _jordan_arg(args, line)
-        pairs = _as_int(kwargs.get("pairs", Fraction(25)), "pairs", line)
-        rng = random.Random(seed_of())
-        failures = 0
-        for _ in range(pairs):
-            x = J.sample_vec(rng, 3)
-            y = J.sample_vec(rng, 3)
-            ux, uy = J.u_matrix(x), J.u_matrix(y)
-            uxy = J.u_matrix(J.u_op(x, y))
-            if not linalg.mat_eq(uxy, linalg.mat_mul(ux, linalg.mat_mul(uy, ux))):
-                failures += 1
-        report.record(f"{prefix}:u-composition", failures == 0,
-                      f"{pairs} pairs, {failures} failures")
-        return
-
-    if name == "degree_identities":
-        J = _jordan_arg(args, line)
-        ring, X = J.generic_vectors(1)
-        lhs = J.norm_program(ring, J.sharp_program(ring, X))
-        nx = J.norm_program(ring, X)
-        report.record(f"{prefix}:norm-of-adjoint", lhs == nx * nx)
-        ring2, X2, Y2 = J.generic_vectors(2)
-        u = J.u_op(X2, Y2, S=ring2)
-        lhs2 = J.norm_program(ring2, u)
-        nx2 = J.norm_program(ring2, X2)
-        ny2 = J.norm_program(ring2, Y2)
-        report.record(f"{prefix}:norm-of-u-operator", lhs2 == nx2 * nx2 * ny2)
-        return
-
-    if name == "trace_oracle":
-        target = args[0]
-        if isinstance(target, CubicJordan):
-            if not isinstance(target, DPlus):
-                raise ConstraintError("trace oracle runs on a degree-3 carrier")
-            Jp, alg = target, target.algebra
-        else:
-            alg = target
-            Jp = DPlus(alg)
-        samples = _as_int(kwargs.get("samples", Fraction(50)), "samples", line)
-        rng = random.Random(seed_of())
-        failures = 0
-        for _ in range(samples):
-            x = Jp.sample_vec(rng, 4)
-            y = Jp.sample_vec(rng, 4)
-            if Jp.trace_bilinear(x, y) != alg.trace_pairing(alg.base_ring, x, y):
-                failures += 1
-        report.record(f"{prefix}:derived-trace-matches-pairing", failures == 0,
-                      f"{samples} pairs, {failures} failures")
-        return
-
-    if name == "verify_map":
-        fmap = args[0]
-        if not isinstance(fmap, maps_mod.SimilarityMap):
-            raise ConstraintError("verify_map needs a similarity map")
-        fresh = maps_mod.certify_between(fmap.target, fmap.parent, fmap.matrix)
-        report.record(f"{prefix}:certified", True,
-                      f"multiplier {fmap.parent.field.format(fresh.multiplier)}")
-        kind = "automorphism" if fresh.is_automorphism else "similarity"
-        report.record(f"{prefix}:kind", True, kind)
-        return
-
-    if name == "jmap_choice":
-        J = _jordan_arg(args, line)
-        c = _first_tits_elem(J, kwargs, "c", line)
-        outcome = maps_mod.jmap_disambiguation(J, c)
-        survivors = [v for v in ("A", "B")
-                     if not isinstance(outcome[v], str) and outcome[v].is_automorphism]
-        report.record(
-            f"{prefix}:exactly-one-variant",
-            len(survivors) == 1,
-            f"surviving variant: {','.join(survivors) or 'none'}",
-        )
-        for v in ("A", "B"):
-            detail = outcome[v] if isinstance(outcome[v], str) else "automorphism"
-            report.record(f"{prefix}:variant-{v}", True, detail)
-        return
-
-    if name == "chi_suite":
-        J = _jordan_arg(args, line)
-        a = _first_tits_elem(J, kwargs, "a", line)
-        trials = _as_int(kwargs.get("trials", Fraction(10)), "trials", line)
-        res = rpaths_mod.chi_unit_check(J, a)
-        hits = [choice for choice, (_, ok) in res.items() if ok]
-        report.record(f"{prefix}:one-middle-operand-works", hits == ["element-scaled"],
-                      f"unit reached by: {','.join(hits) or 'none'}")
-        report.record(
-            f"{prefix}:variant-discrepancy",
-            res["unit-scaled"][1] != res["element-scaled"][1],
-            "unit-scaled sends (a,0,0) to (N(a)^{-1}a,0,0); "
-            "element-scaled sends it to the base point",
-        )
-        rng = random.Random(seed_of())
-        failures = 0
-        for _ in range(trials):
-            cand = J.D.sample_invertible(rng, 4)
-            if not rpaths_mod.chi_unit_check(J, cand)["element-scaled"][1]:
-                failures += 1
-        report.record(f"{prefix}:element-scaled-on-samples", failures == 0,
-                      f"{trials} elements, {failures} failures")
-        return
-
-    if name == "check_path":
-        path = args[0]
-        if not isinstance(path, rpaths_mod.RPath):
-            raise ConstraintError("check_path needs a path")
-        fresh = rpaths_mod.path_certify(path.parent, path.matrix)
-        report.record(f"{prefix}:generic-fiber", True)
-        report.record(f"{prefix}:multiplier-one-identically",
-                      fresh.is_automorphism_family(),
-                      "" if fresh.is_automorphism_family() else "similarity family")
-        report.record(f"{prefix}:ends-at-identity", fresh.end.is_identity())
-        return
-
-    if name == "check_cert":
-        cert = args[0]
-        if not isinstance(cert, rpaths_mod.RCertificate):
-            raise ConstraintError("check_cert needs a certificate")
-        report.extend(rpaths_mod.cert_check(cert), prefix)
-        return
-
-    if name == "split_identity":
-        D = args[0]
-        mu = _need(kwargs, "mu", line)
-        if not (isinstance(mu, tuple) and mu[0] == "pair"):
-            raise ScenarioParseError("mu must be a component pair (a;b)", line)
-        fmap = split_identify(D, (mu[1], mu[2]))
-        report.record(f"{prefix}:identification-certified", True,
-                      f"lambda {D.base_ring.format(fmap.target.lam)}")
-        report.record(f"{prefix}:multiplier-one",
-                      fmap.multiplier == D.base_ring.one())
-        img = fmap.apply(fmap.parent.unit)
-        report.record(f"{prefix}:unit-preserved", tuple(img) == tuple(fmap.target.unit))
-        return
-
-    raise ScenarioParseError(f"unknown suite {name!r}", line)
+    sig = _row(SUITES, name, line)
+    overrides = {"seed": seed_override, "samples": samples_override}
+    sig.fn(report, f"L{line}:{name}", *_bind(ev, sig, ast, line, overrides))
 
 
 def execute(scenario, seed_override=None, samples_override=None):

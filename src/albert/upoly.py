@@ -350,7 +350,7 @@ class RationalFunctionField(Ring):
     is_field = True
 
     def __init__(self, base, var="t"):
-        if not base.is_field:
+        if not getattr(base, "is_field", False):
             raise AlbertError("rational functions need field coefficients")
         self.base = base
         self.var = var

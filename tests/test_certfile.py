@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +74,19 @@ def test_truncated_file_rejected(cert):
     text = render_certificate(cert)
     with pytest.raises(CertificateError):
         parse_certificate(text[: len(text) // 2])
+
+
+GOLDEN_CERT = Path(__file__).resolve().parent / "golden" / "certificate.cert"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("field Q\n", "field Q[s]/(s^2-(-1))\n"),                   # not the algebra's field
+    ("algebra matrix3(Q)\n", "algebra matrix3(F7)\n"),            # under field Q
+    ("dim 27\n", "dim x\n"),                                      # not an integer
+    ("algebra matrix3(Q)\n", "algebra first_tits(matrix3(Q), lambda=2)\n"),  # no algebra
+])
+def test_rejects_malformed_header(old, new):
+    text = GOLDEN_CERT.read_text(encoding="utf-8")
+    assert old in text
+    with pytest.raises(CertificateError):
+        parse_certificate(text.replace(old, new, 1))

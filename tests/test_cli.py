@@ -141,3 +141,72 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "check-axioms" in proc.stdout
+
+
+PRELUDE = """D = matrix3(Q)
+J = first_tits(D, lambda=2)
+E = Q[x]/(x^3-3*x-1)
+JE = first_tits(Q[x]/(x^3-x), lambda=5)
+"""
+
+
+def _status(tmp_path, capsys, body):
+    status = main(["check-axioms", write(tmp_path, "s.txt", PRELUDE + body + "\n")])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return status, out
+
+
+# each of these ended in a Python traceback (exit 1) before arguments were
+# checked against the signature table
+@pytest.mark.parametrize("body", [
+    "X = first_tits(Q, lambda=2)",
+    "X = cyclic(E, rho=[1], b=2)",
+    "run split_identity(Q, mu=(1;1))",
+    "X = u_similarity(J, a=3)",
+    "run trace_oracle(Q, samples=2, seed=1)",
+    "run axioms(J, samples=2, seed=(1;2))",
+    "X = prodop(Q)",
+    "X = dplus(Q)",
+])
+def test_former_traceback_exits_parse_error(tmp_path, capsys, body):
+    assert _status(tmp_path, capsys, body)[0] == 2
+
+
+# wrong arity, unknown keywords and wrong argument kinds are parse errors
+@pytest.mark.parametrize("body", [
+    "X = first_tits(D, 2, 3)",
+    "X = matrix3(Q, foo=1)",
+    "X = matrix3(Q, ring=Q)",
+    "X = first_tits(D, lambda=2, lambda=3)",
+    "run axioms(J, samples=2, seed=1, bogus=1)",
+    "X = chi(JE, a=[1,2,3], middle=D)",
+    "run verify_map(J)",
+    "run check_path(J)",
+    "run check_cert(J)",
+    "run trace_oracle(J, samples=2, seed=1)",
+])
+def test_signature_violation_exits_parse_error(tmp_path, capsys, body):
+    assert _status(tmp_path, capsys, body)[0] == 2
+
+
+def test_unknown_constructor_after_run_caught_before_computing(tmp_path, capsys):
+    # the run has no seed: had it been computed first, it would exit 4
+    status, out = _status(tmp_path, capsys, "run axioms(J, samples=2)\nX = bogus(J)")
+    assert status == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("body", [
+    "run axioms(J, samples=0, seed=1)",
+    "run fundamental(J, pairs=-1, seed=1)",
+    "run trace_oracle(D, samples=0, seed=1)",
+    "run chi_suite(JE, a=[1,2,3], trials=0, seed=1)",
+])
+def test_count_below_one_exits_validation(tmp_path, capsys, body):
+    assert _status(tmp_path, capsys, body)[0] == 4
+
+
+def test_samples_flag_below_one_exits_validation(tmp_path, capsys):
+    scen = write(tmp_path, "s.txt", PRELUDE + "run axioms(J, samples=2, seed=1)\n")
+    assert main(["check-axioms", scen, "--samples", "0"]) == 4

@@ -11,8 +11,8 @@ from albert.scalars import (
     QuadraticExtension,
     SplitQuadratic,
     lift,
-    parse_field_spec,
 )
+from albert.scenario import evaluate_descriptor
 from albert.upoly import RationalFunctionField, ratfunc_eval
 
 
@@ -73,7 +73,7 @@ def _law_check(field, rng, trials=1000):
 
 @pytest.mark.parametrize("spec", ["Q", "F2", "F7", "Q[s]/(s^2-(-1))", "Q(t)"])
 def test_field_laws_random(spec):
-    field = parse_field_spec(spec)
+    field = evaluate_descriptor(spec)
     _law_check(field, random.Random(42), trials=1000)
 
 
@@ -115,20 +115,22 @@ def test_split_quadratic_any_characteristic():
 
 
 def test_field_spec_round_trip():
-    for spec in ["Q", "F7", "Q[s]/(s^2-(-1))", "Q(t)"]:
-        field = parse_field_spec(spec)
-        assert parse_field_spec(field.spec_string()) == field
+    specs = ["Q", "F2", "F7", "Q(t)", "Q[s]/(s^2-(-1))", "Q[s]/(s^2-(1/2))", "F7[s]/(s^2-(3))"]
+    for spec in specs:
+        field = evaluate_descriptor(spec)
+        assert field.spec_string() == spec
+        assert evaluate_descriptor(field.spec_string()) == field
 
 
 def test_tower_depth_limit():
     with pytest.raises(AlbertError):
-        parse_field_spec("Q[s]/(s^2-(-1))(t)(u)")
+        evaluate_descriptor("Q[s]/(s^2-(-1))(t)(u)")
 
 
 def test_scalar_format_parse_round_trip():
     rng = random.Random(9)
     for spec in ["Q", "F7", "Q[s]/(s^2-(-1))", "Q(t)"]:
-        field = parse_field_spec(spec)
+        field = evaluate_descriptor(spec)
         for _ in range(25):
             v = field.sample(rng)
             assert field.parse(field.format(v)) == v

@@ -130,3 +130,15 @@ M = str_ext_second(J2, gamma=2, g=[[1,0,0],[0,1,0],[0,0,1]], q=[[1,0,0],[0,1,0],
 run verify_map(M)
 """))
     assert rep.all_pass
+
+
+def test_readme_lists_every_signature():
+    import re
+    from pathlib import Path
+
+    from albert.scenario import CONSTRUCTORS, SUITES
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = dict(re.findall(r"^- `(\w+)\((.*)\)`", readme, flags=re.M))
+    table = {name: sig.spec for name, sig in {**CONSTRUCTORS, **SUITES}.items()}
+    assert listed == table
