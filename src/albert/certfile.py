@@ -20,7 +20,7 @@ verdicts are reproducible bit for bit:
 
 from __future__ import annotations
 
-from .errors import CertificateError
+from .errors import AlbertError, CertificateError
 from .deg3 import Deg3Algebra
 from .upoly import RationalFunctionField
 from .tits import FirstTits
@@ -91,8 +91,16 @@ def parse_certificate(text):
             raise CertificateError(f"expected {key!r} line, found {ln!r}")
         return ln[len(key) + 1:].strip()
 
+    def parse(read, text, where):
+        """``read(text)``, with any error reported as a certificate error at
+        the line just read."""
+        try:
+            return read(text)
+        except AlbertError as exc:
+            raise CertificateError(f"{where} {text!r} (line {idx}): {exc}") from None
+
     field_spec = expect_key("field")
-    algebra = evaluate_descriptor(expect_key("algebra"))
+    algebra = parse(evaluate_descriptor, expect_key("algebra"), "bad algebra")
     if not (isinstance(algebra, Deg3Algebra) and algebra.base_ring.is_field):
         raise CertificateError("algebra line must name a degree-3 algebra over a field")
     field = algebra.base_ring
@@ -100,7 +108,7 @@ def parse_certificate(text):
         raise CertificateError(
             f"field {field_spec!r} is not the algebra's base field {field.spec_string()!r}"
         )
-    lam = field.parse(expect_key("lambda"))
+    lam = parse(field.parse, expect_key("lambda"), "bad lambda")
     try:
         dim = int(expect_key("dim"))
     except ValueError:
@@ -117,7 +125,7 @@ def parse_certificate(text):
         row = next_line().split()
         if len(row) != dim:
             raise CertificateError("target row has wrong length")
-        target.append([field.parse(v) for v in row])
+        target.append([parse(field.parse, v, "bad target entry") for v in row])
     Rt = RationalFunctionField(field, "t")
     paths = []
     while True:
@@ -131,7 +139,8 @@ def parse_certificate(text):
             row = next_line().split()
             if len(row) != dim:
                 raise CertificateError("path row has wrong length")
-            matrix.append([Rt.parse(v) for v in row])
+            matrix.append([parse(Rt.parse, v, f"bad entry of path {len(paths) + 1}")
+                           for v in row])
         paths.append(matrix)
     return RCertificate(J, target, paths)
 

@@ -7,17 +7,42 @@ expressions built by ring operations are equal exactly when their normal
 forms are equal, in every characteristic, because comparison happens at the
 coefficient level rather than the function level.
 
-The 8-bit packing caps total degree at 255; every polynomial carries a
-conservative degree bound and multiplication refuses to overflow the packing.
-Only this module knows the key layout: other modules build polynomials with
-the :class:`PolyRing` constructors and read them through ``unpack`` and
-:meth:`MPoly.coefficient`.
+Coefficients are stored in a form native to the coefficient field, so the
+multiply and merge loops run on plain Python ``int``s where they can:
+
+* over ``PrimeField(p)`` each coefficient is an ``int`` in [1, p);
+* over ``QQ`` each coefficient is a nonzero ``int`` numerator over one
+  positive common denominator ``MPoly.den``, with gcd(den, every numerator)
+  = 1 and den = 1 for the zero polynomial;
+* over any other field the coefficients are the field's own payloads and
+  ``den`` stays 1.
+
+Each :class:`PolyRing` picks one codec for its field when it is built:
+``encode(payload) -> (int, den)``, ``decode(int, den) -> payload`` and
+``normalize(dict, den, changed) -> (terms, den)``, which reduces mod p or
+divides out the gcd, and drops zeros.  The one multiply loop and the one
+add/sub merge loop accumulate without reducing and normalize once per
+result; a merge names the keys it changed, so a small summand does not cost
+a pass over a large accumulator.  Field
+payloads appear only at the boundary: the constructors encode, and
+:meth:`MPoly.coefficient`, :meth:`MPoly.evaluate`, ``repr`` and
+:func:`proportionality` decode.
+
+Limit: the 8-bit packing caps every exponent, and every total degree a
+product may reach, at 255.  Every polynomial carries a conservative degree
+bound, and multiplication refuses with an ``AlbertError`` rather than
+overflow the packing.  Only this module knows the key layout: other modules
+build polynomials with the :class:`PolyRing` constructors and read them
+through ``unpack`` and :meth:`MPoly.coefficient`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import AlbertError, ParentMismatch
-from .scalars import Ring
+from .scalars import FpElement, PrimeField, RationalField, Ring
 
 _BITS = 8
 _MASK = (1 << _BITS) - 1
@@ -25,12 +50,17 @@ _MAXDEG = _MASK
 
 
 class MPoly:
-    """Element of :class:`PolyRing`; immutable normal form."""
+    """Element of :class:`PolyRing`; immutable normal form.
 
-    __slots__ = ("terms", "ring", "degbound")
+    ``terms`` maps packed monomials to encoded coefficients and ``den`` is
+    their common denominator (see the module docstring).
+    """
 
-    def __init__(self, terms, ring, degbound):
+    __slots__ = ("terms", "den", "ring", "degbound")
+
+    def __init__(self, terms, den, ring, degbound):
         self.terms = terms
+        self.den = den
         self.ring = ring
         self.degbound = degbound
 
@@ -43,25 +73,30 @@ class MPoly:
             return self.ring.from_int(other)
         return None
 
+    def _merge(self, o, sign):
+        """self + sign*o, both brought to the lcm of their denominators."""
+        a, b = self.terms, o.terms
+        da, db = self.den, o.den
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+        if fa == fb == 1 and len(a) < len(b):
+            a, b = b, a
+        out = dict(a) if fa == 1 else {k: c * fa for k, c in a.items()}
+        get = out.get
+        zero = self.ring._zero
+        for k, c in b.items():
+            out[k] = get(k, zero) + c * fb
+        terms, den = self.ring._normalize(out, den, b)
+        return MPoly(terms, den, self.ring, max(self.degbound, o.degbound))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for k, c in b.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                s = v + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return MPoly(out, self.ring, max(self.degbound, o.degbound))
+        return self._merge(o, 1)
 
     __radd__ = __add__
 
@@ -69,19 +104,7 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
-        out = dict(a)
-        for k, c in b.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = -c
-            else:
-                s = v - c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return MPoly(out, self.ring, max(self.degbound, o.degbound))
+        return self._merge(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -90,15 +113,17 @@ class MPoly:
         return o - self
 
     def __neg__(self):
-        return MPoly({k: -c for k, c in self.terms.items()}, self.ring, self.degbound)
+        terms, den = self.ring._normalize({k: -c for k, c in self.terms.items()}, self.den)
+        return MPoly(terms, den, self.ring, self.degbound)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        ring = self.ring
         a, b = self.terms, o.terms
         if not a or not b:
-            return self.ring.zero()
+            return ring.zero()
         bound = self.degbound + o.degbound
         if bound > _MAXDEG:
             raise AlbertError(f"polynomial degree bound {bound} exceeds packing limit")
@@ -106,25 +131,23 @@ class MPoly:
             a, b = b, a
         out = {}
         get = out.get
+        zero = ring._zero
         for kb, cb in b.items():
             for ka, ca in a.items():
                 k = ka + kb
-                v = get(k)
-                if v is None:
-                    out[k] = ca * cb
-                else:
-                    out[k] = v + ca * cb
-        out = {k: c for k, c in out.items() if c}
-        return MPoly(out, self.ring, bound)
+                out[k] = get(k, zero) + ca * cb
+        terms, den = ring._normalize(out, self.den * o.den)
+        return MPoly(terms, den, ring, bound)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if not c:
-            return self.ring.zero()
-        out = {k: c * v for k, v in self.terms.items()}
-        out = {k: v for k, v in out.items() if v}
-        return MPoly(out, self.ring, self.degbound)
+        ring = self.ring
+        n, d = ring._encode(c)
+        if not n:
+            return ring.zero()
+        terms, den = ring._normalize({k: v * n for k, v in self.terms.items()}, self.den * d)
+        return MPoly(terms, den, ring, self.degbound)
 
     def __truediv__(self, other):
         field = self.ring.field
@@ -136,27 +159,28 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.terms == o.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.terms.items())))
 
     def nterms(self):
         return len(self.terms)
 
     def coefficient(self, exponents):
-        key = self.ring.pack(exponents)
-        return self.terms.get(key, self.ring.field.zero())
+        ring = self.ring
+        c = self.terms.get(ring.pack(exponents))
+        return ring.field.zero() if c is None else ring._decode(c, self.den)
 
     def evaluate(self, values):
         """Evaluate at payloads of the coefficient field."""
-        field = self.ring.field
-        acc = field.zero()
+        ring = self.ring
+        acc = ring.field.zero()
         for k, c in self.terms.items():
-            term = c
+            term = ring._decode(c, self.den)
             i = 0
             while k:
                 e = k & _MASK
@@ -175,7 +199,7 @@ class MPoly:
         ring = self.ring
         parts = []
         for k in sorted(self.terms):
-            c = self.terms[k]
+            c = ring._decode(self.terms[k], self.den)
             exps = ring.unpack(k)
             mono = "*".join(
                 f"{ring.names[i]}" + (f"^{e}" if e > 1 else "")
@@ -185,6 +209,75 @@ class MPoly:
             cs = ring.field.format(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
+
+
+def _codec(field):
+    """(encode, decode, normalize, zero) for the coefficients over ``field``.
+
+    ``zero`` is the encoded zero the loops accumulate from.  ``normalize``
+    rebuilds the whole dict, or, given ``changed``, works in place on the
+    dict on the promise that only the keys of ``changed`` may hold unreduced
+    or zero values.
+    """
+    if isinstance(field, RationalField):
+        def encode(c):
+            return c.numerator, c.denominator
+
+        def normalize(terms, den, changed=None):
+            if changed is not None:
+                for k in changed:
+                    if not terms[k]:
+                        del terms[k]
+            elif 0 in terms.values():
+                terms = {k: v for k, v in terms.items() if v}
+            if not terms:
+                return terms, 1
+            if den != 1:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {k: v // g for k, v in terms.items()}
+                    den //= g
+            return terms, den
+
+        return encode, Fraction, normalize, 0
+
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def encode(c):
+            return c.val, 1
+
+        def decode(n, den):
+            return FpElement(n if den == 1 else n * pow(den, -1, p), p)
+
+        def normalize(terms, den, changed=None):
+            if changed is None:
+                return {k: r for k, v in terms.items() if (r := v % p)}, 1
+            for k in changed:
+                r = terms[k] % p
+                if r:
+                    terms[k] = r
+                else:
+                    del terms[k]
+            return terms, 1
+
+        return encode, decode, normalize, 0
+
+    def encode(c):
+        return c, 1
+
+    def decode(n, den):
+        return n if den == 1 else n / den
+
+    def normalize(terms, den, changed=None):
+        if changed is None:
+            return {k: v for k, v in terms.items() if v}, 1
+        for k in changed:
+            if not terms[k]:
+                del terms[k]
+        return terms, 1
+
+    return encode, decode, normalize, field.zero()
 
 
 class PolyRing(Ring):
@@ -197,6 +290,7 @@ class PolyRing(Ring):
         self.base = field
         self.names = list(names)
         self.nvars = len(self.names)
+        self._encode, self._decode, self._normalize, self._zero = _codec(field)
 
     def pack(self, exponents):
         key = 0
@@ -214,23 +308,33 @@ class PolyRing(Ring):
             key >>= _BITS
         return exps
 
+    def _make(self, payloads, degbound):
+        """sum_k payloads[k] times the monomial k, over one common denominator."""
+        encoded = [(k, *self._encode(c)) for k, c in payloads.items()]
+        den = 1
+        for _, _, d in encoded:
+            if d != den:
+                den = lcm(den, d)
+        terms = {k: n if d == den else n * (den // d) for k, n, d in encoded}
+        terms, den = self._normalize(terms, den)
+        return MPoly(terms, den, self, degbound)
+
     def zero(self):
-        return MPoly({}, self, 0)
+        return MPoly({}, 1, self, 0)
 
     def one(self):
-        return MPoly({0: self.field.one()}, self, 0)
+        return self._make({0: self.field.one()}, 0)
 
     def from_int(self, n):
-        c = self.field.from_int(n)
-        return MPoly({0: c} if c else {}, self, 0)
+        return self._make({0: self.field.from_int(n)}, 0)
 
     def from_base(self, value):
-        return MPoly({0: value} if value else {}, self, 0)
+        return self._make({0: value}, 0)
 
     from_coeff = from_base
 
     def gen(self, i):
-        return MPoly({1 << (_BITS * i): self.field.one()}, self, 1)
+        return self._make({1 << (_BITS * i): self.field.one()}, 1)
 
     def gens(self):
         return [self.gen(i) for i in range(self.nvars)]
@@ -238,14 +342,13 @@ class PolyRing(Ring):
     def monomial(self, coeff, exponents):
         if self.field.is_zero(coeff):
             return self.zero()
-        return MPoly({self.pack(exponents): coeff}, self, sum(exponents))
+        return self._make({self.pack(exponents): coeff}, sum(exponents))
 
     def univariate(self, coeffs):
         """sum_d coeffs[d] x_0^d, coefficients in ascending powers."""
         if len(coeffs) > _MAXDEG + 1:
             raise AlbertError("exponent exceeds packing limit")
-        terms = {d: c for d, c in enumerate(coeffs) if not self.field.is_zero(c)}
-        return MPoly(terms, self, max(len(coeffs) - 1, 0))
+        return self._make(dict(enumerate(coeffs)), max(len(coeffs) - 1, 0))
 
     def linear_form(self, coeffs, first=0):
         """The form sum_j p_j(x_0) x_{first+j}.
@@ -255,18 +358,18 @@ class PolyRing(Ring):
         plain linear form sum_j c_j x_{first+j}.
         """
         is_zero = self.field.is_zero
-        terms = {}
+        payloads = {}
         deg = 0
         for j, poly in enumerate(coeffs):
             var = 1 << (_BITS * (first + j))
             for d, c in enumerate(poly):
                 if not is_zero(c):
-                    terms[var + d] = c
+                    payloads[var + d] = c
                     if d > deg:
                         deg = d
         if deg >= _MAXDEG:
             raise AlbertError("exponent exceeds packing limit")
-        return MPoly(terms, self, deg + 1)
+        return self._make(payloads, deg + 1)
 
     def characteristic(self):
         return self.field.characteristic()
@@ -300,19 +403,25 @@ def proportionality(p, q):
     """If p == c*q for a scalar c, return c; otherwise None.
 
     Zero q matches only zero p (with c undefined; None is returned unless both
-    are zero, in which case the field's one is returned).
+    are zero, in which case the field's one is returned).  The test is exact
+    cross-multiplication against one reference monomial k0 of q,
+    p_k * q_k0 == q_k * p_k0 for every k, on the encoded coefficients.
     """
-    field = p.ring.field
+    ring = p.ring
     if not q.terms:
-        return field.one() if not p.terms else None
+        return ring.field.one() if not p.terms else None
     if len(p.terms) != len(q.terms):
         return None
     key = next(iter(q.terms))
     pc = p.terms.get(key)
     if pc is None:
         return None
-    c = pc / q.terms[key]
-    for k, qc in q.terms.items():
-        if p.terms.get(k) != c * qc:
-            return None
-    return c
+    qc = q.terms[key]
+    get = p.terms.get
+    zero = ring._zero
+    cross = {k: get(k, zero) * qc - c * pc for k, c in q.terms.items()}
+    if ring._normalize(cross, 1)[0]:
+        return None
+    if p.den != q.den:
+        pc, qc = pc * q.den, qc * p.den
+    return ring._decode(pc, qc)

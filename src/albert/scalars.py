@@ -596,6 +596,15 @@ class SplitQuadratic(Ring):
         return hash(("split", self.base))
 
 
+def _dot(zero, pairs):
+    """sum x*y over ``pairs``, skipping the products with a zero factor."""
+    acc = None
+    for x, y in pairs:
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
+
+
 class BiDualElement:
     """a + b1*e1 + b2*e2 + c*e1*e2 with e1^2 = e2^2 = 0.
 
@@ -645,11 +654,12 @@ class BiDualElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        z = self.ring._bzero
         return BiDualElement(
             self.a * o.a,
-            self.a * o.b1 + self.b1 * o.a,
-            self.a * o.b2 + self.b2 * o.a,
-            self.a * o.c + self.c * o.a + self.b1 * o.b2 + self.b2 * o.b1,
+            _dot(z, ((self.a, o.b1), (self.b1, o.a))),
+            _dot(z, ((self.a, o.b2), (self.b2, o.a))),
+            _dot(z, ((self.a, o.c), (self.c, o.a), (self.b1, o.b2), (self.b2, o.b1))),
             self.ring,
         )
 
@@ -676,6 +686,7 @@ class BiDualRing(Ring):
 
     def __init__(self, base):
         self.base = base
+        self._bzero = base.zero()
 
     def zero(self):
         z = self.base.zero()

@@ -377,7 +377,8 @@ class Evaluator:
             return self.env[name]
         if is_builtin_name(name):
             return eval_atom(name, line)
-        raise UnresolvedReference(f"undefined name {name!r} (line {line})")
+        where = "" if line is None else f" (line {line})"
+        raise UnresolvedReference(f"undefined name {name!r}{where}")
 
     def eval(self, ast, line):
         kind = ast[0]

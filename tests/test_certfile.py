@@ -90,3 +90,16 @@ def test_rejects_malformed_header(old, new):
     assert old in text
     with pytest.raises(CertificateError):
         parse_certificate(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("lambda 2\n", "lambda x\n", 4),                            # malformed scalar
+    ("target\n1 0", "target\n1/0 0", 7),                         # zero denominator
+    ("path\n1|1 0|1", "path\n1|0 0|1", 35),                      # path entry over 0
+    ("algebra matrix3(Q)\n", "algebra matrix3(K)\n", 3),         # undefined name
+])
+def test_rejects_malformed_body(old, new, line):
+    text = GOLDEN_CERT.read_text(encoding="utf-8")
+    assert old in text
+    with pytest.raises(CertificateError, match=rf"\(line {line}\)"):
+        parse_certificate(text.replace(old, new, 1))

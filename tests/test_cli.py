@@ -95,6 +95,19 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert main(["check-cert", bad_path, "--format", "machine"]) == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("lambda 2\n", "lambda x\n"),
+    ("path\n1|1 ", "path\n1|0 "),
+    ("algebra matrix3(Q)\n", "algebra matrix3(K)\n"),
+])
+def test_malformed_certificate_exits_parse_error(tmp_path, capsys, old, new):
+    text = (GOLDEN / "certificate.cert").read_text(encoding="utf-8")
+    assert old in text
+    path = write(tmp_path, "bad.cert", text.replace(old, new, 1))
+    assert main(["check-cert", path]) == 2
+    assert "certificate error" in capsys.readouterr().err
+
+
 def test_machine_report_byte_identical(tmp_path, capsys):
     scen = write(tmp_path, "s.txt", AXIOM_SCEN)
     main(["check-axioms", scen, "--format", "machine"])

@@ -1,6 +1,12 @@
-"""Property test: declaration-only scenarios built from the structure
-constructors and literal atoms never make the CLI raise; they pass (0) or
-exit with a documented error status."""
+"""Property tests of the CLI on malformed input.
+
+Declaration-only scenarios built from the structure constructors and literal
+atoms never make the CLI raise; they pass (0) or exit with a documented error
+status.  A certificate with one token replaced by a malformed literal exits
+with the parse-error status 2.
+"""
+
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -49,3 +55,23 @@ def test_declarations_exit_with_documented_status(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "s.txt"
     path.write_text(text, encoding="utf-8")
     assert main(["check-axioms", str(path)]) in (0, 2, 3, 4)
+
+
+GOLDEN_CERT = (Path(__file__).resolve().parent / "golden" / "certificate.cert").read_text(
+    encoding="utf-8").splitlines()
+CERT_TOKENS = [(i, j) for i, line in enumerate(GOLDEN_CERT) for j in range(len(line.split()))]
+MALFORMED = ["x", "1/0", "1//2", "--1", "(1;2)", "|", "1|", "1|0", "0|0", "1|1|1",
+             "1,,2|1", "1|x", "matrix3(K)"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(position=st.sampled_from(CERT_TOKENS), literal=st.sampled_from(MALFORMED))
+def test_malformed_certificate_token_exits_parse_error(tmp_path_factory, position, literal):
+    i, j = position
+    lines = list(GOLDEN_CERT)
+    tokens = lines[i].split()
+    tokens[j] = literal
+    lines[i] = " ".join(tokens)
+    path = tmp_path_factory.mktemp("cert") / "c.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["check-cert", str(path)]) == 2

@@ -1,9 +1,16 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
-from albert.scalars import QQ, PrimeField
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from albert.scalars import QQ, PrimeField, QuadraticExtension
 from albert.multipoly import PolyRing, proportionality
+from albert.deg3 import CubicEtale
+from albert.tits import FirstTits
+from albert.upoly import UPoly
 
 
 def det3_permutation_oracle(entries):
@@ -85,7 +92,6 @@ def test_coefficient_lookup():
 
 
 def test_degree_guard():
-    import pytest
     from albert.errors import AlbertError
 
     R = PolyRing(QQ, 1)
@@ -95,3 +101,175 @@ def test_degree_guard():
         p = p * p  # degree 128
     with pytest.raises(AlbertError):
         p * p  # would be 256
+
+
+# -- property test against a naive reference ----------------------------------
+#
+# The reference keeps a polynomial as a dict {exponent tuple: field payload}
+# built with the field's own arithmetic; the kernel's encoded coefficients
+# must agree with it through every public operation.
+
+NVARS = 3
+FIELDS = {
+    "Q": QQ,
+    "F2": PrimeField(2),
+    "F3": PrimeField(3),
+    "F5": PrimeField(5),
+    "F7": PrimeField(7),
+    "Q(sqrt2)": QuadraticExtension(QQ, F(2)),
+}
+RINGS = {name: PolyRing(k, NVARS) for name, k in FIELDS.items()}
+EXPS = st.tuples(*[st.integers(0, 2)] * NVARS)
+
+
+def scalars(field):
+    small = st.integers(-6, 6)
+    rational = st.builds(F, small, st.integers(1, 6))
+    if field == QQ:
+        return rational
+    if isinstance(field, PrimeField):
+        return small.map(field.from_int)
+    return st.builds(field.make, rational, rational)
+
+
+def reference(field, pairs):
+    ref = {}
+    for c, e in pairs:
+        ref[e] = ref.get(e, field.zero()) + c
+    return {e: c for e, c in ref.items() if not field.is_zero(c)}
+
+
+@st.composite
+def polys(draw, ring):
+    """(MPoly, reference) drawn through one of the public constructors."""
+    field = ring.field
+    sc = scalars(field)
+    kind = draw(st.sampled_from(["monomials", "univariate", "linear_form", "from_base"]))
+    if kind == "monomials":
+        pairs = draw(st.lists(st.tuples(sc, EXPS), max_size=5))
+        poly = ring.zero()
+        for c, e in pairs:
+            poly = poly + ring.monomial(c, list(e))
+    elif kind == "univariate":
+        cs = draw(st.lists(sc, max_size=4))
+        poly = ring.univariate(cs)
+        pairs = [(c, (d,) + (0,) * (NVARS - 1)) for d, c in enumerate(cs)]
+    elif kind == "linear_form":
+        forms = draw(st.lists(st.lists(sc, max_size=3), max_size=NVARS - 1))
+        poly = ring.linear_form(forms, first=1)
+        pairs = [(c, (d,) + tuple(int(i == j) for i in range(NVARS - 1)))
+                 for j, form in enumerate(forms) for d, c in enumerate(form)]
+    else:
+        c = draw(sc)
+        poly = ring.from_base(c)
+        pairs = [(c, (0,) * NVARS)]
+    return poly, reference(field, pairs)
+
+
+def assert_canonical(poly):
+    field, terms, den = poly.ring.field, poly.terms, poly.den
+    if field == QQ:
+        assert den > 0 and all(isinstance(c, int) and c for c in terms.values())
+        assert gcd(den, *terms.values()) == 1 if terms else den == 1
+    elif isinstance(field, PrimeField):
+        assert den == 1 and all(isinstance(c, int) and 0 < c < field.p for c in terms.values())
+    else:
+        assert den == 1 and all(terms.values())
+
+
+def assert_matches(poly, ref):
+    assert_canonical(poly)
+    assert poly.nterms() == len(ref)
+    for e, c in ref.items():
+        assert poly.coefficient(list(e)) == c
+
+
+def ref_mul(field, a, b):
+    return reference(field, [(ca * cb, tuple(x + y for x, y in zip(ea, eb)))
+                             for ea, ca in a.items() for eb, cb in b.items()])
+
+
+def ref_evaluate(field, ref, values):
+    acc = field.zero()
+    for e, c in ref.items():
+        for v, k in zip(values, e):
+            for _ in range(k):
+                c = c * v
+        acc = acc + c
+    return acc
+
+
+def ref_proportionality(field, p, q):
+    if not q:
+        return field.one() if not p else None
+    if p.keys() != q.keys():
+        return None
+    e0 = next(iter(q))
+    c = p[e0] * field.inv(q[e0])
+    return c if all(p[e] == c * q[e] for e in q) else None
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[name]
+    sc = scalars(ring.field)
+    return (ring, draw(polys(ring)), draw(polys(ring)), draw(sc),
+            draw(st.lists(sc, min_size=NVARS, max_size=NVARS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+def test_operations_match_reference(case):
+    ring, (a, ra), (b, rb), c, point = case
+    field = ring.field
+    assert_matches(a, ra)
+    assert_matches(a + b, reference(field, [(v, e) for r in (ra, rb) for e, v in r.items()]))
+    assert_matches(a - b, reference(field, [(v, e) for e, v in ra.items()]
+                                    + [(-v, e) for e, v in rb.items()]))
+    assert_matches(-a, {e: -v for e, v in ra.items()})
+    assert_matches(a * b, ref_mul(field, ra, rb))
+    assert_matches(a.scale(c), reference(field, [(c * v, e) for e, v in ra.items()]))
+    assert a.evaluate(point) == ref_evaluate(field, ra, point)
+    assert proportionality(a, b) == ref_proportionality(field, ra, rb)
+    scaled = reference(field, [(c * v, e) for e, v in rb.items()])
+    assert proportionality(b.scale(c), b) == ref_proportionality(field, scaled, rb)
+    if b and not field.is_zero(c):
+        assert proportionality(b.scale(c), b) == c
+    # the same polynomial reached two ways has one normal form
+    left, right = (a + b) * b, a * b + b * b
+    assert (left.terms, left.den, hash(left)) == (right.terms, right.den, hash(right))
+
+
+def test_canonical_denominator():
+    x = RINGS["Q"].gen(0)
+    half = x.scale(F(1, 2))
+    assert (half.den, half.terms) == (2, {1: 1})
+    back = half * 2
+    assert back.den == 1 and back == x and hash(back) == hash(x)
+    assert (half - half).den == 1
+    assert proportionality(x, half) == F(2)
+
+
+def _norm_squared(field):
+    """N(X)^2 over k[X1..X9] for J(k[x]/(x^3 - x - 1), lambda = 1)."""
+    E = CubicEtale(field, UPoly([field.from_int(c) for c in (-1, -1, 0, 1)], field))
+    J = FirstTits(E, field.one())
+    ring, X = J.generic_vectors(1)
+    n = J.norm_program(ring, X)
+    return n * n
+
+
+@pytest.mark.parametrize("name", ["Q", "F2", "F3", "F5", "F7"])
+def test_refutes_scalar_multiples(name):
+    field = FIELDS[name]
+    n2 = _norm_squared(field)
+    assert n2 + 1 != n2
+    if field == QQ:
+        multiples = [F(1, 2), F(3, 2), F(-1)]
+    else:
+        multiples = [field.from_int(c) for c in range(2, field.p)] + [field.from_int(field.p + 1)]
+    for c in multiples:
+        other = n2.scale(c)
+        assert (other != n2) == (c != field.one())
+        assert proportionality(other, n2) == c
