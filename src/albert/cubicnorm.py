@@ -181,21 +181,11 @@ class CubicJordan:
         return not self.field.is_zero(linalg.det(self.field, self.gram()))
 
     def trace_pair(self, x, y, S=None):
-        """Bilinear trace via the cached Gram matrix (fast path; the Gram
-        matrix itself comes from the derivative-based derivation)."""
+        """Bilinear trace sum_i x_i (G y)_i via the cached Gram matrix G
+        (fast path; G itself comes from the derivative-based derivation)."""
         S = S or self.field
-        g = self.gram()
-        k = self.field
-        direct = S == k
-        acc = S.zero()
-        for i, xi in enumerate(x):
-            row = g[i]
-            for j, yj in enumerate(y):
-                c = row[j]
-                if not k.is_zero(c):
-                    cc = c if direct else lift(S, k, c)
-                    acc = acc + cc * xi * yj
-        return acc
+        gy = linalg.mat_vec(self.gram(), y, S, self.field)
+        return linalg.mat_vec([x], gy, S)[0]
 
     def cross(self, x, y, S=None):
         S = S or self.field
@@ -209,13 +199,21 @@ class CubicJordan:
         return vsub(vscale(t, x), self.cross(self.sharp_program(S, x), y, S))
 
     def u_matrix(self, x, S=None):
-        """Matrix of U_x acting on column coordinate vectors."""
+        """Matrix of U_x acting on column coordinate vectors.
+
+        Column j is T(x, e_j) x - x^# X e_j.  The Gram matrix is symmetric, so
+        the traces T(x, e_j) are the entries of G x; the cross products share
+        the one (x^#)^#.
+        """
         S = S or self.field
+        traces = linalg.mat_vec(self.gram(), x, S, self.field)
         xsharp = self.sharp_program(S, x)
+        xsharp2 = self.sharp_program(S, xsharp)
         cols = []
-        for e in self.basis(S):
-            t = self.trace_pair(x, e, S)
-            cols.append(vsub(vscale(t, x), self.cross(xsharp, e, S)))
+        for t, e in zip(traces, self.basis(S)):
+            cross = vsub(vsub(self.sharp_program(S, vadd(xsharp, e)), xsharp2),
+                         self.sharp_program(S, e))
+            cols.append(vsub(vscale(t, x), cross))
         return linalg.transpose(cols)
 
     def jordan_inverse(self, x, S=None):
@@ -351,10 +349,6 @@ class CubicJordan:
         )
         return basis, closed
 
-    def gram_on(self, basis):
-        """Gram matrix of the bilinear trace on an arbitrary basis."""
-        return [[self.trace_pair(tuple(b1), tuple(b2)) for b2 in basis] for b1 in basis]
-
 
 def subspace_structure(J, basis, label="restricted"):
     """The cubic norm structure induced on a #-closed subspace containing the
@@ -366,61 +360,16 @@ def subspace_structure(J, basis, label="restricted"):
     can run on it unchanged.
     """
     field = J.field
-    n = J.dim
-    m = len(basis)
-    cols = [list(b) for b in basis]
-    # pivot rows with an invertible m x m minor, plus its inverse
-    piv = linalg.echelon(field, [list(col) for col in cols])
-    if len(piv) != m:
-        raise AlbertError("subspace basis is rank deficient")
-    minor = [[cols[i][piv[j]] for i in range(m)] for j in range(m)]
-    pinv = linalg.inverse(field, minor)
-
-    def project(S, vec):
-        sel = [vec[i] for i in piv]
-        out = []
-        for row in pinv:
-            acc = S.zero()
-            for cij, s in zip(row, sel):
-                if not field.is_zero(cij):
-                    acc = acc + (cij if S == field else lift(S, field, cij)) * s
-            out.append(acc)
-        recon = [S.zero()] * n
-        for i in range(m):
-            wi = out[i]
-            if not S.is_zero(wi):
-                for j in range(n):
-                    cij = cols[i][j]
-                    if not field.is_zero(cij):
-                        recon[j] = recon[j] + wi * (
-                            cij if S == field else lift(S, field, cij)
-                        )
-        if tuple(recon) != tuple(vec):
-            raise AlbertError("vector does not lie in the subspace")
-        return tuple(out)
-
-    def embed(S, w):
-        out = [S.zero()] * n
-        for i in range(m):
-            wi = w[i]
-            if not S.is_zero(wi):
-                for j in range(n):
-                    cij = cols[i][j]
-                    if not field.is_zero(cij):
-                        out[j] = out[j] + wi * (
-                            cij if S == field else lift(S, field, cij)
-                        )
-        return tuple(out)
-
-    unit = project(field, list(J.unit))
+    sub = linalg.Subspace(field, basis)
+    unit = sub.coords(field, J.unit)
 
     def norm_fn(S, w):
-        return J.norm_program(S, embed(S, w))
+        return J.norm_program(S, tuple(sub.vector(S, w)))
 
     def sharp_fn(S, w):
-        return project(S, list(J.sharp_program(S, embed(S, w))))
+        return tuple(sub.coords(S, J.sharp_program(S, tuple(sub.vector(S, w)))))
 
-    return GenericCubicJordan(field, m, unit, norm_fn, sharp_fn, label=label)
+    return GenericCubicJordan(field, len(basis), unit, norm_fn, sharp_fn, label=label)
 
 
 class GenericCubicJordan(CubicJordan):

@@ -76,15 +76,7 @@ class Deg3Algebra:
         """Lift base-ring coordinates into the extension ring S."""
         if S == self.base_ring:
             return tuple(coords)
-        return tuple(self._lift_scalar(S, c) for c in coords)
-
-    def _lift_scalar(self, S, c):
-        K = self.base_ring
-        if isinstance(K, (QuadraticExtension, SplitQuadratic)) and isinstance(
-            S, (QuadraticExtension, SplitQuadratic)
-        ):
-            return K.lift_element(S, c, lambda v: lift(S.base, K.base, v))
-        return lift(S, K, c)
+        return tuple(lift(S, self.base_ring, c) for c in coords)
 
     def extend_ring(self, S_base):
         """The coefficient ring for coordinates base-changed along S_base.
@@ -94,7 +86,7 @@ class Deg3Algebra:
         """
         K = self.base_ring
         if isinstance(K, (QuadraticExtension, SplitQuadratic)):
-            return K.extend(S_base, lambda v: lift(S_base, K.base, v))
+            return K.extend(S_base)
         return S_base
 
     def mul(self, S, a, b):
@@ -109,15 +101,7 @@ class Deg3Algebra:
 
     def trace(self, S, a):
         """Reduced trace as a linear form; coefficients cached on the basis."""
-        coeffs = self._trace_form()
-        base = self.base_ring
-        direct = S == base
-        acc = S.zero()
-        for c, v in zip(coeffs, a):
-            if not base.is_zero(c):
-                cc = c if direct else self._lift_scalar(S, c)
-                acc = acc + cc * v
-        return acc
+        return linalg.mat_vec([self._trace_form()], a, S, self.base_ring)[0]
 
     def _trace_form(self):
         cached = getattr(self, "_trace_form_cache", None)
@@ -145,20 +129,10 @@ class Deg3Algebra:
         return cached
 
     def trace_of_product(self, S, a, b):
-        """T(a*b) as a bilinear contraction against the cached trace Gram
-        matrix; avoids forming the product for large symbolic operands."""
-        g = self.trace_gram()
-        base = self.base_ring
-        direct = S == base
-        acc = S.zero()
-        for i, ai in enumerate(a):
-            row = g[i]
-            for j, bj in enumerate(b):
-                c = row[j]
-                if not base.is_zero(c):
-                    cc = c if direct else self._lift_scalar(S, c)
-                    acc = acc + cc * ai * bj
-        return acc
+        """T(a*b) as sum_i a_i (G b)_i against the cached trace Gram matrix G;
+        avoids forming the product for large symbolic operands."""
+        gb = linalg.mat_vec(self.trace_gram(), b, S, self.base_ring)
+        return linalg.mat_vec([a], gb, S)[0]
 
     def sharp(self, S, a):
         """Adjoint: a^2 - T(a) a + S(a) 1; satisfies a a^# = N(a) 1 exactly."""
@@ -618,22 +592,13 @@ class Cyclic(Deg3Algebra):
         return a[0:3], a[3:6], a[6:9]
 
     def _rho_apply(self, S, power, ell):
-        m = self._rho_pows[power % 3]
-        out = []
-        for i in range(3):
-            acc = S.zero()
-            for j in range(3):
-                c = m[i][j]
-                if not self.base_ring.is_zero(c):
-                    acc = acc + self._lift_scalar(S, c) * ell[j]
-            out.append(acc)
-        return tuple(out)
+        return tuple(linalg.mat_vec(self._rho_pows[power % 3], ell, S, self.base_ring))
 
     def mul(self, S, a, bb):
         L = self.L
         a0, a1, a2 = self._lparts(a)
         b0, b1, b2 = self._lparts(bb)
-        bconst = self._lift_scalar(S, self.b)
+        bconst = lift(S, self.base_ring, self.b)
         r = self._rho_apply
         m = lambda u, v: L.mul(S, u, v)
         g0 = vadd(
@@ -651,7 +616,7 @@ class Cyclic(Deg3Algebra):
         """
         L = self.L
         a0, a1, a2 = self._lparts(a)
-        bconst = self._lift_scalar(S, self.b)
+        bconst = lift(S, self.base_ring, self.b)
         r = self._rho_apply
         row0 = [a0, vscale(bconst, a2), vscale(bconst, a1)]
         row1 = [r(S, 2, a1), r(S, 2, a0), vscale(bconst, r(S, 2, a2))]

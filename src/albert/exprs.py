@@ -18,6 +18,9 @@ Field and algebra sugar:
     Q(t)                   rational function field
     Q[x]/(x^3-3*x-1)       cubic etale algebra (any variable other than s)
 
+Calls, lists and parentheses nest at most ``MAX_DEPTH`` levels deep; deeper
+input is a parse error.
+
 Literals evaluate to raw Python data (Fraction, ("pair", a, b), lists); the
 scenario signature table coerces them into payloads of the appropriate ring.
 """
@@ -34,6 +37,9 @@ from .upoly import RationalFunctionField
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[()\[\],=;/^*+-]))"
 )
+
+#: deepest nesting of calls, lists and parentheses that an expression may have
+MAX_DEPTH = 64
 
 
 class Token:
@@ -74,6 +80,7 @@ class Parser:
         self.tokens = tokens
         self.i = 0
         self.line = line
+        self.depth = 0
 
     def peek(self, offset=0):
         idx = self.i + offset
@@ -109,6 +116,14 @@ class Parser:
     #          | ("scalar", Fraction) | ("pair", ast, ast) | ("list", [ast])
 
     def parse_expr(self):
+        if self.depth == MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        node = self._parse_nested()
+        self.depth -= 1
+        return node
+
+    def _parse_nested(self):
         tok = self.peek()
         if tok is None:
             self.error("empty expression")

@@ -3,11 +3,19 @@
 Matrices are lists of row lists of field payloads.  Everything is plain
 fraction-style Gaussian elimination; no pivoting heuristics are needed since
 all arithmetic is exact.
+
+Two pieces carry constant data over a field k to coordinates over an
+extension ring S (a polynomial ring, a dual-number ring, k(t) or the base
+change of a quadratic centre): :func:`mat_vec`, the one matrix-vector
+product, which lifts the nonzero entries through :func:`scalars.lift`, and
+:class:`Subspace`, which maps between a subspace of k^n and the coordinates
+of a chosen basis, over k or over S.
 """
 
 from __future__ import annotations
 
-from .errors import NotInvertible
+from .errors import AlbertError, NotInvertible
+from .scalars import lift
 
 
 def identity(field, n):
@@ -35,12 +43,24 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
+def mat_vec(A, v, S=None, k=None):
+    """A v for A over k and v over k or over an extension ring S of k.
+
+    Zero entries of A are skipped; the others are lifted into S when S is
+    not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
+    """
+    if k is None:
+        k = S
+    lifted = S != k
     out = []
     for row in A:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
+        acc = None
+        for c, x in zip(row, v):
+            if c:
+                term = (lift(S, k, c) if lifted else c) * x
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = S.zero() if S is not None else row[0] * v[0]
         out.append(acc)
     return out
 
@@ -186,3 +206,34 @@ def in_span(field, basis, v):
         return all(field.is_zero(x) for x in v)
     M = transpose([list(b) for b in basis])
     return solve(field, M, list(v)) is not None
+
+
+class Subspace:
+    """A subspace of k^n with a chosen basis, and its coordinates.
+
+    Coordinates are read off an invertible minor of the basis: the pivot
+    rows of the n x m matrix whose columns are the basis, and the inverse of
+    that m x m minor.  :meth:`coords` and :meth:`vector` work over k or over
+    any extension ring S of k.
+    """
+
+    def __init__(self, field, basis):
+        m = len(basis)
+        piv = echelon(field, [list(b) for b in basis])
+        if len(piv) != m:
+            raise AlbertError("subspace basis is rank deficient")
+        self.field = field
+        self.columns = transpose(basis)
+        self.piv = piv
+        self.pinv = inverse(field, [self.columns[p] for p in piv])
+
+    def coords(self, S, v):
+        """Coordinates of v in the basis; AlbertError if v is not in the span."""
+        w = mat_vec(self.pinv, [v[i] for i in self.piv], S, self.field)
+        if self.vector(S, w) != list(v):
+            raise AlbertError("vector does not lie in the subspace")
+        return w
+
+    def vector(self, S, w):
+        """The vector with coordinates w in the basis."""
+        return mat_vec(self.columns, w, S, self.field)

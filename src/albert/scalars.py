@@ -17,6 +17,10 @@ lightweight parent objects providing construction, sampling, canonical
 formatting and characteristic data.  All values are immutable after
 construction and every representation is canonical, so ``==`` is mathematical
 equality.
+
+:func:`lift` is the one way a scalar moves to a larger ring: up the extension
+chain through ``from_base``, or into the base change ``K.extend(S)`` of a
+quadratic or split centre K along an extension S of its base, componentwise.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ class Ring:
     """Common parent interface.
 
     ``base`` points one level down the extension tower (None at the bottom).
-    ``from_base`` lifts one level; :func:`lift` walks the whole chain.
+    ``from_base`` lifts one level; :func:`lift` walks the whole chain and
+    also lifts into base changes of quadratic and split rings.
     """
 
     base = None
@@ -68,13 +73,6 @@ class Ring:
 
     def characteristic(self):
         raise NotImplementedError
-
-    def depth(self):
-        d, r = 1, self
-        while r.base is not None:
-            d += 1
-            r = r.base
-        return d
 
     def sample(self, rng, bound=9):
         raise NotImplementedError
@@ -416,12 +414,9 @@ class QuadraticExtension(Ring):
         ninv = self.base.inv(n)
         return QuadElement(v.a * ninv, -v.b * ninv, self)
 
-    def extend(self, new_base, lift_fn):
-        """Same extension with coefficients lifted into ``new_base``."""
-        return QuadraticExtension(new_base, lift_fn(self.d))
-
-    def lift_element(self, target, v, lift_fn):
-        return QuadElement(lift_fn(v.a), lift_fn(v.b), target)
+    def extend(self, new_base):
+        """Same extension with its base changed to ``new_base``."""
+        return QuadraticExtension(new_base, lift(new_base, self.base, self.d))
 
     def format(self, v):
         return f"({self.base.format(v.a)};{self.base.format(v.b)})"
@@ -571,11 +566,9 @@ class SplitQuadratic(Ring):
             raise DivisionByZero("zero divisor in split quadratic algebra")
         return SplitElement(self.base.inv(v.a), self.base.inv(v.b), self)
 
-    def extend(self, new_base, lift_fn):
+    def extend(self, new_base):
+        """The split algebra over ``new_base``."""
         return SplitQuadratic(new_base)
-
-    def lift_element(self, target, v, lift_fn):
-        return SplitElement(lift_fn(v.a), lift_fn(v.b), target)
 
     def format(self, v):
         return f"({self.base.format(v.a)};{self.base.format(v.b)})"
@@ -726,9 +719,27 @@ class BiDualRing(Ring):
 
 
 def lift(target, source, value):
-    """Lift ``value`` from ``source`` up the extension chain into ``target``."""
+    """Lift ``value`` from ``source`` into ``target``.
+
+    ``target`` is either a ring up the extension chain from ``source``, or the
+    quadratic or split ring ``source`` with its base changed to
+    ``target.base``; in the second case the components are lifted into
+    ``target.base``.  A quadratic ring built over ``source`` itself lifts
+    through ``from_base``.
+    """
     if target == source:
         return value
     if target.base is None:
         raise ParentMismatch(f"cannot lift from {source!r} into {target!r}")
+    if _is_base_change(target, source):
+        return target.make(*(lift(target.base, source.base, c) for c in source.components(value)))
     return target.from_base(lift(target.base, source, value))
+
+
+def _is_base_change(target, source):
+    return (
+        type(target) is type(source)
+        and isinstance(source, (QuadraticExtension, SplitQuadratic))
+        and target.base != source
+        and target == source.extend(target.base)
+    )

@@ -14,6 +14,13 @@ the second kind over a quadratic etale center K and an admissible pair
     (b,x)^#  = (b^# - x u sigma(x), conj(mu) sigma(x)^# u^{-1} - b x)
     1 = (1_B, 0)
 
+The second construction's carrier is over the bottom field k of K.  Its
+hermitian block holds coordinates in a k-basis of Herm(B, sigma), and its
+free block the k-components of B's coordinates, interleaved.  The programs
+run over the center base-changed along S (``Deg3Algebra.extend_ring``); one
+``linalg.Subspace`` carries the hermitian block to interleaved k-coordinates
+and back, checking exactly that the adjoint lands in Herm(B, sigma).
+
 Whether the result is a division algebra depends on norm-image conditions
 that are accepted as caller-supplied metadata and recorded, never evaluated.
 """
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from .errors import AlbertError, ConstraintError
 from .scalars import QuadraticExtension, SplitQuadratic, lift
-from .deg3 import Element, ProductWithOpposite, Switch, vadd, vscale, vsub
+from .deg3 import ProductWithOpposite, Switch, vscale, vsub
 from .cubicnorm import CubicJordan
 from . import linalg
 
@@ -119,7 +126,7 @@ class SecondTits(CubicJordan):
 
         self._init_hermitian(field)
         m = B.dim
-        unit_b = self._project_hermitian_base(B.one_coords(K))
+        unit_b = self._herm.coords(field, self._k_coords(K, B.one_coords(K)))
         unit = tuple(unit_b) + (field.zero(),) * (2 * m)
         label = (
             f"second_tits({B.descriptor_string()},{B.involution.descriptor_string()},"
@@ -130,13 +137,13 @@ class SecondTits(CubicJordan):
     # hermitian bookkeeping: B has m coordinates over K, hence 2m over k; the
     # k-coordinate layout interleaves the two K-components of each coordinate
 
-    def _k_coords(self, coords_K):
-        out = []
-        for v in coords_K:
-            a, b = self.K.components(v)
-            out.append(a)
-            out.append(b)
-        return out
+    @staticmethod
+    def _k_coords(KS, coords):
+        return [c for v in coords for c in KS.components(v)]
+
+    @staticmethod
+    def _center_coords(KS, kvec):
+        return tuple(KS.make(kvec[2 * i], kvec[2 * i + 1]) for i in range(len(kvec) // 2))
 
     def _init_hermitian(self, field):
         B, K = self.B, self.K
@@ -145,40 +152,19 @@ class SecondTits(CubicJordan):
         for j in range(2 * m):
             kvec = [field.zero()] * (2 * m)
             kvec[j] = field.one()
-            coords_K = [K.make(kvec[2 * i], kvec[2 * i + 1]) for i in range(m)]
-            img = B.involution_apply(K, coords_K)
-            sigma_cols.append(self._k_coords(img))
+            img = B.involution_apply(K, self._center_coords(K, kvec))
+            sigma_cols.append(self._k_coords(K, img))
         delta = linalg.mat_sub(linalg.transpose(sigma_cols), linalg.identity(field, 2 * m))
         herm_k = linalg.kernel(field, delta)
         if len(herm_k) != m:
             raise ConstraintError(
                 f"hermitian part has k-dimension {len(herm_k)}, expected {m}"
             )
-        self._herm_k = herm_k
-        self._herm_K = [
-            tuple(K.make(v[2 * i], v[2 * i + 1]) for i in range(m)) for v in herm_k
-        ]
-        # left inverse of the 2m x m matrix with the hermitian basis as
-        # columns, realized as (pivot row selection, inverse of the m x m minor)
-        piv = linalg.echelon(field, [list(v) for v in herm_k])
-        if len(piv) != m:
-            raise AlbertError("hermitian basis matrix is rank deficient")
-        minor = [[herm_k[j][p] for j in range(m)] for p in piv]
-        self._herm_piv = piv
-        self._herm_pinv = linalg.inverse(field, minor)
+        self._herm_K = [self._center_coords(K, v) for v in herm_k]
+        self._herm = linalg.Subspace(field, herm_k)
 
     def _project_hermitian_base(self, coords_K):
-        kvec = self._k_coords(coords_K)
-        sel = [kvec[i] for i in self._herm_piv]
-        return linalg.mat_vec(self._herm_pinv, sel)
-
-    def extension(self, S):
-        """The center base-changed along S, as a ring over S."""
-        return self.B.extend_ring(S)
-
-    def lift_center(self, KS, v):
-        """Lift a center scalar into the base-changed center."""
-        return self.K.lift_element(KS, v, lambda w: lift(KS.base, self.field, w))
+        return self._herm.coords(self.field, self._k_coords(self.K, coords_K))
 
     def _base_part(self, KS, v):
         """Extract the bottom component of a conjugation-invariant value."""
@@ -192,25 +178,12 @@ class SecondTits(CubicJordan):
         return a
 
     def parts(self, S, coords):
-        """(KS, b, x): the hermitian block as B-coordinates over the extended
-        center, and the free block likewise."""
-        B, K = self.B, self.K
-        m = B.dim
-        KS = self.extension(S)
-        b = tuple(B.zero_coords(KS))
-        for i in range(m):
-            c = coords[i]
-            if not S.is_zero(c):
-                h = B.lift_coords(KS, self._herm_K[i])
-                scaled = tuple(self._scale_center(KS, c, v) for v in h)
-                b = vadd(b, scaled)
-        x = tuple(KS.make(coords[m + 2 * i], coords[m + 2 * i + 1]) for i in range(m))
-        return KS, b, x
-
-    @staticmethod
-    def _scale_center(KS, s, v):
-        a, b = KS.components(v)
-        return KS.make(s * a, s * b)
+        """(KS, b, x): the hermitian block and the free block as B-coordinates
+        over the center KS base-changed along S."""
+        m = self.B.dim
+        KS = self.B.extend_ring(S)
+        b = self._center_coords(KS, self._herm.vector(S, coords[:m]))
+        return KS, b, self._center_coords(KS, coords[m:])
 
     def embed_hermitian(self, b_elem):
         """Carrier vector of a hermitian element of B."""
@@ -223,24 +196,12 @@ class SecondTits(CubicJordan):
     def embed_b(self, x_elem):
         """Carrier vector of an element of the free block."""
         m = self.B.dim
-        z = self.field.zero()
-        out = [z] * m
-        for v in x_elem.coords:
-            a, b = self.K.components(v)
-            out.append(a)
-            out.append(b)
-        return tuple(out)
-
-    def vec_to_pair(self, vec, ring=None):
-        """(b, x) as elements of B over the (extended) center."""
-        ring = ring or self.field
-        KS, b, x = self.parts(ring, vec)
-        return Element(self.B, KS, b), Element(self.B, KS, x)
+        return (self.field.zero(),) * m + tuple(self._k_coords(self.K, x_elem.coords))
 
     def norm_program(self, S, coords):
         B = self.B
         KS, b, x = self.parts(S, coords)
-        mu = self.lift_center(KS, self.mu)
+        mu = lift(KS, self.K, self.mu)
         u = B.lift_coords(KS, self.u.coords)
         sx = B.involution_apply(KS, x)
         nb = self._base_part(KS, B.norm(KS, b))
@@ -251,9 +212,8 @@ class SecondTits(CubicJordan):
 
     def sharp_program(self, S, coords):
         B = self.B
-        m = B.dim
         KS, b, x = self.parts(S, coords)
-        mu_bar = self.lift_center(KS, self.mu_bar)
+        mu_bar = lift(KS, self.K, self.mu_bar)
         u = B.lift_coords(KS, self.u.coords)
         u_inv = B.lift_coords(KS, self.u_inv.coords)
         sx = B.involution_apply(KS, x)
@@ -262,35 +222,9 @@ class SecondTits(CubicJordan):
             vscale(mu_bar, B.mul(KS, B.sharp(KS, sx), u_inv)),
             B.mul(KS, b, x),
         )
-        # project the hermitian block back to carrier coordinates
-        kvec = []
-        for v in first:
-            a, bb = KS.components(v)
-            kvec.append(a)
-            kvec.append(bb)
-        sel = [kvec[i] for i in self._herm_piv]
-        k = self.field
-        out_b = []
-        for row in self._herm_pinv:
-            acc = S.zero()
-            for cij, s in zip(row, sel):
-                if not k.is_zero(cij):
-                    acc = acc + lift(S, k, cij) * s
-            out_b.append(acc)
-        # consistency: the projected coordinates must reconstruct the block
-        recon = tuple(B.zero_coords(KS))
-        for i in range(m):
-            if not S.is_zero(out_b[i]):
-                h = B.lift_coords(KS, self._herm_K[i])
-                recon = vadd(recon, tuple(self._scale_center(KS, out_b[i], v) for v in h))
-        if tuple(recon) != tuple(first):
-            raise AlbertError("adjoint first component failed hermitian projection")
-        out_x = []
-        for v in second:
-            a, bb = KS.components(v)
-            out_x.append(a)
-            out_x.append(bb)
-        return tuple(out_b) + tuple(out_x)
+        # the hermitian block back in carrier coordinates, checked exactly
+        out_b = self._herm.coords(S, self._k_coords(KS, first))
+        return tuple(out_b) + tuple(self._k_coords(KS, second))
 
 
 def embed_first_summand(J):

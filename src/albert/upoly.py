@@ -426,8 +426,3 @@ class RationalFunctionField(Ring):
 
     def __hash__(self):
         return hash(("ratfunc", self.base, self.var))
-
-
-def ratfunc_eval(r, point):
-    """Module-level convenience wrapper over RationalFunctionField.evaluate."""
-    return r.ring.evaluate(r, point)

@@ -223,3 +223,20 @@ def test_count_below_one_exits_validation(tmp_path, capsys, body):
 def test_samples_flag_below_one_exits_validation(tmp_path, capsys):
     scen = write(tmp_path, "s.txt", PRELUDE + "run axioms(J, samples=2, seed=1)\n")
     assert main(["check-axioms", scen, "--samples", "0"]) == 4
+
+
+DEEP = "matrix3(" * 2000 + "Q" + ")" * 2000
+
+
+def test_deep_nesting_in_scenario_exits_parse_error(tmp_path, capsys):
+    status, _ = _status(tmp_path, capsys, f"X = {DEEP}")
+    assert status == 2
+
+
+def test_deep_nesting_in_certificate_exits_parse_error(tmp_path, capsys):
+    text = (GOLDEN / "certificate.cert").read_text(encoding="utf-8")
+    text = text.replace("algebra matrix3(Q)\n", f"algebra {DEEP}\n", 1)
+    path = write(tmp_path, "deep.cert", text)
+    assert main(["check-cert", path]) == 2
+    err = capsys.readouterr().err
+    assert "nested deeper than" in err and "Traceback" not in err

@@ -1,0 +1,136 @@
+"""The one lift, the one matrix-vector contraction and the contractions built
+on them, against references that lift and multiply by hand.
+
+Lifting into the base change of a quadratic or split centre lifts the
+components; ``mat_vec`` over an extension equals lifting the matrix first;
+the Gram contractions ``trace_of_product`` and ``trace_pair`` agree with the
+oracles ``trace_pairing`` and ``trace_bilinear`` on generic coordinates.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from albert import linalg
+from albert.deg3 import (ConjugateTranspose, CubicEtale, Cyclic, Matrix3,
+                         ProductWithOpposite, Switch)
+from albert.multipoly import PolyRing
+from albert.scalars import QQ, BiDualRing, PrimeField, QuadraticExtension, SplitQuadratic, lift
+from albert.tits import FirstTits, SecondTits
+from albert.upoly import RationalFunctionField
+
+F7 = PrimeField(7)
+CENTRES = [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ),
+           QuadraticExtension(F7, F7.from_int(3)), SplitQuadratic(F7)]
+EXTENSIONS = {
+    "poly": lambda k: PolyRing(k, ["x", "y"]),
+    "bidual": BiDualRing,
+    "k(t)": lambda k: RationalFunctionField(k, "t"),
+}
+SCALARS = st.tuples(st.integers(-9, 9), st.integers(1, 9))
+
+
+def scalar(k, pair):
+    n, d = pair
+    return F(n, d) if k is QQ else k.from_int(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(centre=st.sampled_from(CENTRES), ext=st.sampled_from(sorted(EXTENSIONS)),
+       a=SCALARS, b=SCALARS)
+def test_lift_into_base_change_lifts_components(centre, ext, a, b):
+    k = centre.base
+    S = EXTENSIONS[ext](k)
+    KS = centre.extend(S)
+    a, b = scalar(k, a), scalar(k, b)
+    v = centre.make(a, b)
+    assert lift(KS, centre, v) == KS.make(lift(S, k, a), lift(S, k, b))
+    # lifting a bottom-field scalar still walks the tower
+    assert lift(KS, k, a) == KS.from_base(lift(S, k, a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=SCALARS, b=SCALARS)
+def test_quadratic_over_quadratic_lifts_through_from_base(a, b):
+    K = QuadraticExtension(QQ, F(-1))
+    v = K.make(scalar(QQ, a), scalar(QQ, b))
+    # K[s]/(s^2 - (-1)) is also K base-changed to K; it is built over K, so
+    # K embeds as its base
+    K2 = QuadraticExtension(K, K.from_base(F(-1)))
+    assert K2 == K.extend(K)
+    assert lift(K2, K, v) == K2.from_base(v)
+    K3 = QuadraticExtension(K, K.from_int(2))
+    assert lift(K3, K, v) == K3.from_base(v)
+
+
+MATRICES = st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=3, max_size=3),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=MATRICES, centre=st.sampled_from(CENTRES[:2]))
+def test_mat_vec_over_extension_equals_lifting_first(rows, centre):
+    P = PolyRing(QQ, ["x", "y", "z"])
+    x, y, z = P.gens()
+    v = [x * y + 1, z - 2, x]
+    A = [[F(c) for c in row] for row in rows]
+    lifted = [[lift(P, QQ, c) for c in row] for row in A]
+    assert linalg.mat_vec(A, v, P, QQ) == linalg.mat_vec(lifted, v, P)
+    # a matrix over the centre acting on coordinates over its base change
+    KS = centre.extend(P)
+    w = [KS.make(c, c * c - x) for c in v]
+    AK = [[centre.make(c, 2 * c) for c in row] for row in A]
+    liftedK = [[lift(KS, centre, c) for c in row] for row in AK]
+    assert linalg.mat_vec(AK, w, KS, centre) == linalg.mat_vec(liftedK, w, KS)
+
+
+def _generic(alg, S, P):
+    """Two generic coordinate tuples of ``alg`` over S, built on P's gens."""
+    gens = P.gens()
+    n = alg.dim
+    if S is P:
+        return tuple(gens[:n]), tuple(gens[n:2 * n])
+    return (tuple(S.make(gens[i], gens[n + i]) for i in range(n)),
+            tuple(S.make(gens[2 * n + i], gens[3 * n + i]) for i in range(n)))
+
+
+E = CubicEtale(QQ, [F(-1), F(-3), F(0), F(1)])
+ALGEBRAS = {
+    "cubic_etale": E,
+    "matrix3": Matrix3(QQ),
+    "cyclic": Cyclic(E, (F(2), F(0), F(-1)), F(2)),
+    "prodop": ProductWithOpposite(Matrix3(QQ)),
+    "matrix3_Qi": Matrix3(QuadraticExtension(QQ, F(-1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_trace_of_product_matches_trace_pairing(name):
+    alg = ALGEBRAS[name]
+    K = alg.base_ring
+    if K is QQ:
+        S = P = PolyRing(QQ, 2 * alg.dim)
+    else:
+        P = PolyRing(K.base, 4 * alg.dim)
+        S = alg.extend_ring(P)
+    a, b = _generic(alg, S, P)
+    assert alg.trace_of_product(S, a, b) == alg.trace_pairing(S, a, b)
+
+
+def _second_prodop():
+    B = ProductWithOpposite(E).attach_involution(Switch())
+    return SecondTits(B, B.one(), B.base_ring.make(F(2), F(1, 2)))
+
+
+def _second_conjtrans():
+    B = Matrix3(QuadraticExtension(QQ, F(-1))).attach_involution(ConjugateTranspose())
+    return SecondTits(B, B.one(), B.base_ring.one())
+
+
+@pytest.mark.parametrize("build", [lambda: FirstTits(E, F(3)), _second_prodop, _second_conjtrans],
+                         ids=["first_E", "second_prodop_E", "second_conjtrans_Qi"])
+def test_trace_pair_matches_trace_bilinear(build):
+    J = build()
+    ring, X, Y = J.generic_vectors(2)
+    assert J.trace_pair(X, Y, S=ring) == J.trace_bilinear(X, Y, S=ring)

@@ -203,14 +203,6 @@ def test_degenerate_mock_structure():
     assert not mock.nondegenerate()
 
 
-def test_gram_on_custom_basis(J27):
-    basis = J27.basis()[:3]
-    g = J27.gram_on(basis)
-    for i in range(3):
-        for j in range(3):
-            assert g[i][j] == J27.trace_pair(basis[i], basis[j])
-
-
 # ---- degree identities -------------------------------------------------------
 
 

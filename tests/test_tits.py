@@ -119,8 +119,8 @@ def test_second_tits_hermitian_projection_round_trip(J_second, B_conj):
         h = B_conj.sample(rng, 3)
         h = h + h.conj()
         vec = J_second.embed_hermitian(h)
-        b, x = J_second.vec_to_pair(vec)
-        assert b == h and not x
+        _, b, x = J_second.parts(QQ, vec)
+        assert b == h.coords and not any(x)
 
 
 # ---- first summand embedding -------------------------------------------------
