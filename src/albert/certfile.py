@@ -28,6 +28,21 @@ from .rpaths import RCertificate
 
 FORMAT_VERSION = "1"
 
+#: characters of an offending value, or of its cause, that an error quotes
+QUOTE_LIMIT = 200
+
+
+def _clip(text):
+    """``text`` cut to a bounded prefix, so that a huge value read from the
+    file cannot swamp the error message."""
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def _quote(text):
+    return _clip(repr(text))
+
 
 def render_certificate(cert):
     J = cert.parent
@@ -83,12 +98,12 @@ def parse_certificate(text):
     if header[:1] != ["ALBERT-CERT"] or len(header) != 2:
         raise CertificateError("missing certificate header")
     if header[1] != FORMAT_VERSION:
-        raise CertificateError(f"unsupported certificate version {header[1]!r}")
+        raise CertificateError(f"unsupported certificate version {_quote(header[1])}")
 
     def expect_key(key):
         ln = next_line()
         if not ln.startswith(key + " "):
-            raise CertificateError(f"expected {key!r} line, found {ln!r}")
+            raise CertificateError(f"expected {key!r} line, found {_quote(ln)}")
         return ln[len(key) + 1:].strip()
 
     def parse(read, text, where):
@@ -97,7 +112,9 @@ def parse_certificate(text):
         try:
             return read(text)
         except AlbertError as exc:
-            raise CertificateError(f"{where} {text!r} (line {idx}): {exc}") from None
+            raise CertificateError(
+                f"{where} {_quote(text)} (line {idx}): {_clip(str(exc))}"
+            ) from None
 
     field_spec = expect_key("field")
     algebra = parse(evaluate_descriptor, expect_key("algebra"), "bad algebra")
@@ -133,7 +150,7 @@ def parse_certificate(text):
         if marker == "end":
             break
         if marker != "path":
-            raise CertificateError(f"expected path or end, found {marker!r}")
+            raise CertificateError(f"expected path or end, found {_quote(marker)}")
         matrix = []
         for _ in range(dim):
             row = next_line().split()

@@ -11,15 +11,24 @@ All structural operations (multiplication, characteristic data, adjoint,
 involutions) are generic programs: they take an explicit scalar ring S and
 coordinate tuples over S, so the same code runs numerically over the base
 ring, symbolically over polynomial rings, and along one-parameter families
-over rational function fields.  Characteristic data is computed division-free
-from faithful 3x3 matrix representations, so prime characteristics 2 and 3
-work unchanged.
+over rational function fields.
+
+Characteristic data is one division-free program in ``Deg3Algebra``: each
+kind supplies ``char_matrix(S, a)``, a 3x3 matrix over a commutative ring
+whose characteristic polynomial is the reduced one of a (the regular
+representation of ``CubicEtale``, the matrix itself for ``Matrix3``, left
+multiplication on 1, z, z^2 over L for ``Cyclic``), and the trace, second
+coefficient and determinant are read from its minors.  ``_scalar`` brings a
+value of that matrix ring back to S; for ``Cyclic`` it checks that the value
+lies in the base field.  Prime characteristics 2 and 3 work unchanged.
 
 Elements are thin immutable wrappers (algebra, ring, coords) with operator
 syntax on top of the generic programs.
 """
 
 from __future__ import annotations
+
+import copy
 
 from .errors import (
     AlbertError,
@@ -28,7 +37,7 @@ from .errors import (
     NotInvertible,
     ParentMismatch,
 )
-from .scalars import QuadraticExtension, SplitQuadratic, lift
+from .scalars import QuadraticEtale, SplitQuadratic, lift
 from .upoly import UPoly, is_separable
 from . import linalg
 
@@ -85,19 +94,30 @@ class Deg3Algebra:
         base extended; otherwise it is S_base itself.
         """
         K = self.base_ring
-        if isinstance(K, (QuadraticExtension, SplitQuadratic)):
+        if isinstance(K, QuadraticEtale):
             return K.extend(S_base)
         return S_base
 
     def mul(self, S, a, b):
         raise NotImplementedError
 
-    def char_data(self, S, a):
-        """(T(a), S(a), N(a)) from X^3 - T X^2 + S X - N, division-free."""
+    def char_matrix(self, S, a):
+        """A 3x3 matrix over a commutative ring whose characteristic
+        polynomial is the reduced characteristic polynomial of a."""
         raise NotImplementedError
 
+    def _scalar(self, S, v):
+        """A value of the ``char_matrix`` ring as a scalar of S."""
+        return v
+
+    def char_data(self, S, a):
+        """(T(a), S(a), N(a)) from X^3 - T X^2 + S X - N, division-free."""
+        m = self.char_matrix(S, a)
+        t, s = _trace_s3(m)
+        return self._scalar(S, t), self._scalar(S, s), self._scalar(S, _det3(m))
+
     def norm(self, S, a):
-        return self.char_data(S, a)[2]
+        return self._scalar(S, _det3(self.char_matrix(S, a)))
 
     def trace(self, S, a):
         """Reduced trace as a linear form; coefficients cached on the basis."""
@@ -136,13 +156,13 @@ class Deg3Algebra:
 
     def sharp(self, S, a):
         """Adjoint: a^2 - T(a) a + S(a) 1; satisfies a a^# = N(a) 1 exactly."""
-        t, s, _ = self.char_data(S, a)
+        t, s = (self._scalar(S, v) for v in _trace_s3(self.char_matrix(S, a)))
         sq = self.mul(S, a, a)
         one = self.one_coords(S)
         return vadd(vsub(sq, vscale(t, a)), vscale(s, one))
 
     def inverse_coords(self, S, a):
-        _, _, n = self.char_data(S, a)
+        n = self.norm(S, a)
         if S.is_zero(n):
             raise NotInvertible("element has reduced norm 0")
         ninv = S.inv(n)
@@ -159,7 +179,7 @@ class Deg3Algebra:
         return alg
 
     def clone(self):
-        raise NotImplementedError
+        return copy.copy(self)
 
     def involution_apply(self, S, a):
         if self.involution is None:
@@ -340,11 +360,6 @@ class CubicEtale(Deg3Algebra):
         x4 = vadd(vscale(-f2, self._x3), (field.zero(), -f0, -f1))
         self._x4 = x4
 
-    def clone(self):
-        alg = CubicEtale.__new__(CubicEtale)
-        alg.__dict__.update(self.__dict__)
-        return alg
-
     def one_coords(self, S):
         return (S.one(), S.zero(), S.zero())
 
@@ -364,34 +379,14 @@ class CubicEtale(Deg3Algebra):
         out = vadd(out, vscale(c4, x4))
         return out
 
-    def _regular_matrix(self, S, a):
+    def char_matrix(self, S, a):
+        """The regular representation: columns a*1, a*x, a*x^2."""
         basis = [
             (S.one(), S.zero(), S.zero()),
             (S.zero(), S.one(), S.zero()),
             (S.zero(), S.zero(), S.one()),
         ]
         return linalg.transpose([self.mul(S, a, b) for b in basis])
-
-    def char_data(self, S, a):
-        return _char3(self._regular_matrix(S, a))
-
-    def norm(self, S, a):
-        return _det3(self._regular_matrix(S, a))
-
-    def sharp(self, S, a):
-        m = self._regular_matrix(S, a)
-        t = m[0][0] + m[1][1] + m[2][2]
-        s = (
-            m[0][0] * m[1][1]
-            - m[0][1] * m[1][0]
-            + m[0][0] * m[2][2]
-            - m[0][2] * m[2][0]
-            + m[1][1] * m[2][2]
-            - m[1][2] * m[2][1]
-        )
-        sq = self.mul(S, a, a)
-        one = self.one_coords(S)
-        return vadd(vsub(sq, vscale(t, a)), vscale(s, one))
 
     def descriptor_string(self):
         coeffs = ",".join(self.base_ring.format(c) for c in self.f.coeffs)
@@ -416,8 +411,8 @@ def _det3(m):
     )
 
 
-def _char3(m):
-    """Trace, second coefficient and determinant of a 3x3 matrix, by minors."""
+def _trace_s3(m):
+    """Trace and sum of principal 2x2 minors of a 3x3 matrix."""
     t = m[0][0] + m[1][1] + m[2][2]
     s = (
         m[0][0] * m[1][1]
@@ -427,7 +422,7 @@ def _char3(m):
         + m[1][1] * m[2][2]
         - m[1][2] * m[2][1]
     )
-    return t, s, _det3(m)
+    return t, s
 
 
 def _adjugate3(m):
@@ -459,11 +454,6 @@ class Matrix3(Deg3Algebra):
     def __init__(self, ring):
         self.base_ring = ring
 
-    def clone(self):
-        alg = Matrix3.__new__(Matrix3)
-        alg.__dict__.update(self.__dict__)
-        return alg
-
     def one_coords(self, S):
         z, o = S.zero(), S.one()
         return (o, z, z, z, o, z, z, z, o)
@@ -476,11 +466,8 @@ class Matrix3(Deg3Algebra):
                 out.append(A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j])
         return tuple(out)
 
-    def char_data(self, S, a):
-        return _char3(_mat3(a))
-
-    def norm(self, S, a):
-        return _det3(_mat3(a))
+    def char_matrix(self, S, a):
+        return _mat3(a)
 
     def sharp(self, S, a):
         return _flat3(_adjugate3(_mat3(a)))
@@ -579,11 +566,6 @@ class Cyclic(Deg3Algebra):
         if len(fixed) != 1:
             raise ConstraintError("rho does not have fixed subring k")
 
-    def clone(self):
-        alg = Cyclic.__new__(Cyclic)
-        alg.__dict__.update(self.__dict__)
-        return alg
-
     def one_coords(self, S):
         z = S.zero()
         return (S.one(), z, z, z, z, z, z, z, z)
@@ -609,58 +591,24 @@ class Cyclic(Deg3Algebra):
         g2 = vadd(vadd(m(a0, b2), m(a1, r(S, 1, b1))), m(a2, r(S, 2, b0)))
         return g0 + g1 + g2
 
-    def _left_regular_over_L(self, S, a):
-        """Matrix of left multiplication on the right-L-module basis 1, z, z^2.
-
-        Entries are L-coordinate triples over S.
-        """
-        L = self.L
+    def char_matrix(self, S, a):
+        """Left multiplication on the right-L-module basis 1, z, z^2, with
+        entries in L over S."""
         a0, a1, a2 = self._lparts(a)
         bconst = lift(S, self.base_ring, self.b)
         r = self._rho_apply
-        row0 = [a0, vscale(bconst, a2), vscale(bconst, a1)]
-        row1 = [r(S, 2, a1), r(S, 2, a0), vscale(bconst, r(S, 2, a2))]
-        row2 = [r(S, 1, a2), r(S, 1, a1), r(S, 1, a0)]
-        return [row0, row1, row2]
+        rows = [
+            [a0, vscale(bconst, a2), vscale(bconst, a1)],
+            [r(S, 2, a1), r(S, 2, a0), vscale(bconst, r(S, 2, a2))],
+            [r(S, 1, a2), r(S, 1, a1), r(S, 1, a0)],
+        ]
+        return [[Element(self.L, S, v) for v in row] for row in rows]
 
-    def _descend(self, S, v):
-        if not (S.is_zero(v[1]) and S.is_zero(v[2])):
+    def _scalar(self, S, v):
+        c0, c1, c2 = v.coords
+        if not (S.is_zero(c1) and S.is_zero(c2)):
             raise AlbertError("characteristic data did not land in the base field")
-        return v[0]
-
-    def _ts_over_L(self, S, m):
-        L = self.L
-        mul = lambda u, v: L.mul(S, u, v)
-        t_l = vadd(vadd(m[0][0], m[1][1]), m[2][2])
-        s_l = vsub(mul(m[0][0], m[1][1]), mul(m[0][1], m[1][0]))
-        s_l = vadd(s_l, vsub(mul(m[0][0], m[2][2]), mul(m[0][2], m[2][0])))
-        s_l = vadd(s_l, vsub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-        return t_l, s_l
-
-    def _det_over_L(self, S, m):
-        L = self.L
-        mul = lambda u, v: L.mul(S, u, v)
-        n_l = mul(m[0][0], vsub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-        n_l = vsub(n_l, mul(m[0][1], vsub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0]))))
-        n_l = vadd(n_l, mul(m[0][2], vsub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0]))))
-        return n_l
-
-    def char_data(self, S, a):
-        m = self._left_regular_over_L(S, a)
-        t_l, s_l = self._ts_over_L(S, m)
-        n_l = self._det_over_L(S, m)
-        return self._descend(S, t_l), self._descend(S, s_l), self._descend(S, n_l)
-
-    def norm(self, S, a):
-        return self._descend(S, self._det_over_L(S, self._left_regular_over_L(S, a)))
-
-    def sharp(self, S, a):
-        m = self._left_regular_over_L(S, a)
-        t_l, s_l = self._ts_over_L(S, m)
-        t, s = self._descend(S, t_l), self._descend(S, s_l)
-        sq = self.mul(S, a, a)
-        one = self.one_coords(S)
-        return vadd(vsub(sq, vscale(t, a)), vscale(s, one))
+        return c0
 
     def descriptor_string(self):
         f = self.base_ring.format
@@ -693,16 +641,11 @@ class ProductWithOpposite(Deg3Algebra):
     kind = "prodop"
 
     def __init__(self, inner):
-        if isinstance(inner.base_ring, (QuadraticExtension, SplitQuadratic)):
+        if isinstance(inner.base_ring, QuadraticEtale):
             raise ConstraintError("inner algebra of prodop must be over the bottom field")
         self.inner = inner
         self.base_ring = SplitQuadratic(inner.base_ring)
         self.dim = inner.dim
-
-    def clone(self):
-        alg = ProductWithOpposite.__new__(ProductWithOpposite)
-        alg.__dict__.update(self.__dict__)
-        return alg
 
     def one_coords(self, S):
         inner_one = self.inner.one_coords(S.base)
@@ -795,7 +738,7 @@ class ConjugateTranspose(Involution):
 
     def validate(self, algebra):
         if not isinstance(algebra, Matrix3) or not isinstance(
-            algebra.base_ring, (QuadraticExtension, SplitQuadratic)
+            algebra.base_ring, QuadraticEtale
         ):
             raise ConstraintError("conjtrans needs matrix3 over a quadratic etale center")
         super().validate(algebra)
@@ -885,7 +828,7 @@ def membership(g, which):
                     return (False, None)
         if lam is None or ring.is_zero(lam):
             return (False, None)
-        if isinstance(ring, (QuadraticExtension, SplitQuadratic)):
+        if isinstance(ring, QuadraticEtale):
             if ring.conj(lam) != lam:
                 return (False, None)
             return (True, ring.components(lam)[0])

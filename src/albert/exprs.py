@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 
 from .errors import ScenarioParseError, UnresolvedReference
-from .scalars import PrimeField, QQ, QuadraticExtension, SplitQuadratic
+from .scalars import PrimeField, QQ, QuadraticEtale
 from .upoly import RationalFunctionField
 
 _TOKEN_RE = re.compile(
@@ -362,7 +362,7 @@ def eval_atom(name, line=None):
 def coerce_scalar(ring, value, line=None):
     """Turn a literal AST evaluation result into a payload of ``ring``."""
     if isinstance(value, tuple) and value and value[0] == "pair":
-        if not isinstance(ring, (QuadraticExtension, SplitQuadratic)):
+        if not isinstance(ring, QuadraticEtale):
             raise ScenarioParseError("pair literal outside a quadratic ring", line)
         return ring.make(
             coerce_scalar(ring.base, value[1], line),
@@ -376,7 +376,7 @@ def coerce_scalar(ring, value, line=None):
             if value.denominator == 1:
                 return num
             return num / ring.from_int(value.denominator)
-        if isinstance(ring, (QuadraticExtension, SplitQuadratic)):
+        if isinstance(ring, QuadraticEtale):
             return ring.from_base(coerce_scalar(ring.base, value, line))
         if isinstance(ring, RationalFunctionField):
             return ring.from_base(coerce_scalar(ring.base, value, line))

@@ -108,19 +108,6 @@ def compose(f, g):
     return SimilarityMap(f.parent, f.target, matrix, nu, is_auto)
 
 
-def invert(f):
-    field = f.parent.field
-    matrix = linalg.inverse(field, f.matrix)
-    nu = field.inv(f.multiplier)
-    return SimilarityMap(f.parent, f.target, matrix, nu, f.is_automorphism)
-
-
-def identity_map(J):
-    return SimilarityMap(
-        J, J, linalg.identity(J.field, J.dim), J.field.one(), True
-    )
-
-
 def u_similarity(J, a):
     """The U-operator of an invertible a as a certified similarity; its
     multiplier is N(a)^2."""

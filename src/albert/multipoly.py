@@ -331,8 +331,6 @@ class PolyRing(Ring):
     def from_base(self, value):
         return self._make({0: value}, 0)
 
-    from_coeff = from_base
-
     def gen(self, i):
         return self._make({1 << (_BITS * i): self.field.one()}, 1)
 

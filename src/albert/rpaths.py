@@ -145,13 +145,6 @@ def path_certify(J, matrix):
     return RPath(J, [list(r) for r in matrix], nu, start, end)
 
 
-def constant_path(J, simmap):
-    """The constant family at a certified map."""
-    Rt = function_field(J)
-    matrix = [[Rt.from_base(v) for v in row] for row in simmap.matrix]
-    return path_certify(J, matrix)
-
-
 def compose_path_with_map(path, simmap):
     """The family t -> f(g(t)) for a constant certified f; used to shift a
     contraction so it starts at a composite map."""
@@ -185,11 +178,11 @@ def conj_path(J, a):
     return path
 
 
-def transvection_path(alg, d, rng_factors=None):
+def transvection_path(alg, d):
     """gamma(t): scale each transvection factor E_ij(alpha) of d to
     E_ij((1-t) alpha); polynomial in t, gamma(0) = d, gamma(1) = 1 and
     N(gamma(t)) = 1 identically."""
-    factors = rng_factors if rng_factors is not None else transvection_factorization(d)
+    factors = transvection_factorization(d)
     field = alg.base_ring
     Rt = RationalFunctionField(field, "t")
     t = Rt.gen()
@@ -200,8 +193,10 @@ def transvection_path(alg, d, rng_factors=None):
     return acc
 
 
-def sl1_path_split(J, d, variant="B"):
-    """The J-map family of a norm-one d over split coordinates.
+def sl1_path_split(J, d):
+    """The J-map family of a norm-one d over split coordinates:
+    (x, y, z) -> (x, y gamma(t), gamma(t)^{-1} z), which starts at variant
+    "B" of :func:`albert.maps.aut_J` and ends at the identity.
 
     The coordinate algebra must be split (3x3 matrices over the base field):
     the elementary factorization that realizes the family constructively does
@@ -221,13 +216,9 @@ def sl1_path_split(J, d, variant="B"):
         raise ConstraintError("element must have reduced norm 1", code="not-norm-one")
     gamma = transvection_path(D, d)
     gamma_inv = gamma.inverse()
-    if variant == "B":
-        third = lambda e: gamma_inv * e
-    else:
-        third = lambda e: gamma_inv * e * gamma
-    images = [lambda e: e, lambda e: e * gamma, third]
+    images = [lambda e: e, lambda e: e * gamma, lambda e: gamma_inv * e]
     path = path_certify(J, first_tits_map(J, images, gamma.ring))
-    expected0 = aut_J(J, d, variant)
+    expected0 = aut_J(J, d, "B")
     if not linalg.mat_eq(path.start.matrix, expected0.matrix):
         raise AlbertError("SL1 path start mismatch")
     if not path.end.is_identity():
@@ -235,7 +226,7 @@ def sl1_path_split(J, d, variant="B"):
     return path
 
 
-def str_path(J, a, b, d, gamma=None):
+def str_path(J, a, b, d):
     """The contraction of a first-summand-stabilizing similarity:
 
         (x, y, z) -> (a_t x b_t, b_t^# y c_t, c_t^{-1} z a_t^#)
@@ -251,8 +242,7 @@ def str_path(J, a, b, d, gamma=None):
         raise NotInvertible("a and b must be invertible")
     if d.norm() != J.field.one():
         raise ConstraintError("d must have reduced norm 1", code="not-norm-one")
-    if gamma is None:
-        gamma = transvection_path(D, d)
+    gamma = transvection_path(D, d)
     Rt = gamma.ring
     a_t, b_t = _toward_one(Rt, a), _toward_one(Rt, b)
     c_t = a_t * b_t.inverse() * gamma

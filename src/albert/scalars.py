@@ -18,6 +18,12 @@ formatting and characteristic data.  All values are immutable after
 construction and every representation is canonical, so ``==`` is mathematical
 equality.
 
+The two quadratic etale centres share one base, ``QuadraticEtale``: their
+elements are ``PairElement`` pairs (a;b) that share every operator but the
+product, and ``QuadraticEtale.base_part`` reads the base component of a value
+that conjugation fixes.  Code that accepts either centre tests for
+``QuadraticEtale``.
+
 :func:`lift` is the one way a scalar moves to a larger ring: up the extension
 chain through ``from_base``, or into the base change ``K.extend(S)`` of a
 quadratic or split centre K along an extension S of its base, componentwise.
@@ -272,8 +278,12 @@ class PrimeField(Ring):
         return hash(("Fp", self.p))
 
 
-class QuadElement:
-    """a + b*s with s^2 = d, components in the base ring."""
+class PairElement:
+    """A pair (a, b) over the base of a quadratic etale ring.
+
+    Sums, differences, quotients and equality are shared; each kind defines
+    only its product.  Ints coerce through ``ring.from_int``.
+    """
 
     __slots__ = ("a", "b", "ring")
 
@@ -283,19 +293,19 @@ class QuadElement:
         self.ring = ring
 
     def _coerce(self, other):
-        if isinstance(other, QuadElement):
+        if isinstance(other, PairElement):
             if other.ring != self.ring:
-                raise ParentMismatch("mixed quadratic extensions")
+                raise ParentMismatch("mixed quadratic etale rings")
             return other
         if isinstance(other, int):
-            return QuadElement(self.ring.base.from_int(other), self.ring._bzero, self.ring)
+            return self.ring.from_int(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.a + o.a, self.b + o.b, self.ring)
+        return self.__class__(self.a + o.a, self.b + o.b, self.ring)
 
     __radd__ = __add__
 
@@ -303,29 +313,16 @@ class QuadElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.a - o.a, self.b - o.b, self.ring)
+        return self.__class__(self.a - o.a, self.b - o.b, self.ring)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(o.a - self.a, o.b - self.b, self.ring)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self.ring.d
-        return QuadElement(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            self.ring,
-        )
-
-    __rmul__ = __mul__
+        return self.__class__(o.a - self.a, o.b - self.b, self.ring)
 
     def __neg__(self):
-        return QuadElement(-self.a, -self.b, self.ring)
+        return self.__class__(-self.a, -self.b, self.ring)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -355,7 +352,87 @@ class QuadElement:
         return self.ring.format(self)
 
 
-class QuadraticExtension(Ring):
+class QuadElement(PairElement):
+    """a + b*s with s^2 = d, components in the base ring."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self.ring.d
+        return QuadElement(
+            self.a * o.a + self.b * o.b * d,
+            self.a * o.b + self.b * o.a,
+            self.ring,
+        )
+
+    __rmul__ = __mul__
+
+
+class SplitElement(PairElement):
+    """A pair over the base ring with componentwise operations."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return SplitElement(self.a * o.a, self.b * o.b, self.ring)
+
+    __rmul__ = __mul__
+
+
+class QuadraticEtale(Ring):
+    """A rank-2 etale algebra over ``base`` with elements stored as pairs.
+
+    Subclasses fix the element class, ``from_base``, the product, the
+    conjugation and the norm; construction from pairs, sampling, formatting
+    as ``(a;b)`` and parsing are shared.
+    """
+
+    def make(self, a, b):
+        """The element with components (a, b); ``element`` is the subclass's
+        ``PairElement`` kind."""
+        return self.element(a, b, self)
+
+    def components(self, v):
+        return (v.a, v.b)
+
+    def zero(self):
+        return self.make(self.base.zero(), self.base.zero())
+
+    def one(self):
+        return self.from_base(self.base.one())
+
+    def from_int(self, n):
+        return self.from_base(self.base.from_int(n))
+
+    def characteristic(self):
+        return self.base.characteristic()
+
+    def sample(self, rng, bound=9):
+        return self.make(self.base.sample(rng, bound), self.base.sample(rng, bound))
+
+    def base_part(self, v):
+        """The base component of a value that conjugation fixes."""
+        if self.conj(v) != v:
+            raise AlbertError("value is not conjugation invariant")
+        return v.a
+
+    def format(self, v):
+        return f"({self.base.format(v.a)};{self.base.format(v.b)})"
+
+    def parse(self, text):
+        if text.startswith("(") and text.endswith(")") and ";" in text:
+            a, b = text[1:-1].split(";")
+            return self.make(self.base.parse(a), self.base.parse(b))
+        return self.from_base(self.base.parse(text))
+
+
+class QuadraticExtension(QuadraticEtale):
     """base[s] / (s^2 - d).
 
     A field when d is a non-square in the base; for square d this is the
@@ -364,6 +441,8 @@ class QuadraticExtension(Ring):
     rejected: s^2 - d is inseparable there, so the extension is never etale.
     """
 
+    element = QuadElement
+
     def __init__(self, base, d):
         if base.is_zero(d):
             raise AlbertError("quadratic extension needs d != 0")
@@ -371,26 +450,10 @@ class QuadraticExtension(Ring):
             raise AlbertError("s^2 = d is inseparable in characteristic 2")
         self.base = base
         self.d = d
-        self._bzero = base.zero()
         self.is_field = base.is_field
-
-    def zero(self):
-        return QuadElement(self.base.zero(), self.base.zero(), self)
-
-    def one(self):
-        return QuadElement(self.base.one(), self.base.zero(), self)
-
-    def from_int(self, n):
-        return QuadElement(self.base.from_int(n), self.base.zero(), self)
 
     def from_base(self, value):
         return QuadElement(value, self.base.zero(), self)
-
-    def make(self, a, b):
-        return QuadElement(a, b, self)
-
-    def components(self, v):
-        return (v.a, v.b)
 
     def conj(self, v):
         return QuadElement(v.a, -v.b, self)
@@ -400,12 +463,6 @@ class QuadraticExtension(Ring):
 
     def trace_to_base(self, v):
         return v.a + v.a
-
-    def characteristic(self):
-        return self.base.characteristic()
-
-    def sample(self, rng, bound=9):
-        return QuadElement(self.base.sample(rng, bound), self.base.sample(rng, bound), self)
 
     def inv(self, v):
         n = self.norm_to_base(v)
@@ -417,15 +474,6 @@ class QuadraticExtension(Ring):
     def extend(self, new_base):
         """Same extension with its base changed to ``new_base``."""
         return QuadraticExtension(new_base, lift(new_base, self.base, self.d))
-
-    def format(self, v):
-        return f"({self.base.format(v.a)};{self.base.format(v.b)})"
-
-    def parse(self, text):
-        if text.startswith("(") and text.endswith(")") and ";" in text:
-            a, b = text[1:-1].split(";")
-            return QuadElement(self.base.parse(a), self.base.parse(b), self)
-        return self.from_base(self.base.parse(text))
 
     def spec_string(self):
         return f"{self.base.spec_string()}[s]/(s^2-({self.base.format(self.d)}))"
@@ -441,80 +489,7 @@ class QuadraticExtension(Ring):
         return hash(("quad", self.base, self.d))
 
 
-class SplitElement:
-    """A pair over the base ring with componentwise operations."""
-
-    __slots__ = ("a", "b", "ring")
-
-    def __init__(self, a, b, ring):
-        self.a = a
-        self.b = b
-        self.ring = ring
-
-    def _coerce(self, other):
-        if isinstance(other, SplitElement):
-            if other.ring != self.ring:
-                raise ParentMismatch("mixed split pairs")
-            return other
-        if isinstance(other, int):
-            c = self.ring.base.from_int(other)
-            return SplitElement(c, c, self.ring)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SplitElement(self.a + o.a, self.b + o.b, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SplitElement(self.a - o.a, self.b - o.b, self.ring)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SplitElement(o.a - self.a, o.b - self.b, self.ring)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SplitElement(self.a * o.a, self.b * o.b, self.ring)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SplitElement(-self.a, -self.b, self.ring)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * self.ring.inv(o)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return self.ring.format(self)
-
-
-class SplitQuadratic(Ring):
+class SplitQuadratic(QuadraticEtale):
     """The split quadratic etale algebra base x base.
 
     The exchange of the two factors is the nontrivial automorphism, the genuine
@@ -523,28 +498,13 @@ class SplitQuadratic(Ring):
     exactly one zero component are zero divisors.
     """
 
+    element = SplitElement
+
     def __init__(self, base):
         self.base = base
-        self.is_field = False
-
-    def zero(self):
-        return SplitElement(self.base.zero(), self.base.zero(), self)
-
-    def one(self):
-        return SplitElement(self.base.one(), self.base.one(), self)
-
-    def from_int(self, n):
-        c = self.base.from_int(n)
-        return SplitElement(c, c, self)
 
     def from_base(self, value):
         return SplitElement(value, value, self)
-
-    def make(self, a, b):
-        return SplitElement(a, b, self)
-
-    def components(self, v):
-        return (v.a, v.b)
 
     def conj(self, v):
         return SplitElement(v.b, v.a, self)
@@ -555,12 +515,6 @@ class SplitQuadratic(Ring):
     def trace_to_base(self, v):
         return v.a + v.b
 
-    def characteristic(self):
-        return self.base.characteristic()
-
-    def sample(self, rng, bound=9):
-        return SplitElement(self.base.sample(rng, bound), self.base.sample(rng, bound), self)
-
     def inv(self, v):
         if self.base.is_zero(v.a) or self.base.is_zero(v.b):
             raise DivisionByZero("zero divisor in split quadratic algebra")
@@ -569,15 +523,6 @@ class SplitQuadratic(Ring):
     def extend(self, new_base):
         """The split algebra over ``new_base``."""
         return SplitQuadratic(new_base)
-
-    def format(self, v):
-        return f"({self.base.format(v.a)};{self.base.format(v.b)})"
-
-    def parse(self, text):
-        if text.startswith("(") and text.endswith(")") and ";" in text:
-            a, b = text[1:-1].split(";")
-            return SplitElement(self.base.parse(a), self.base.parse(b), self)
-        return self.from_base(self.base.parse(text))
 
     def spec_string(self):
         return f"{self.base.spec_string()}xx"
@@ -739,7 +684,7 @@ def lift(target, source, value):
 def _is_base_change(target, source):
     return (
         type(target) is type(source)
-        and isinstance(source, (QuadraticExtension, SplitQuadratic))
+        and isinstance(source, QuadraticEtale)
         and target.base != source
         and target == source.extend(target.base)
     )

@@ -28,7 +28,7 @@ that are accepted as caller-supplied metadata and recorded, never evaluated.
 from __future__ import annotations
 
 from .errors import AlbertError, ConstraintError
-from .scalars import QuadraticExtension, SplitQuadratic, lift
+from .scalars import QuadraticEtale, lift
 from .deg3 import ProductWithOpposite, Switch, vscale, vsub
 from .cubicnorm import CubicJordan
 from . import linalg
@@ -99,7 +99,7 @@ class SecondTits(CubicJordan):
 
     def __init__(self, B, u, mu, division_asserted=False):
         K = B.base_ring
-        if not isinstance(K, (QuadraticExtension, SplitQuadratic)):
+        if not isinstance(K, QuadraticEtale):
             raise ConstraintError("second construction needs a quadratic etale center")
         if B.involution is None:
             raise ConstraintError("second construction needs an involution of the second kind")
@@ -166,17 +166,6 @@ class SecondTits(CubicJordan):
     def _project_hermitian_base(self, coords_K):
         return self._herm.coords(self.field, self._k_coords(self.K, coords_K))
 
-    def _base_part(self, KS, v):
-        """Extract the bottom component of a conjugation-invariant value."""
-        a, b = KS.components(v)
-        if isinstance(KS, SplitQuadratic):
-            if a != b:
-                raise AlbertError("value is not conjugation invariant")
-            return a
-        if not KS.base.is_zero(b):
-            raise AlbertError("value is not conjugation invariant")
-        return a
-
     def parts(self, S, coords):
         """(KS, b, x): the hermitian block and the free block as B-coordinates
         over the center KS base-changed along S."""
@@ -204,10 +193,10 @@ class SecondTits(CubicJordan):
         mu = lift(KS, self.K, self.mu)
         u = B.lift_coords(KS, self.u.coords)
         sx = B.involution_apply(KS, x)
-        nb = self._base_part(KS, B.norm(KS, b))
+        nb = KS.base_part(B.norm(KS, b))
         tmu = KS.trace_to_base(mu * B.norm(KS, x))
         w = B.mul(KS, x, B.mul(KS, u, sx))
-        tb = self._base_part(KS, B.trace_of_product(KS, b, w))
+        tb = KS.base_part(B.trace_of_product(KS, b, w))
         return nb + tmu - tb
 
     def sharp_program(self, S, coords):

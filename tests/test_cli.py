@@ -240,3 +240,20 @@ def test_deep_nesting_in_certificate_exits_parse_error(tmp_path, capsys):
     assert main(["check-cert", path]) == 2
     err = capsys.readouterr().err
     assert "nested deeper than" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, fragments", [
+    ("algebra matrix3(Q)\n", f"algebra {DEEP}\n",
+     ["bad algebra 'matrix3(matrix3(", "(line 3): expression nested deeper than"]),
+    ("lambda 2\n", "lambda " + "x" * 20000 + "\n",
+     ["bad lambda 'xxx", "(line 4): bad rational literal 'xxx"]),
+    ("\nend\n", "\n" + "e" * 20000 + "\n", ["expected path or end, found 'eee"]),
+], ids=["algebra", "lambda", "marker"])
+def test_oversized_value_error_is_bounded(tmp_path, capsys, old, new, fragments):
+    text = (GOLDEN / "certificate.cert").read_text(encoding="utf-8")
+    assert old in text
+    path = write(tmp_path, "big.cert", text.replace(old, new, 1))
+    assert main(["check-cert", path]) == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in fragments) and "characters)" in err
+    assert len(err.encode("utf-8")) < 1024

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.errors import ConstraintError, NotInvertible, ParentMismatch
-from albert.scalars import QQ, PrimeField, QuadraticExtension
+from albert.errors import AlbertError, ConstraintError, NotInvertible, ParentMismatch
+from albert.multipoly import PolyRing
+from albert.scalars import QQ, PrimeField, QuadraticEtale, QuadraticExtension
 from albert.deg3 import (
     ConjugateTranspose,
     CubicEtale,
     Cyclic,
+    Element,
     Matrix3,
     ProductWithOpposite,
     Switch,
@@ -147,6 +149,45 @@ def test_prodop_norm_componentwise():
 
 
 # ---- adjoint and inverse ---------------------------------------------------
+
+
+F2 = PrimeField(2)
+GENERIC_ALGEBRAS = {
+    "cubic_etale_Q": CubicEtale(QQ, CYCLIC_F),
+    "cubic_etale_F2": CubicEtale(F2, [F2.one(), F2.one(), F2.zero(), F2.one()]),
+    "matrix3": M3,
+    "cyclic": Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)),
+    "prodop_matrix3": ProductWithOpposite(M3),
+    "matrix3_Qi": Matrix3(QuadraticExtension(QQ, F(-1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_char_data_identities_generic(name):
+    """Cayley-Hamilton, a a^# = N(a) 1 and T(a) = the trace form, with one
+    polynomial variable per coordinate (two over a quadratic etale centre)."""
+    alg = GENERIC_ALGEBRAS[name]
+    K, n = alg.base_ring, alg.dim
+    if isinstance(K, QuadraticEtale):
+        P = PolyRing(K.base, 2 * n)
+        gens, S = P.gens(), alg.extend_ring(P)
+        a = alg.element([S.make(gens[i], gens[n + i]) for i in range(n)], S)
+    else:
+        S = PolyRing(K, n)
+        a = alg.element(S.gens(), S)
+    t, s, nn = a.char_data()
+    one = alg.one(S)
+    assert a * a * a - (a * a).scale(t) + a.scale(s) - one.scale(nn) == alg.zero(S)
+    assert a * a.sharp() == a.sharp() * a == one.scale(nn)
+    assert nn == a.norm()
+    assert t == a.trace()
+
+
+def test_cyclic_char_data_must_land_in_base_field():
+    alg = GENERIC_ALGEBRAS["cyclic"]
+    assert alg._scalar(QQ, Element(alg.L, QQ, (F(5), F(0), F(0)))) == F(5)
+    with pytest.raises(AlbertError, match="did not land in the base field"):
+        alg._scalar(QQ, Element(alg.L, QQ, (F(5), F(1), F(0))))
 
 
 def test_sharp_diag():

@@ -16,7 +16,6 @@ from albert.rpaths import (
     chi_map,
     chi_unit_check,
     conj_path,
-    constant_path,
     function_field,
     path_certify,
     sl1_path_split,
@@ -36,7 +35,7 @@ def rt_identity(J, Rt):
 
 
 def test_constant_identity_path(J27):
-    p = constant_path(J27, maps.identity_map(J27))
+    p = path_certify(J27, rt_identity(J27, function_field(J27)))
     assert p.start.is_identity() and p.end.is_identity()
     assert p.is_automorphism_family()
 

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from albert.errors import AlbertError, DivisionByZero, PoleAtPoint
+from albert.errors import AlbertError, DivisionByZero, ParentMismatch, PoleAtPoint
 from albert.scalars import (
     QQ,
     BiDualRing,
@@ -157,3 +158,91 @@ def test_lift_chain():
     B = BiDualRing(Rt)
     v = lift(B, QQ, F(7))
     assert v == B.from_int(7)
+
+
+F2, F5 = PrimeField(2), PrimeField(5)
+# (ring, a ring whose elements must not mix with it)
+PAIR_RINGS = {
+    "Q(i)": (QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ)),
+    "F5(sqrt2)": (QuadraticExtension(F5, F5.from_int(2)), QuadraticExtension(F5, F5.from_int(3))),
+    "F2xF2": (SplitQuadratic(F2), SplitQuadratic(PrimeField(3))),
+}
+COMPONENT = st.tuples(st.integers(-9, 9), st.integers(1, 9))
+
+
+def _component(k, pair):
+    n, d = pair
+    return F(n, d) if k == QQ else k.from_int(n)
+
+
+def _explicit(K):
+    """The product, inverse and int embedding of (a;b) by the formulas of
+    each kind, on plain component pairs."""
+    if isinstance(K, SplitQuadratic):
+        mul = lambda x, y: (x[0] * y[0], x[1] * y[1])
+        inv = lambda x: (K.base.inv(x[0]), K.base.inv(x[1]))
+        from_int = lambda n: (K.base.from_int(n),) * 2
+    else:
+        d = K.d
+        mul = lambda x, y: (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+        def inv(x):
+            n = K.base.inv(x[0] * x[0] - d * x[1] * x[1])
+            return (x[0] * n, -x[1] * n)
+
+        from_int = lambda n: (K.base.from_int(n), K.base.zero())
+    return mul, inv, from_int
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PAIR_RINGS)),
+       xs=st.lists(COMPONENT, min_size=4, max_size=4), n=st.integers(-6, 6))
+def test_pair_elements_match_explicit_formulas(name, xs, n):
+    K, foreign = PAIR_RINGS[name]
+    k = K.base
+    mul, inv, from_int = _explicit(K)
+    a1, b1, a2, b2 = (_component(k, c) for c in xs)
+    x, y = K.make(a1, b1), K.make(a2, b2)
+    pair = K.components
+    assert pair(x + y) == (a1 + a2, b1 + b2)
+    assert pair(x - y) == (a1 - a2, b1 - b2)
+    assert pair(-x) == (-a1, -b1)
+    assert pair(x * y) == mul((a1, b1), (a2, b2))
+    # an int operand on either side is the ring's embedded integer
+    m = from_int(n)
+    assert pair(K.from_int(n)) == m
+    assert pair(x + n) == pair(n + x) == (a1 + m[0], b1 + m[1])
+    assert pair(x - n) == (a1 - m[0], b1 - m[1])
+    assert pair(n - x) == (m[0] - a1, m[1] - b1)
+    assert pair(x * n) == pair(n * x) == mul((a1, b1), m)
+    assert (x == n) == ((a1, b1) == m)
+    try:
+        y_inv = inv((a2, b2))
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            x / y
+        with pytest.raises(DivisionByZero):
+            1 / y
+    else:
+        assert pair(x / y) == mul((a1, b1), y_inv)
+        assert pair(1 / y) == pair(K.one() / y) == y_inv
+        assert pair(n / y) == mul(m, y_inv)
+    z = foreign.make(*(_component(foreign.base, c) for c in xs[:2]))
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u == v):
+        with pytest.raises(ParentMismatch):
+            op(x, z)
+        with pytest.raises(ParentMismatch):
+            op(z, x)
+
+
+@pytest.mark.parametrize("K", [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ)],
+                         ids=["quadratic", "split"])
+def test_base_part_needs_a_conjugation_fixed_value(K):
+    fixed = K.from_base(F(3))
+    assert K.base_part(fixed) == F(3)
+    assert K.base_part(fixed * K.conj(fixed)) == F(9)
+    moved = K.make(F(3), F(1))
+    assert K.conj(moved) != moved
+    with pytest.raises(AlbertError, match="not conjugation invariant"):
+        K.base_part(moved)
