@@ -18,7 +18,7 @@ Everything else is derived from (N, #, c):
   second derivative, using N(c) = 1, and is validated against independent
   oracles in the test suite;
 * the cross product x X y = (x+y)^# - x^# - y^#;
-* the U-operators U_x(y) = T(x,y)x - x^# X y and inverses x^{-1} = N(x)^{-1}x^#.
+* the U-operators U_x(y) = T(x,y)x - x^# X y.
 
 Directional derivatives are always taken with nilpotent infinitesimals over
 the exact scalar ring, never with limits, so every characteristic (including
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import AlbertError, NotInvertible
+from .errors import AlbertError
 from .scalars import BiDualElement, BiDualRing, lift
 from .multipoly import PolyRing
 from .deg3 import vadd, vscale, vsub
@@ -76,10 +76,6 @@ class CubicJordan:
             return tuple(coords)
         return tuple(lift(S, self.field, c) for c in coords)
 
-    def zero_vec(self, S=None):
-        S = S or self.field
-        return (S.zero(),) * self.dim
-
     def unit_vec(self, S=None):
         S = S or self.field
         return self.lift_vec(S, self.unit)
@@ -107,13 +103,6 @@ class CubicJordan:
 
     def sample_vec(self, rng, bound=9):
         return tuple(self.field.sample(rng, bound) for _ in range(self.dim))
-
-    def sample_invertible_vec(self, rng, bound=9):
-        for _ in range(1000):
-            x = self.sample_vec(rng, bound)
-            if not self.field.is_zero(self.norm(x)):
-                return x
-        raise AlbertError("failed to sample an invertible carrier vector")
 
     # -- derived structure --------------------------------------------------
 
@@ -216,13 +205,6 @@ class CubicJordan:
             cols.append(vsub(vscale(t, x), cross))
         return linalg.transpose(cols)
 
-    def jordan_inverse(self, x, S=None):
-        S = S or self.field
-        n = self.norm_program(S, x)
-        if S.is_zero(n):
-            raise NotInvertible("norm zero element has no inverse")
-        return vscale(S.inv(n), self.sharp_program(S, x))
-
     # -- axiom verification --------------------------------------------------
 
     def axiom_suite(self, sample_count=25, seed=1):
@@ -313,81 +295,6 @@ class CubicJordan:
         z = S.zero()
         arg = tuple(BiDualElement(a, b, z, z, BS) for a, b in zip(x, y))
         return self.norm_program(BS, arg).b1
-
-    # -- subspaces ------------------------------------------------------------
-
-    def subalgebra_closure(self, generators):
-        """Smallest subspace containing c and the generators that is closed
-        under # and X, via span growth until stable.  Returns an echelonized
-        basis (dimension is its length)."""
-        field = self.field
-        vectors = [list(self.unit)] + [list(g) for g in generators]
-        basis = linalg.row_space_basis(field, vectors)
-        while True:
-            grown = [list(b) for b in basis]
-            for i, v in enumerate(basis):
-                grown.append(list(self.sharp(tuple(v))))
-                for w in basis[i:]:
-                    grown.append(list(self.cross(tuple(v), tuple(w))))
-            new_basis = linalg.row_space_basis(field, grown)
-            if len(new_basis) == len(basis):
-                return new_basis
-            basis = new_basis
-            if len(basis) >= self.dim:
-                return basis
-
-    def fixed_subspace(self, matrix):
-        """Basis of the fixed space of an endomorphism, with a flag telling
-        whether the fixed space is closed under #."""
-        field = self.field
-        n = self.dim
-        delta = [[matrix[i][j] - (field.one() if i == j else field.zero())
-                  for j in range(n)] for i in range(n)]
-        basis = linalg.kernel(field, delta)
-        closed = all(
-            linalg.in_span(field, basis, list(self.sharp(tuple(v)))) for v in basis
-        )
-        return basis, closed
-
-
-def subspace_structure(J, basis, label="restricted"):
-    """The cubic norm structure induced on a #-closed subspace containing the
-    base point, in coordinates of the given basis.
-
-    The norm restricts directly; the adjoint is computed in the ambient space
-    and projected back, with an exactness check that the value really lies in
-    the span.  The result is a full :class:`CubicJordan`, so the axiom suite
-    can run on it unchanged.
-    """
-    field = J.field
-    sub = linalg.Subspace(field, basis)
-    unit = sub.coords(field, J.unit)
-
-    def norm_fn(S, w):
-        return J.norm_program(S, tuple(sub.vector(S, w)))
-
-    def sharp_fn(S, w):
-        return tuple(sub.coords(S, J.sharp_program(S, tuple(sub.vector(S, w)))))
-
-    return GenericCubicJordan(field, len(basis), unit, norm_fn, sharp_fn, label=label)
-
-
-class GenericCubicJordan(CubicJordan):
-    """A cubic norm structure from explicit (norm, sharp) programs; used for
-    mock and restricted structures."""
-
-    kind = "generic"
-
-    def __init__(self, field, dim, unit, norm_fn, sharp_fn, label="generic"):
-        super().__init__(field, dim, unit, label)
-        self._norm_fn = norm_fn
-        self._sharp_fn = sharp_fn
-
-    def norm_program(self, S, coords):
-        return self._norm_fn(S, coords)
-
-    def sharp_program(self, S, coords):
-        return self._sharp_fn(S, coords)
 
 
 class DPlus(CubicJordan):

@@ -17,10 +17,17 @@ Characteristic data is one division-free program in ``Deg3Algebra``: each
 kind supplies ``char_matrix(S, a)``, a 3x3 matrix over a commutative ring
 whose characteristic polynomial is the reduced one of a (the regular
 representation of ``CubicEtale``, the matrix itself for ``Matrix3``, left
-multiplication on 1, z, z^2 over L for ``Cyclic``), and the trace, second
-coefficient and determinant are read from its minors.  ``_scalar`` brings a
-value of that matrix ring back to S; for ``Cyclic`` it checks that the value
-lies in the base field.  Prime characteristics 2 and 3 work unchanged.
+multiplication on 1, z, z^2 over L for ``Cyclic``, the two inner matrices
+paired entrywise into split pairs for ``ProductWithOpposite``), and the
+trace, second coefficient and determinant are read from its minors.
+``_scalar`` brings a value of that matrix ring back to S; for ``Cyclic`` it
+checks that the value lies in the base field.  The adjoint is
+a^2 - T(a) a + S(a) 1, except for ``Matrix3``, whose adjoint is the
+adjugate.  Prime characteristics 2 and 3 work unchanged.
+
+Two membership predicates serve the second-construction maps:
+:func:`is_unitary` (g sigma(g) = 1) and :func:`similitude_multiplier`
+(the bottom-field lambda with g sigma(g) = lambda 1, or None).
 
 Elements are thin immutable wrappers (algebra, ring, coords) with operator
 syntax on top of the generic programs.
@@ -157,16 +164,19 @@ class Deg3Algebra:
     def sharp(self, S, a):
         """Adjoint: a^2 - T(a) a + S(a) 1; satisfies a a^# = N(a) 1 exactly."""
         t, s = (self._scalar(S, v) for v in _trace_s3(self.char_matrix(S, a)))
+        return self._adjoint(S, a, t, s)
+
+    def _adjoint(self, S, a, t, s):
+        """a^2 - t a + s 1 for the trace t and second coefficient s of a."""
         sq = self.mul(S, a, a)
-        one = self.one_coords(S)
-        return vadd(vsub(sq, vscale(t, a)), vscale(s, one))
+        return vadd(vsub(sq, vscale(t, a)), vscale(s, self.one_coords(S)))
 
     def inverse_coords(self, S, a):
-        n = self.norm(S, a)
+        """N(a)^{-1} a^#, with T, S and N from one characteristic matrix."""
+        t, s, n = self.char_data(S, a)
         if S.is_zero(n):
             raise NotInvertible("element has reduced norm 0")
-        ninv = S.inv(n)
-        return vscale(ninv, self.sharp(S, a))
+        return vscale(S.inv(n), self._adjoint(S, a, t, s))
 
     def trace_pairing(self, S, a, b):
         """T(a*b), the reduced trace of the associative product."""
@@ -205,10 +215,6 @@ class Deg3Algebra:
     def zero(self, ring=None):
         ring = ring or self.base_ring
         return Element(self, ring, self.zero_coords(ring))
-
-    def from_int(self, n, ring=None):
-        ring = ring or self.base_ring
-        return Element(self, ring, vscale(ring.from_int(n), self.one_coords(ring)))
 
     def basis(self, ring=None):
         ring = ring or self.base_ring
@@ -472,17 +478,6 @@ class Matrix3(Deg3Algebra):
     def sharp(self, S, a):
         return _flat3(_adjugate3(_mat3(a)))
 
-    def matrix_unit(self, i, j, ring=None):
-        ring = ring or self.base_ring
-        z = ring.zero()
-        coords = [z] * 9
-        coords[3 * i + j] = ring.one()
-        return Element(self, ring, tuple(coords))
-
-    def from_rows(self, rows, ring=None):
-        ring = ring or self.base_ring
-        return Element(self, ring, _flat3(rows))
-
     def diag(self, entries, ring=None):
         ring = ring or self.base_ring
         z = ring.zero()
@@ -667,32 +662,16 @@ class ProductWithOpposite(Deg3Algebra):
         zy = self.inner.mul(Sb, by, ay)
         return self._join(S, zx, zy)
 
-    def char_data(self, S, a):
-        Sb = S.base
+    def char_matrix(self, S, a):
+        """The inner characteristic matrices of both components, paired
+        entrywise into split pairs."""
         ax, ay = self._split(S, a)
-        tx, sx, nx = self.inner.char_data(Sb, ax)
-        ty, sy, ny = self.inner.char_data(Sb, ay)
-        return S.make(tx, ty), S.make(sx, sy), S.make(nx, ny)
+        mx = self.inner.char_matrix(S.base, ax)
+        my = self.inner.char_matrix(S.base, ay)
+        return [[S.make(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(mx, my)]
 
-    def norm(self, S, a):
-        Sb = S.base
-        ax, ay = self._split(S, a)
-        return S.make(self.inner.norm(Sb, ax), self.inner.norm(Sb, ay))
-
-    def trace(self, S, a):
-        Sb = S.base
-        ax, ay = self._split(S, a)
-        return S.make(self.inner.trace(Sb, ax), self.inner.trace(Sb, ay))
-
-    def sharp(self, S, a):
-        Sb = S.base
-        ax, ay = self._split(S, a)
-        return self._join(S, self.inner.sharp(Sb, ax), self.inner.sharp(Sb, ay))
-
-    def pair(self, x, y):
-        """Element from a pair of inner-algebra elements."""
-        K = self.base_ring
-        return self.element(tuple(K.make(a, b) for a, b in zip(x.coords, y.coords)))
+    def _scalar(self, S, v):
+        return S.make(self.inner._scalar(S.base, v.a), self.inner._scalar(S.base, v.b))
 
     def descriptor_string(self):
         return f"prodop({self.inner.descriptor_string()})"
@@ -794,46 +773,24 @@ class UTwist(Involution):
         return f"utwist(u=[{coords}])"
 
 
-def membership(g, which):
-    """Group membership tests: SL1, U, SU or Sim.
+def is_unitary(g):
+    """Whether g sigma(g) = 1 for the involution sigma of g's algebra."""
+    return g * g.conj() == g.algebra.one(g.ring)
 
-    ``Sim`` returns (bool, witness) where the witness is the bottom-field
-    scalar lambda with g*sigma(g) = lambda*1; the others return a bool.
-    Non-invertible g is simply not a member.
+
+def similitude_multiplier(g):
+    """The bottom-field lambda with g sigma(g) = lambda 1, or None.
+
+    The algebra has an involution of the second kind over its quadratic
+    etale centre K; lambda must be nonzero and fixed by the conjugation of K,
+    which also makes g invertible.
     """
-    alg = g.algebra
-    ring = g.ring
-    if which == "SL1":
-        return g.norm() == ring.one() if g.is_invertible() else False
-    if alg.involution is None:
-        raise InvolutionError(f"{which} membership needs an involution")
-    if not g.is_invertible():
-        return False if which != "Sim" else (False, None)
-    gs = g * g.conj()
-    if which == "U":
-        return gs == alg.one(ring)
-    if which == "SU":
-        return gs == alg.one(ring) and g.norm() == ring.one()
-    if which == "Sim":
-        one = alg.one_coords(ring)
-        lam = None
-        for c, o in zip(gs.coords, one):
-            if ring.is_zero(o):
-                if not ring.is_zero(c):
-                    return (False, None)
-            else:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    return (False, None)
-        if lam is None or ring.is_zero(lam):
-            return (False, None)
-        if isinstance(ring, QuadraticEtale):
-            if ring.conj(lam) != lam:
-                return (False, None)
-            return (True, ring.components(lam)[0])
-        return (True, lam)
-    raise AlbertError(f"unknown membership test {which!r}")
+    K = g.ring
+    gs = (g * g.conj()).coords
+    lam = gs[0]
+    if K.is_zero(lam) or K.conj(lam) != lam or gs != vscale(lam, g.algebra.one_coords(K)):
+        return None
+    return K.components(lam)[0]
 
 
 def transvection_factorization(d):
@@ -889,22 +846,3 @@ def transvection_factorization(d):
         raise AlbertError("transvection factorization failed to reassemble")
     return factors
 
-
-def random_norm_one(alg, rng, nfactors=3, bound=4):
-    """A random product of transvections; reduced norm exactly 1."""
-    field = alg.base_ring
-    acc = alg.one()
-    for _ in range(nfactors):
-        i = rng.randint(1, 3)
-        j = rng.randint(1, 3)
-        while j == i:
-            j = rng.randint(1, 3)
-        acc = acc * alg.transvection(i, j, field.sample(rng, bound))
-    return acc
-
-
-def random_norm_equal_pair(alg, rng, bound=4):
-    """(g, h) invertible with N(g) = N(h), via h = g * (norm-one factor)."""
-    g = alg.sample_invertible(rng, bound)
-    h = g * random_norm_one(alg, rng, bound=bound)
-    return g, h

@@ -139,6 +139,12 @@ class Parser:
 
     def parse_primary(self):
         name = self.next().text
+        if _is_field_atom(name):
+            # rational function field sugar on a statically known field
+            # atom, e.g. Q(t), F7(t)
+            node = self._maybe_ratfield(("name", name))
+            if node[0] == "ratfield":
+                return node
         nxt = self.peek()
         if nxt is not None and nxt.text == "[":
             # quotient sugar: NAME [ var ] / ( poly )
@@ -154,19 +160,6 @@ class Parser:
             node = ("quotient", ("name", name), var.text, coeffs)
             return self._maybe_ratfield(node)
         if nxt is not None and nxt.text == "(":
-            # rational function field sugar: a statically known field atom
-            # followed by a single bare variable name, e.g. Q(t), F7(t)
-            if (
-                _is_field_atom(name)
-                and self.peek(1) is not None
-                and self.peek(1).kind == "name"
-                and self.peek(2) is not None
-                and self.peek(2).text == ")"
-            ):
-                self.next()
-                var = self.next().text
-                self.expect(")")
-                return ("ratfield", ("name", name), var)
             self.next()
             args, kwargs = [], {}
             if self.peek() is not None and self.peek().text != ")":

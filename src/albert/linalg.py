@@ -23,11 +23,6 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def zeros(field, rows, cols):
-    z = field.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
     out = []
@@ -79,7 +74,7 @@ def transpose(A):
 
 def echelon(field, M, track=None):
     """In-place row echelon; returns pivot column list.  ``track`` rows get the
-    same row operations (used for inversion and solving)."""
+    same row operations (used for inversion)."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     piv_cols = []
@@ -111,11 +106,6 @@ def echelon(field, M, track=None):
         if r == rows:
             break
     return piv_cols
-
-
-def rank(field, A):
-    M = [list(row) for row in A]
-    return len(echelon(field, M))
 
 
 def det(field, A):
@@ -153,26 +143,6 @@ def inverse(field, A):
     return inv
 
 
-def solve(field, A, b):
-    """One solution of Ax = b, or None if inconsistent."""
-    rows, cols = len(A), len(A[0])
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
-    piv = echelon(field, M)
-    z = field.zero()
-    x = [z] * cols
-    for r, c in enumerate(piv):
-        if c == cols:
-            return None
-        x[c] = M[r][cols]
-    if cols in piv:
-        return None
-    # consistency of zero rows
-    for r in range(len(piv), rows):
-        if not field.is_zero(M[r][cols]):
-            return None
-    return x
-
-
 def kernel(field, A):
     """Basis of the right null space, as a list of vectors."""
     rows, cols = len(A), len(A[0]) if A else 0
@@ -189,23 +159,6 @@ def kernel(field, A):
             v[c] = -M[r][fc]
         basis.append(v)
     return basis
-
-
-def row_space_basis(field, vectors):
-    """Echelonized basis of the span of ``vectors``; rows are canonical."""
-    if not vectors:
-        return []
-    M = [list(v) for v in vectors]
-    piv = echelon(field, M)
-    return [M[r] for r in range(len(piv))]
-
-
-def in_span(field, basis, v):
-    """Whether v lies in the span of the (echelonized or not) basis rows."""
-    if not basis:
-        return all(field.is_zero(x) for x in v)
-    M = transpose([list(b) for b in basis])
-    return solve(field, M, list(v)) is not None
 
 
 class Subspace:

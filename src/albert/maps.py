@@ -23,7 +23,7 @@ from .errors import (
     SimilarityError,
 )
 from .multipoly import PolyRing, proportionality
-from .deg3 import Element, membership
+from .deg3 import Element, is_unitary, similitude_multiplier
 from .tits import FirstTits, SecondTits
 from . import linalg
 
@@ -94,18 +94,6 @@ def certify_between(target, source, matrix):
 def certify(J, matrix):
     """Certify an endomorphism matrix of J as a norm similarity."""
     return certify_between(J, J, matrix)
-
-
-def compose(f, g):
-    """f after g; multipliers multiply."""
-    if f.parent is not g.parent and f.parent != g.parent:
-        raise ParentMismatch("composition of maps with different parents")
-    field = f.parent.field
-    matrix = linalg.mat_mul(f.matrix, g.matrix)
-    nu = f.multiplier * g.multiplier
-    img_unit = linalg.mat_vec(matrix, list(f.parent.unit))
-    is_auto = nu == field.one() and tuple(img_unit) == tuple(f.parent.unit)
-    return SimilarityMap(f.parent, f.target, matrix, nu, is_auto)
 
 
 def u_similarity(J, a):
@@ -196,12 +184,6 @@ def aut_ext_D(J, g, h):
     return certify(J, first_tits_map(J, images, J.field))
 
 
-def aut_stab_D(J, a, b):
-    """(x, y, z) -> (a x a^{-1}, a y b^{-1}, b z a^{-1}): the generic shape of
-    an automorphism stabilizing the first summand, for N(a) = N(b)."""
-    return aut_ext_D(J, a, b)
-
-
 def str_ext_D(J, gamma, a, b, c):
     """(x, y, z) -> gamma (a x b, b^# y c, c^{-1} z a^#) with N(a) = N(b)N(c).
 
@@ -269,8 +251,8 @@ def aut_ext_second(J, g, q):
     B, K = J.B, J.K
     g = B.element(g)
     q = B.element(q)
-    ok, lam = membership(g, "Sim")
-    if not ok:
+    lam = similitude_multiplier(g)
+    if lam is None:
         raise ConstraintError("g is not a similitude", code="not-a-similitude")
     nu = g.norm()
     if not _unitary_twisted(J, q) or q.norm() != K.inv(K.conj(nu)) * nu:
@@ -294,7 +276,7 @@ def aut_stab_second(J, p, q):
     B, K = J.B, J.K
     p = B.element(p)
     q = B.element(q)
-    if not membership(p, "U"):
+    if not is_unitary(p):
         raise ConstraintError("p is not unitary", code="not-a-similitude")
     if not _unitary_twisted(J, q):
         raise ConstraintError("q is not twisted-unitary", code="bad-q-norm")
@@ -331,25 +313,3 @@ def str_ext_second(J, gamma, g, q):
     free_image = lambda x: (sg_sharp * x * q).scale(gamma_K)
     return certify(J, _second_tits_map(J, herm_image, free_image))
 
-
-def factor_aut_stab_D(J, a, b, phi=None):
-    """Factor the stabilizer automorphism of the pair (a, b) as the J-map of
-    a b^{-1} composed with coordinatewise conjugation by a.
-
-    Returns (conjugation part, J part); their composition is checked to equal
-    the map built directly from (a, b)."""
-    if not isinstance(J, FirstTits):
-        raise AlbertError("factorization lives on a first construction")
-    a = J.D.element(a)
-    b = J.D.element(b)
-    if phi is None:
-        phi = aut_stab_D(J, a, b)
-    i_part = aut_conj_I(J, a)
-    j_part = aut_J(J, a * b.inverse(), "B")
-    recombined = compose(j_part, i_part)
-    if not linalg.mat_eq(recombined.matrix, phi.matrix):
-        raise AlbertError(
-            "factor composition does not reproduce the map",
-            code="factorization-mismatch",
-        )
-    return i_part, j_part

@@ -23,7 +23,7 @@ from .upoly import UPoly, RatFunc, RationalFunctionField, poly_lcm
 from .multipoly import PolyRing
 from .deg3 import CubicEtale, Matrix3, transvection_factorization
 from .tits import FirstTits
-from .maps import aut_conj_I, aut_J, aut_stab_D, certify, first_tits_map
+from .maps import aut_conj_I, aut_ext_D, aut_J, certify, first_tits_map
 from .report import Report
 from . import linalg
 
@@ -39,11 +39,6 @@ class RPath:
         self.multiplier = multiplier
         self.start = start
         self.end = end
-
-    def evaluate(self, point):
-        """Entrywise specialization at a non-pole parameter value."""
-        Rt = self.matrix[0][0].ring
-        return [[Rt.evaluate(v, point) for v in row] for row in self.matrix]
 
     def is_automorphism_family(self):
         """Whether the multiplier is identically 1 in k(t)."""
@@ -336,7 +331,7 @@ def cert_build_stab(J, a, b):
     if not isinstance(J, FirstTits):
         raise AlbertError("certificates built here live on a first construction")
     a, b = J.D.element(a), J.D.element(b)
-    phi = aut_stab_D(J, a, b)
+    phi = aut_ext_D(J, a, b)
     p = a * b.inverse()
     jmap = aut_J(J, p, "B")
     theta = conj_path(J, a)

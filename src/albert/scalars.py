@@ -83,13 +83,6 @@ class Ring:
     def sample(self, rng, bound=9):
         raise NotImplementedError
 
-    def sample_nonzero(self, rng, bound=9):
-        for _ in range(1000):
-            v = self.sample(rng, bound)
-            if not self.is_zero(v):
-                return v
-        raise AlbertError("could not sample a nonzero element")
-
     def inv(self, v):
         raise NotImplementedError
 
@@ -641,14 +634,6 @@ class BiDualRing(Ring):
     def from_base(self, value):
         z = self.base.zero()
         return BiDualElement(value, z, z, z, self)
-
-    def e1(self):
-        z = self.base.zero()
-        return BiDualElement(z, self.base.one(), z, z, self)
-
-    def e2(self):
-        z = self.base.zero()
-        return BiDualElement(z, z, self.base.one(), z, self)
 
     def characteristic(self):
         return self.base.characteristic()

@@ -216,25 +216,6 @@ class SecondTits(CubicJordan):
         return tuple(out_b) + tuple(self._k_coords(KS, second))
 
 
-def embed_first_summand(J):
-    """Inclusion matrix of the distinguished first summand.
-
-    For a first construction this is the coordinate algebra D in the first
-    block; for a second construction, the hermitian part.  Columns are images
-    of the summand's basis vectors.
-    """
-    field = J.field
-    n = J.dim
-    if isinstance(J, FirstTits):
-        m = J.D.dim
-    elif isinstance(J, SecondTits):
-        m = J.B.dim
-    else:
-        raise AlbertError("no distinguished first summand")
-    z, o = field.zero(), field.one()
-    return [[o if (i == j and i < m) else z for j in range(m)] for i in range(n)]
-
-
 def split_identify(D, mu):
     """Identify J(D x D^op, switch, 1, mu) with the first construction J(D, lam).
 

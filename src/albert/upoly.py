@@ -103,12 +103,6 @@ class UPoly:
     def scale(self, c):
         return UPoly([c * x for x in self.coeffs], self.field)
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return UPoly((self.field.zero(),) * k + self.coeffs, self.field)
-
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -128,9 +122,6 @@ class UPoly:
             for j, oc in enumerate(o.coeffs):
                 rem[i + j] = rem[i + j] - f * oc
         return UPoly(q, field), UPoly(rem, field)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -1,8 +1,11 @@
+"""Shared fixtures, and the builders and samplers that only the tests use."""
+
 from fractions import Fraction as F
 
 import pytest
 
 from albert.scalars import QQ, QuadraticExtension
+from albert.cubicnorm import CubicJordan
 from albert.deg3 import ConjugateTranspose, Matrix3
 from albert.tits import FirstTits, SecondTits
 
@@ -27,3 +30,66 @@ def B_conj(Qi):
 def J_second(B_conj, Qi):
     """J(matrix3(Q(i)), conjugate-transpose, u=1, mu=1)."""
     return SecondTits(B_conj, B_conj.one(), Qi.one())
+
+
+# ---- builders shared by the tests --------------------------------------------
+
+
+def matrix_unit(alg, i, j, ring=None):
+    """The matrix unit e_ij (0-based) of a matrix3 algebra."""
+    ring = ring or alg.base_ring
+    coords = [ring.zero()] * 9
+    coords[3 * i + j] = ring.one()
+    return alg.element(coords, ring)
+
+
+def prodop_pair(P, x, y):
+    """The element (x, y) of D x D^op from two elements of D."""
+    K = P.base_ring
+    return P.element([K.make(a, b) for a, b in zip(x.coords, y.coords)])
+
+
+def sample_nonzero(field, rng, bound=9):
+    for _ in range(1000):
+        v = field.sample(rng, bound)
+        if not field.is_zero(v):
+            return v
+    raise AssertionError("could not sample a nonzero element")
+
+
+def sample_invertible_vec(J, rng, bound=9):
+    """A carrier vector of J with nonzero norm."""
+    for _ in range(1000):
+        x = J.sample_vec(rng, bound)
+        if not J.field.is_zero(J.norm(x)):
+            return x
+    raise AssertionError("failed to sample an invertible carrier vector")
+
+
+def random_norm_one(alg, rng, nfactors=3, bound=4):
+    """A random product of transvections; reduced norm exactly 1."""
+    field = alg.base_ring
+    acc = alg.one()
+    for _ in range(nfactors):
+        i = rng.randint(1, 3)
+        j = rng.randint(1, 3)
+        while j == i:
+            j = rng.randint(1, 3)
+        acc = acc * alg.transvection(i, j, field.sample(rng, bound))
+    return acc
+
+
+def random_norm_equal_pair(alg, rng, bound=4):
+    """(g, h) invertible with N(g) = N(h), via h = g * (norm-one factor)."""
+    g = alg.sample_invertible(rng, bound)
+    h = g * random_norm_one(alg, rng, bound=bound)
+    return g, h
+
+
+class MockCubicJordan(CubicJordan):
+    """A cubic norm structure from explicit (norm, sharp) programs."""
+
+    def __init__(self, field, dim, unit, norm_fn, sharp_fn, label="mock"):
+        super().__init__(field, dim, unit, label)
+        self.norm_program = norm_fn
+        self.sharp_program = sharp_fn

@@ -14,12 +14,7 @@ import pytest
 from albert import linalg, maps
 from albert.errors import ConstraintError
 from albert.scalars import QQ, PrimeField
-from albert.deg3 import (
-    CubicEtale,
-    Matrix3,
-    random_norm_equal_pair,
-    random_norm_one,
-)
+from albert.deg3 import CubicEtale, Matrix3
 from albert.cubicnorm import DPlus
 from albert.tits import FirstTits, SecondTits, split_identify
 from albert.certfile import load_certificate, render_certificate, save_certificate
@@ -30,6 +25,7 @@ from albert.rpaths import (
     conj_path,
     sl1_path_split,
 )
+from conftest import random_norm_equal_pair, random_norm_one, sample_nonzero
 
 M3 = Matrix3(QQ)
 
@@ -114,7 +110,7 @@ def test_criterion_06_multiplier_law(J27):
     confirmed = base.multiplier == F(8)
     ok = confirmed
     for _ in range(10):
-        gamma = QQ.sample_nonzero(rng, 4)
+        gamma = sample_nonzero(QQ, rng, 4)
         b = M3.sample_invertible(rng, 3)
         c = M3.sample_invertible(rng, 3)
         a = b * c * random_norm_one(M3, rng)

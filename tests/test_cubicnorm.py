@@ -7,13 +7,9 @@ from albert import linalg
 from albert.errors import NotInvertible
 from albert.scalars import QQ, PrimeField
 from albert.deg3 import CubicEtale, Matrix3, vscale
-from albert.cubicnorm import (
-    AXIOM_IDS,
-    DPlus,
-    GenericCubicJordan,
-    subspace_structure,
-)
-from albert.tits import FirstTits, embed_first_summand
+from albert.cubicnorm import AXIOM_IDS, DPlus
+from albert.tits import FirstTits
+from conftest import MockCubicJordan, matrix_unit, sample_invertible_vec
 
 M3 = Matrix3(QQ)
 DP = DPlus(M3)
@@ -31,12 +27,12 @@ def test_trace_of_unit_is_three_any_characteristic(J27):
 
 
 def test_trace_of_first_tits_basis_vector(J27):
-    x = J27.embed(M3.matrix_unit(0, 0), 0)
+    x = J27.embed(matrix_unit(M3, 0, 0), 0)
     assert J27.trace_linear(x) == F(1)
 
 
 def test_trace_of_zero(J27):
-    assert J27.trace_linear(J27.zero_vec()) == F(0)
+    assert J27.trace_linear((F(0),) * J27.dim) == F(0)
 
 
 # ---- bilinear trace ----------------------------------------------------------
@@ -83,7 +79,8 @@ def test_cross_examples(J27):
         expected = tuple(a - b for a, b in
                          zip(vscale(J27.trace_linear(x), c), x))
         assert J27.cross(c, x) == expected
-    assert J27.cross(J27.sample_vec(rng), J27.zero_vec()) == J27.zero_vec()
+    zero = (F(0),) * J27.dim
+    assert J27.cross(J27.sample_vec(rng), zero) == zero
 
 
 def test_cross_squares_to_twice_sharp_symbolically(J27):
@@ -111,7 +108,8 @@ def test_u_at_unit_is_associative_square():
 
 
 def test_u_of_zero(J27):
-    assert J27.u_op(J27.zero_vec(), J27.sample_vec(random.Random(1))) == J27.zero_vec()
+    zero = (F(0),) * J27.dim
+    assert J27.u_op(zero, J27.sample_vec(random.Random(1))) == zero
 
 
 def test_fundamental_formula_sampled(J27):
@@ -126,22 +124,30 @@ def test_fundamental_formula_sampled(J27):
 # ---- inverses ----------------------------------------------------------------
 
 
+def jordan_inverse(J, x):
+    """N(x)^{-1} x^#."""
+    return vscale(J.field.inv(J.norm(x)), J.sharp(x))
+
+
 def test_jordan_inverse(J27):
-    assert J27.jordan_inverse(J27.unit) == tuple(J27.unit)
-    x = DP.sample_invertible_vec(random.Random(28))
-    xinv = DP.jordan_inverse(x)
-    assert tuple(M3.mul(QQ, x, xinv)) == M3.one_coords(QQ)
+    assert jordan_inverse(J27, J27.unit) == tuple(J27.unit)
+    # on D+ the Jordan inverse is the associative inverse of D
+    x = sample_invertible_vec(DP, random.Random(28))
+    assert jordan_inverse(DP, x) == M3.element(x).inverse().coords
     d = tuple(M3.diag([F(1), F(2), F(3)]).coords)
-    assert DP.jordan_inverse(d) == tuple(M3.diag([F(1), F(1, 2), F(1, 3)]).coords)
+    assert jordan_inverse(DP, d) == tuple(M3.diag([F(1), F(1, 2), F(1, 3)]).coords)
+    e01 = matrix_unit(M3, 0, 1)
+    assert DP.norm(e01.coords) == F(0)
     with pytest.raises(NotInvertible):
-        DP.jordan_inverse(tuple(M3.matrix_unit(0, 1).coords))
+        e01.inverse()
 
 
 def test_u_recovers_element_from_inverse(J27):
+    """U_x(N(x)^{-1} x^#) = x."""
     rng = random.Random(29)
     for _ in range(10):
-        x = J27.sample_invertible_vec(rng, 4)
-        assert J27.u_op(x, J27.jordan_inverse(x)) == tuple(x)
+        x = sample_invertible_vec(J27, rng, 4)
+        assert J27.u_op(x, jordan_inverse(J27, x)) == tuple(x)
 
 
 # ---- axiom suite -------------------------------------------------------------
@@ -160,9 +166,9 @@ def test_axiom_suite_dplus_char2():
 
 
 def test_axiom_suite_zero_sharp_fails(J27):
-    mock = GenericCubicJordan(
+    mock = MockCubicJordan(
         QQ, J27.dim, J27.unit, J27.norm_program,
-        lambda S, c: tuple(S.zero() for _ in c), "mock",
+        lambda S, c: tuple(S.zero() for _ in c),
     )
     rep = mock.axiom_suite(sample_count=5, seed=1)
     assert not rep.all_pass
@@ -199,7 +205,7 @@ def test_degenerate_mock_structure():
     def sharp_fn(S, c):
         return (c[0] * c[0], S.zero())
 
-    mock = GenericCubicJordan(QQ, 2, (F(1), F(0)), norm_fn, sharp_fn, "degenerate")
+    mock = MockCubicJordan(QQ, 2, (F(1), F(0)), norm_fn, sharp_fn, "degenerate")
     assert not mock.nondegenerate()
 
 
@@ -226,66 +232,51 @@ def test_norm_of_u_operator_symbolic_small():
     assert lhs == nx * nx * ny
 
 
-# ---- subspaces ---------------------------------------------------------------
+# ---- the first summand -------------------------------------------------------
 
 
 def test_closure_unit(J27):
-    assert len(J27.subalgebra_closure([])) == 1
+    """The line through c is closed under # and X: c^# = c, c X c = 2c."""
+    c = tuple(J27.unit)
+    assert J27.sharp(c) == c
+    assert J27.cross(c, c) == vscale(F(2), c)
 
 
 def test_closure_first_summand(J27):
-    inc = embed_first_summand(J27)
-    gens = [tuple(linalg.mat_vec(inc, list(e.coords))) for e in M3.basis()]
-    assert len(J27.subalgebra_closure(gens)) == 9
-
-
-def test_closure_single_regular_element(J27):
-    d = J27.embed(M3.diag([F(1), F(2), F(3)]), 0)
-    assert len(J27.subalgebra_closure([d])) == 3
-
-
-def test_fixed_subspace_identity(J27):
-    basis, closed = J27.fixed_subspace(linalg.identity(QQ, J27.dim))
-    assert len(basis) == J27.dim and closed
+    """D+ in the first block is closed under # and X."""
+    rng = random.Random(30)
+    for _ in range(5):
+        x, y = M3.sample(rng, 4), M3.sample(rng, 4)
+        vx, vy = J27.embed(x, 0), J27.embed(y, 0)
+        assert J27.sharp(vx) == J27.embed(x.sharp(), 0)
+        assert J27.cross(vx, vy) == J27.embed((x + y).sharp() - x.sharp() - y.sharp(), 0)
 
 
 def test_fixed_subspace_jmap(J27):
+    """A J-map fixes D+ pointwise."""
     from albert.maps import aut_J
 
     f = aut_J(J27, M3.transvection(1, 2, F(1)), "B")
-    basis, _ = J27.fixed_subspace(f.matrix)
-    inc = embed_first_summand(J27)
     for e in M3.basis():
-        assert linalg.in_span(QQ, basis, linalg.mat_vec(inc, list(e.coords)))
+        assert f.apply(J27.embed(e, 0)) == J27.embed(e, 0)
 
 
 def test_fixed_subspace_aut_ext(J27):
+    """An extension map of diagonal (g, h) fixes the diagonal of D+."""
     from albert.maps import aut_ext_D
 
     f = aut_ext_D(J27, M3.diag([F(2), F(1), F(1)]), M3.diag([F(1), F(2), F(1)]))
-    basis, _ = J27.fixed_subspace(f.matrix)
-    assert len(basis) >= 3
-
-
-# ---- restricted structures ---------------------------------------------------
+    for i in range(3):
+        e = J27.embed(matrix_unit(M3, i, i), 0)
+        assert f.apply(e) == e
 
 
 def test_subspace_structure_is_axiom_clean(J27):
-    inc = embed_first_summand(J27)
-    gens = [tuple(linalg.mat_vec(inc, list(e.coords))) for e in M3.basis()]
-    basis = J27.subalgebra_closure(gens)
-    sub = subspace_structure(J27, basis, label="first-summand")
-    assert sub.dim == 9
-    if sub.nondegenerate():
-        rep = sub.axiom_suite(sample_count=8, seed=4)
-        assert rep.all_pass
-
-
-def test_subspace_structure_cubic_etale_inside(J27):
-    d = J27.embed(M3.diag([F(1), F(2), F(5)]), 0)
-    basis = J27.subalgebra_closure([d])
-    sub = subspace_structure(J27, basis)
-    assert sub.dim == 3
-    if sub.nondegenerate():
-        rep = sub.axiom_suite(sample_count=8, seed=5)
-        assert rep.all_pass
+    """N and # on the first block are N_D and D^# in generic coordinates,
+    so the first block carries the axiom-clean structure D+."""
+    ring, X = DP.generic_vectors(1)
+    z = ring.zero()
+    vec = X + (z,) * (2 * DP.dim)
+    assert J27.norm_program(ring, vec) == DP.norm_program(ring, X)
+    assert J27.sharp_program(ring, vec) == DP.sharp_program(ring, X) + (z,) * (2 * DP.dim)
+    assert DP.axiom_suite(sample_count=8, seed=4).all_pass

@@ -16,11 +16,11 @@ from albert.deg3 import (
     ProductWithOpposite,
     Switch,
     UTwist,
-    membership,
-    random_norm_equal_pair,
-    random_norm_one,
+    is_unitary,
+    similitude_multiplier,
     transvection_factorization,
 )
+from conftest import matrix_unit, prodop_pair, random_norm_equal_pair, random_norm_one
 
 M3 = Matrix3(QQ)
 
@@ -48,7 +48,7 @@ def adjugate_oracle(elem):
             minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - \
                 m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
             out[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return elem.algebra.from_rows(out)
+    return elem.algebra.element([v for row in out for v in row])
 
 
 # ---- construction ----------------------------------------------------------
@@ -92,7 +92,7 @@ def test_cyclic_rho_validation():
 
 
 def test_matrix_units():
-    assert M3.matrix_unit(0, 1) * M3.matrix_unit(1, 0) == M3.matrix_unit(0, 0)
+    assert matrix_unit(M3, 0, 1) * matrix_unit(M3, 1, 0) == matrix_unit(M3, 0, 0)
 
 
 def test_cyclic_twist_rule():
@@ -109,7 +109,7 @@ def test_prodop_reversed_second_factor():
     P = ProductWithOpposite(M3)
     rng = random.Random(0)
     x1, y1, x2, y2 = (M3.sample(rng) for _ in range(4))
-    assert P.pair(x1, y1) * P.pair(x2, y2) == P.pair(x1 * x2, y2 * y1)
+    assert prodop_pair(P, x1, y1) * prodop_pair(P, x2, y2) == prodop_pair(P, x1 * x2, y2 * y1)
 
 
 def test_associativity_all_kinds():
@@ -144,7 +144,7 @@ def test_prodop_norm_componentwise():
     P = ProductWithOpposite(M3)
     rng = random.Random(1)
     x, y = M3.sample(rng), M3.sample(rng)
-    n = P.pair(x, y).norm()
+    n = prodop_pair(P, x, y).norm()
     assert P.base_ring.components(n) == (x.norm(), y.norm())
 
 
@@ -158,6 +158,7 @@ GENERIC_ALGEBRAS = {
     "matrix3": M3,
     "cyclic": Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)),
     "prodop_matrix3": ProductWithOpposite(M3),
+    "prodop_cyclic": ProductWithOpposite(Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2))),
     "matrix3_Qi": Matrix3(QuadraticExtension(QQ, F(-1))),
 }
 
@@ -219,12 +220,24 @@ def test_norm_multiplicative_sampled():
             assert (x * y).norm() == x.norm() * y.norm()
 
 
+@pytest.mark.parametrize("name", ["cubic_etale_Q", "cyclic"])
+def test_inverse_builds_one_char_matrix(name, monkeypatch):
+    alg = GENERIC_ALGEBRAS[name]
+    a = alg.sample_invertible(random.Random(16), 3)
+    calls = []
+    char_matrix = alg.char_matrix
+    monkeypatch.setattr(alg, "char_matrix", lambda S, x: calls.append(x) or char_matrix(S, x))
+    inv = a.inverse()
+    assert len(calls) == 1
+    assert a * inv == inv * a == alg.one()
+
+
 def test_inverse():
     a = M3.diag([F(1), F(2), F(3)])
     assert a.inverse() == M3.diag([F(1), F(1, 2), F(1, 3)])
     assert (M3.one().scale(F(2))).inverse() == M3.one().scale(F(1, 2))
     with pytest.raises(NotInvertible):
-        M3.matrix_unit(0, 1).inverse()
+        matrix_unit(M3, 0, 1).inverse()
 
 
 # ---- involutions -----------------------------------------------------------
@@ -234,14 +247,14 @@ def test_switch_involution():
     P = ProductWithOpposite(M3).attach_involution(Switch())
     rng = random.Random(2)
     x, y = M3.sample(rng), M3.sample(rng)
-    assert P.pair(x, y).conj() == P.pair(y, x)
+    assert prodop_pair(P, x, y).conj() == prodop_pair(P, y, x)
 
 
 def test_conjugate_transpose():
     K = QuadraticExtension(QQ, F(-1))
     B = Matrix3(K).attach_involution(ConjugateTranspose())
     i = K.make(F(0), F(1))
-    assert B.matrix_unit(0, 1).scale(i).conj() == B.matrix_unit(1, 0).scale(-i)
+    assert matrix_unit(B, 0, 1).scale(i).conj() == matrix_unit(B, 1, 0).scale(-i)
 
 
 def test_utwist_with_unit_is_base():
@@ -281,13 +294,12 @@ def test_membership_unit_everything():
     K = QuadraticExtension(QQ, F(-1))
     B = Matrix3(K).attach_involution(ConjugateTranspose())
     one = B.one()
-    assert membership(one, "SL1") and membership(one, "U") and membership(one, "SU")
-    ok, lam = membership(one, "Sim")
-    assert ok and lam == F(1)
+    assert one.norm() == K.one() and is_unitary(one)
+    assert similitude_multiplier(one) == F(1)
 
 
 def test_membership_transvection_sl1():
-    assert membership(M3.transvection(1, 2, F(5)), "SL1")
+    assert M3.transvection(1, 2, F(5)).norm() == F(1)
 
 
 def test_membership_unitary_diag():
@@ -295,12 +307,31 @@ def test_membership_unitary_diag():
     B = Matrix3(K).attach_involution(ConjugateTranspose())
     i = K.make(F(0), F(1))
     g = B.diag([i, -i, K.one()])
-    assert membership(g, "U")
-    assert membership(g, "SU")
+    assert is_unitary(g)
+    assert g.norm() == K.one()  # so g is in SU
 
 
 def test_membership_noninvertible_false():
-    assert not membership(M3.matrix_unit(0, 1), "SL1")
+    assert matrix_unit(M3, 0, 1).norm() != F(1)
+    K = QuadraticExtension(QQ, F(-1))
+    B = Matrix3(K).attach_involution(ConjugateTranspose())
+    e01 = matrix_unit(B, 0, 1)
+    assert not is_unitary(e01) and similitude_multiplier(e01) is None
+
+
+def test_similitude_multiplier():
+    K = QuadraticExtension(QQ, F(-1))
+    B = Matrix3(K).attach_involution(ConjugateTranspose())
+    i = K.make(F(0), F(1))
+    assert similitude_multiplier(B.one().scale(K.make(F(1), F(1)))) == F(2)
+    assert similitude_multiplier(B.diag([i, K.one(), K.one()]).scale(K.from_int(3))) == F(9)
+    # g sigma(g) diagonal but not scalar
+    assert similitude_multiplier(B.diag([K.one(), K.one(), K.from_int(2)])) is None
+    # over the split centre a zero-divisor multiplier is refused
+    P = ProductWithOpposite(M3).attach_involution(Switch())
+    x = M3.diag([F(1), F(2), F(3)])
+    assert similitude_multiplier(prodop_pair(P, x, x.inverse().scale(F(5)))) == F(5)
+    assert similitude_multiplier(prodop_pair(P, x, M3.zero())) is None
 
 
 # ---- transvection factorization --------------------------------------------

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from albert import linalg
-from albert.errors import NotInvertible
+from albert.errors import AlbertError, NotInvertible
 from albert.scalars import QQ, PrimeField
 
 
@@ -36,22 +38,14 @@ def test_kernel_and_rank():
     ker = linalg.kernel(QQ, m)
     assert len(ker) == 1
     assert all(QQ.is_zero(v) for v in linalg.mat_vec(m, ker[0]))
-    assert linalg.rank(QQ, m) == 2
-
-
-def test_solve():
-    m = [[F(2), F(1)], [F(1), F(3)]]
-    b = [F(5), F(10)]
-    x = linalg.solve(QQ, m, b)
-    assert linalg.mat_vec(m, x) == b
-    # inconsistent system
-    m2 = [[F(1), F(1)], [F(2), F(2)]]
-    assert linalg.solve(QQ, m2, [F(1), F(3)]) is None
+    assert len(linalg.echelon(QQ, [list(row) for row in m])) == 2
 
 
 def test_row_space_and_span():
-    rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(2)]]
-    basis = linalg.row_space_basis(QQ, rows)
-    assert len(basis) == 2
-    assert linalg.in_span(QQ, basis, [F(2), F(3), F(5)])
-    assert not linalg.in_span(QQ, basis, [F(0), F(0), F(1)])
+    sub = linalg.Subspace(QQ, [[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    assert sub.coords(QQ, [F(2), F(3), F(5)]) == [F(2), F(3)]
+    assert sub.vector(QQ, [F(2), F(3)]) == [F(2), F(3), F(5)]
+    with pytest.raises(AlbertError, match="does not lie in the subspace"):
+        sub.coords(QQ, [F(0), F(0), F(1)])
+    with pytest.raises(AlbertError, match="rank deficient"):
+        linalg.Subspace(QQ, [[F(1), F(0), F(1)], [F(2), F(0), F(2)]])

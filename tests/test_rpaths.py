@@ -7,7 +7,7 @@ from albert import linalg, maps
 from albert.errors import ConstraintError, NotInvertible, PathError
 from albert.scalars import QQ
 from albert.upoly import UPoly, poly_gcd
-from albert.deg3 import CubicEtale, Matrix3, random_norm_equal_pair
+from albert.deg3 import CubicEtale, Matrix3
 from albert.tits import FirstTits
 from albert.rpaths import (
     RCertificate,
@@ -22,6 +22,7 @@ from albert.rpaths import (
     str_path,
     transvection_path,
 )
+from conftest import matrix_unit, random_norm_equal_pair
 
 M3 = Matrix3(QQ)
 
@@ -94,7 +95,7 @@ def test_specialization_commutes(J27):
         if all(Rt.is_regular_at(v, cand) for row in p.matrix for v in row):
             points.append(cand)
     for t0 in points:
-        m = p.evaluate(t0)
+        m = [[Rt.evaluate(v, t0) for v in row] for row in p.matrix]
         fresh = maps.certify(J27, m)
         assert fresh.multiplier == Rt.evaluate(p.multiplier, t0)
 
@@ -124,7 +125,7 @@ def test_conj_path_diag(J27):
 
 def test_conj_path_not_invertible(J27):
     with pytest.raises(NotInvertible):
-        conj_path(J27, M3.matrix_unit(0, 1))
+        conj_path(J27, matrix_unit(M3, 0, 1))
 
 
 # ---- elementary SL1 path ---------------------------------------------------------

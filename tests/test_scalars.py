@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from albert.errors import AlbertError, DivisionByZero, ParentMismatch, PoleAtPoint
 from albert.scalars import (
     QQ,
+    BiDualElement,
     BiDualRing,
     PrimeField,
     QuadraticExtension,
@@ -116,7 +117,8 @@ def test_split_quadratic_any_characteristic():
 
 
 def test_field_spec_round_trip():
-    specs = ["Q", "F2", "F7", "Q(t)", "Q[s]/(s^2-(-1))", "Q[s]/(s^2-(1/2))", "F7[s]/(s^2-(3))"]
+    specs = ["Q", "F2", "F7", "Q(t)", "F5(t)", "Q[s]/(s^2-(-1))", "Q[s]/(s^2-(1/2))",
+             "F7[s]/(s^2-(3))", "Q[s]/(s^2-(-1))(t)"]
     for spec in specs:
         field = evaluate_descriptor(spec)
         assert field.spec_string() == spec
@@ -139,7 +141,7 @@ def test_scalar_format_parse_round_trip():
 
 def test_dual_numbers_derivative():
     B = BiDualRing(QQ)
-    x = B.from_base(F(3)) + B.e1()
+    x = BiDualElement(F(3), F(1), F(0), F(0), B)  # 3 + e1
     cube = x * x * x
     assert cube.a == F(27) and cube.b1 == F(27)  # d/dx x^3 at 3
     assert cube.b2 == F(0) and cube.c == F(0)
@@ -147,8 +149,8 @@ def test_dual_numbers_derivative():
 
 def test_bidual_mixed_term():
     B = BiDualRing(QQ)
-    x = B.from_base(F(2)) + B.e1()
-    y = B.from_base(F(5)) + B.e2()
+    x = BiDualElement(F(2), F(1), F(0), F(0), B)  # 2 + e1
+    y = BiDualElement(F(5), F(0), F(1), F(0), B)  # 5 + e2
     assert (x * y).c == F(1)
     assert (x * y).a == F(10)
 

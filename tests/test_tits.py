@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert import linalg
 from albert.errors import ConstraintError
 from albert.scalars import QQ
 from albert.deg3 import (
@@ -13,8 +12,9 @@ from albert.deg3 import (
     ProductWithOpposite,
     Switch,
 )
-from albert.tits import FirstTits, SecondTits, embed_first_summand, split_identify
+from albert.tits import FirstTits, SecondTits, split_identify
 from albert.maps import certify_between
+from conftest import prodop_pair
 
 M3 = Matrix3(QQ)
 
@@ -127,29 +127,30 @@ def test_second_tits_hermitian_projection_round_trip(J_second, B_conj):
 
 
 def test_embed_first_summand_norm_and_sharp(J27):
-    inc = embed_first_summand(J27)
+    """N and # restrict to N_D and D^# on the first block."""
     rng = random.Random(33)
     for _ in range(10):
         x = M3.sample(rng, 4)
-        vec = tuple(linalg.mat_vec(inc, list(x.coords)))
+        vec = J27.embed(x, 0)
         assert J27.norm(vec) == x.norm()
-        assert J27.sharp(vec) == tuple(linalg.mat_vec(inc, list(x.sharp().coords)))
+        assert J27.sharp(vec) == J27.embed(x.sharp(), 0)
 
 
 def test_embed_first_summand_closure(J27):
-    inc = embed_first_summand(J27)
-    gens = [tuple(linalg.mat_vec(inc, list(e.coords))) for e in M3.basis()]
-    assert len(J27.subalgebra_closure(gens)) == 9
+    """D+ is closed under X: e X f = (e + f)^# - e^# - f^# on basis pairs."""
+    basis = M3.basis()
+    for e in basis:
+        for f in basis:
+            expected = (e + f).sharp() - e.sharp() - f.sharp()
+            assert J27.cross(J27.embed(e, 0), J27.embed(f, 0)) == J27.embed(expected, 0)
 
 
 def test_embed_first_summand_second_construction(J_second, B_conj, Qi):
-    inc = embed_first_summand(J_second)
-    assert len(inc[0]) == 9
     rng = random.Random(34)
     h = B_conj.sample(rng, 3)
     h = h + h.conj()
-    coords = J_second._project_hermitian_base(h.coords)
-    vec = tuple(linalg.mat_vec(inc, list(coords)))
+    vec = J_second.embed_hermitian(h)
+    assert len(vec) == J_second.dim == 27
     assert J_second.norm(vec) == Qi.components(h.norm())[0]
 
 
@@ -169,7 +170,7 @@ def test_split_identify_first_summands_correspond():
     prodop = J2.B
     rng = random.Random(35)
     d = M3.sample(rng, 3)
-    diag = prodop.pair(d, d)
+    diag = prodop_pair(prodop, d, d)
     vec = J2.embed_hermitian(diag)
     assert fmap.apply(vec) == tuple(J1.embed(d, 0))
 
