@@ -167,7 +167,7 @@ class CubicJordan:
         return self._gram
 
     def nondegenerate(self):
-        return not self.field.is_zero(linalg.det(self.field, self.gram()))
+        return linalg.rank(self.field, self.gram()) == self.dim
 
     def trace_pair(self, x, y, S=None):
         """Bilinear trace sum_i x_i (G y)_i via the cached Gram matrix G

@@ -751,6 +751,7 @@ class UTwist(Involution):
         self.u = u
 
     def validate(self, algebra):
+        self.inner.validate(algebra)
         base = algebra.base_ring
         u = self.u
         if not u.is_invertible():

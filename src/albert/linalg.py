@@ -1,18 +1,23 @@
 """Exact dense linear algebra over any field in the scalar tower.
 
-Matrices are lists of row lists of field payloads.  Everything is plain
-fraction-style Gaussian elimination; no pivoting heuristics are needed since
-all arithmetic is exact.
+Matrices are lists of row lists of field payloads.  There is one elimination
+and one contraction.  :func:`echelon`, plain fraction-style Gaussian
+elimination (no pivoting heuristics are needed since all arithmetic is
+exact), is behind :func:`rank`, :func:`inverse`, :func:`kernel` and
+:class:`Subspace`.  :func:`mat_vec`, the one matrix-vector product, skips the
+zero entries of the matrix and is behind :func:`mat_mul`.
 
 Two pieces carry constant data over a field k to coordinates over an
 extension ring S (a polynomial ring, a dual-number ring, k(t) or the base
-change of a quadratic centre): :func:`mat_vec`, the one matrix-vector
-product, which lifts the nonzero entries through :func:`scalars.lift`, and
-:class:`Subspace`, which maps between a subspace of k^n and the coordinates
-of a chosen basis, over k or over S.
+change of a quadratic centre): :func:`mat_vec`, which lifts the nonzero
+entries through :func:`scalars.lift`, and :class:`Subspace`, which maps
+between a subspace of k^n and the coordinates of a chosen basis, over k or
+over S.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import AlbertError, NotInvertible
 from .scalars import lift
@@ -24,18 +29,8 @@ def identity(field, n):
 
 
 def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(p):
-            acc = Ai[0] * B[0][j]
-            for k in range(1, m):
-                acc = acc + Ai[k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """A B, as :func:`mat_vec` of A on each column of B."""
+    return transpose(map(partial(mat_vec, A), zip(*B)))
 
 
 def mat_vec(A, v, S=None, k=None):
@@ -108,29 +103,9 @@ def echelon(field, M, track=None):
     return piv_cols
 
 
-def det(field, A):
-    n = len(A)
-    M = [list(row) for row in A]
-    sign = field.one()
-    acc = field.one()
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not field.is_zero(M[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = -sign
-        acc = acc * M[c][c]
-        inv_p = field.inv(M[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(M[i][c]):
-                f = M[i][c] * inv_p
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return sign * acc
+def rank(field, A):
+    """The rank of A, by :func:`echelon` on a copy."""
+    return len(echelon(field, [list(row) for row in A]))
 
 
 def inverse(field, A):

@@ -74,9 +74,7 @@ def certify_between(target, source, matrix):
     n = source.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise AlbertError("matrix has wrong shape")
-    try:
-        linalg.inverse(field, matrix)
-    except NotInvertible:
+    if linalg.rank(field, matrix) != n:
         raise SimilarityError("matrix is singular", code="singular-matrix")
     ring = PolyRing(field, n)
     gens = ring.gens()

@@ -74,26 +74,21 @@ def path_certify(J, matrix):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise AlbertError("path matrix has wrong shape")
     Rt = matrix[0][0].ring
-    # entry regularity at the endpoints is a cheap syntactic test on the
-    # canonical denominators; run it before the symbolic work
+    # the distinct canonical denominators; entry regularity at the endpoints
+    # is a cheap syntactic test on them, run before the symbolic work
+    dens = dict.fromkeys(v.den for row in matrix for v in row)
     for point, name in ((field.zero(), "0"), (field.one(), "1")):
-        for row in matrix:
-            for v in row:
-                if not Rt.is_regular_at(v, point):
-                    raise PathError(
-                        f"matrix entry has a pole at t = {name}",
-                        code="pole-at-endpoint",
-                    )
-    one_p = UPoly.const(field.one(), field)
-    # common denominator and cleared numerators
-    q = one_p
-    for row in matrix:
-        for v in row:
-            q = poly_lcm(q, v.den)
-    cleared = [
-        [v.num * q.exact_div(v.den) for v in row]
-        for row in matrix
-    ]
+        if any(field.is_zero(den(point)) for den in dens):
+            raise PathError(
+                f"matrix entry has a pole at t = {name}",
+                code="pole-at-endpoint",
+            )
+    # common denominator (the monic lcm) and cleared numerators
+    q = UPoly.const(field.one(), field)
+    for den in dens:
+        q = poly_lcm(q, den)
+    cofactor = {den: q.exact_div(den) for den in dens}
+    cleared = [[v.num * cofactor[v.den] for v in row] for row in matrix]
     # generic fiber check in k[t, X1..Xn]: variable 0 is t
     ring = PolyRing(field, ["t"] + [f"x{i+1}" for i in range(n)])
     fX = [ring.linear_form([p.coeffs for p in row], first=1) for row in cleared]

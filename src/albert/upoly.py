@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import AlbertError, DivisionByZero, ParentMismatch, PoleAtPoint
 from .scalars import Ring
-from . import linalg
 
 
 class UPoly:
@@ -195,37 +194,8 @@ def poly_lcm(a, b):
     return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
-def _power(field, c, k):
-    acc = field.one()
-    for _ in range(k):
-        acc = acc * c
-    return acc
-
-
-def resultant(f, g):
-    """Resultant via the Sylvester matrix determinant (exact, any field)."""
-    field = f.field
-    n, m = f.degree, g.degree
-    if n < 0 or m < 0:
-        return field.zero()
-    if n == 0:
-        return _power(field, f.coeffs[0], m)
-    if m == 0:
-        return _power(field, g.coeffs[0], n)
-    size = n + m
-    z = field.zero()
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([z] * i + fc + [z] * (size - i - len(fc)))
-    for i in range(n):
-        rows.append([z] * i + gc + [z] * (size - i - len(gc)))
-    return linalg.det(field, rows)
-
-
 def is_separable(f):
-    """Separability of a polynomial via resultant(f, f') != 0.
+    """Separability of a polynomial: gcd(f, f') = 1.
 
     Works uniformly in every characteristic, including the degenerate cases
     where the formal derivative drops degree or vanishes.
@@ -233,7 +203,7 @@ def is_separable(f):
     fp = f.derivative()
     if not fp:
         return False
-    return not f.field.is_zero(resultant(f, fp))
+    return poly_gcd(f, fp).degree == 0
 
 
 class RatFunc:

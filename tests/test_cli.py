@@ -186,6 +186,18 @@ def test_former_traceback_exits_parse_error(tmp_path, capsys, body):
     assert _status(tmp_path, capsys, body)[0] == 2
 
 
+def test_utwist_checks_its_inner_involution(tmp_path, capsys):
+    # over matrix3(Q) there is no quadratic centre for conjtrans to conjugate
+    status = main(["check-axioms", write(tmp_path, "s.txt", (
+        "B = matrix3(Q)\n"
+        "J = second_tits(B, utwist(u=[1,0,0,0,1,0,0,0,1]), u=[1,0,0,0,1,0,0,0,1], mu=1)\n"
+    ))])
+    err = capsys.readouterr().err
+    assert status == 4
+    assert "conjtrans needs matrix3 over a quadratic etale center" in err
+    assert "Traceback" not in err
+
+
 # wrong arity, unknown keywords and wrong argument kinds are parse errors
 @pytest.mark.parametrize("body", [
     "X = first_tits(D, 2, 3)",

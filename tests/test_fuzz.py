@@ -3,12 +3,16 @@
 Declaration-only scenarios built from the structure constructors and literal
 atoms never make the CLI raise; they pass (0) or exit with a documented error
 status.  A certificate with one token replaced by a malformed literal exits
-with the parse-error status 2.
+with the parse-error status 2; one with a target or path entry replaced by a
+valid literal of another value at t = 0 fails its check with status 1.
 """
 
+import io
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from albert.cli import main
 
@@ -75,3 +79,42 @@ def test_malformed_certificate_token_exits_parse_error(tmp_path_factory, positio
     path = tmp_path_factory.mktemp("cert") / "c.cert"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["check-cert", str(path)]) == 2
+
+
+def _entry_positions(first, last):
+    return [(i, j) for i in range(first, last) for j in range(len(GOLDEN_CERT[i].split()))]
+
+
+_MARKERS = [i for i, line in enumerate(GOLDEN_CERT) if line in ("target", "path", "end")]
+TARGET_ENTRIES = _entry_positions(_MARKERS[0] + 1, _MARKERS[1])
+PATH_ENTRIES = [pos for a, b in zip(_MARKERS[1:], _MARKERS[2:])
+                for pos in _entry_positions(a + 1, b)]
+Q_LITERALS = ["0", "1", "-1", "2", "1/2", "-3/2", "5"]
+# num|den coefficient lists in t, all regular at t = 0; 1|-1,1 has a pole at 1
+KT_LITERALS = Q_LITERALS + ["1,1", "-1|1,1", "2|3,-1", "1,0,1|2", "3|1,0,1",
+                            "0,1|1,1", "1|-1,1"]
+
+
+def value_at_zero(literal):
+    num, _, den = literal.partition("|")
+    return Fraction(num.split(",")[0]) / Fraction((den or "1").split(",")[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=st.one_of(
+    st.tuples(st.sampled_from(TARGET_ENTRIES), st.sampled_from(Q_LITERALS)),
+    st.tuples(st.sampled_from(PATH_ENTRIES), st.sampled_from(KT_LITERALS)),
+))
+def test_semantic_certificate_mutation_fails_check(tmp_path_factory, mutation):
+    (i, j), literal = mutation
+    lines = list(GOLDEN_CERT)
+    tokens = lines[i].split()
+    assume(value_at_zero(literal) != value_at_zero(tokens[j]))
+    tokens[j] = literal
+    lines[i] = " ".join(tokens)
+    path = tmp_path_factory.mktemp("cert") / "c.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["check-cert", str(path), "--format", "machine"]) == 1
+    assert out.getvalue().endswith("RESULT FAIL\n")

@@ -41,14 +41,16 @@ def test_constant_identity_path(J27):
     assert p.is_automorphism_family()
 
 
-def test_pole_at_endpoint_detected(J27):
+@pytest.mark.parametrize("point", [0, 1])
+def test_pole_at_endpoint_detected(J27, point):
     Rt = function_field(J27)
     t = Rt.gen()
     m = rt_identity(J27, Rt)
-    m[0][0] = Rt.one() / t
+    m[0][0] = Rt.one() / (t - Rt.from_int(point))
     with pytest.raises(PathError) as err:
         path_certify(J27, m)
     assert err.value.code == "pole-at-endpoint"
+    assert str(err.value) == f"matrix entry has a pole at t = {point}"
 
 
 def test_homothety_family(J27):

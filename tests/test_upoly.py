@@ -11,7 +11,6 @@ from albert.upoly import (
     is_separable,
     poly_gcd,
     poly_lcm,
-    resultant,
 )
 
 
@@ -38,14 +37,6 @@ def test_eval_horner():
     assert f(F(2)) == F(17)
 
 
-def test_resultant_matches_root_product():
-    # res(x^2-1, x-3) = (3-1)(3+1) up to sign convention: value at the root
-    f = up(-1, 0, 1)
-    g = up(-3, 1)
-    r = resultant(f, g)
-    assert abs(r) == F(8)
-
-
 def test_separability():
     assert is_separable(up(0, -1, 0, 1))      # x^3 - x
     assert not is_separable(up(0, 0, 0, 1))   # x^3
@@ -57,6 +48,10 @@ def test_separability():
     # x^3 - x + 1 is separable over F3 (derivative is -1)
     h2 = UPoly([F3.one(), F3.from_int(-1), F3.zero(), F3.one()], F3)
     assert is_separable(h2)
+    F2 = PrimeField(2)
+    # x^3 + x + 1 is irreducible over F2; x^3 + x = x (x + 1)^2 is not squarefree
+    assert is_separable(UPoly([F2.one(), F2.one(), F2.zero(), F2.one()], F2))
+    assert not is_separable(UPoly([F2.zero(), F2.one(), F2.zero(), F2.one()], F2))
 
 
 def test_ratfunc_field_ops():
