@@ -8,15 +8,18 @@ usable numerically, symbolically over polynomial rings (the universal case
 that decides identity-type axioms in every base change), and along
 one-parameter families over rational function fields.
 
-Everything else is derived from (N, #, c):
+Everything else is derived from (N, #, c), through one evaluation of N at
+a + e1*b1 + e2*b2 over the two-infinitesimal extension ``BiDualRing``:
 
-* the linear trace T(x): the e1 coefficient of N(c + e1*x) over the
-  two-infinitesimal extension ``BiDualRing``;
-* the bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y), where D2N is the mixed
-  second directional derivative of N at c read off the two-infinitesimal
-  extension; this closed form is the polynomial unfolding of the logarithmic
-  second derivative, using N(c) = 1, and is validated against independent
-  oracles in the test suite;
+* the directional derivative of N at x in direction y, its e1 coefficient;
+* the trace vector (T(e_1), ..., T(e_n)), read off one generic directional
+  derivative at c; the linear trace T(x) contracts it with x;
+* the Gram matrix of the bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y),
+  where D2N is the mixed second directional derivative of N at c (the e1*e2
+  coefficient), read off one generic evaluation; this closed form is the
+  polynomial unfolding of the logarithmic second derivative, using N(c) = 1,
+  and is validated against independent oracles in the test suite; the
+  bilinear trace contracts the Gram matrix with x and y;
 * the cross product x X y = (x+y)^# - x^# - y^#;
 * the U-operators U_x(y) = T(x,y)x - x^# X y.
 
@@ -38,7 +41,7 @@ from . import linalg
 
 AXIOM_IDS = (
     "unit-norm",            # N(c) = 1
-    "trace-nondegenerate",  # the derived bilinear trace has nonzero Gram determinant
+    "trace-nondegenerate",  # the Gram matrix of the bilinear trace has full rank
     "adjoint-trace",        # T(x^#, y) equals the directional derivative of N
     "adjoint-double",       # x^{##} = N(x) x
     "unit-adjoint",         # c^# = c
@@ -71,31 +74,14 @@ class CubicJordan:
 
     # -- vectors over extensions ------------------------------------------
 
-    def lift_vec(self, S, coords):
-        if S == self.field:
-            return tuple(coords)
-        return tuple(lift(S, self.field, c) for c in coords)
-
     def unit_vec(self, S=None):
         S = S or self.field
-        return self.lift_vec(S, self.unit)
-
-    def basis(self, S=None):
-        S = S or self.field
-        z, o = S.zero(), S.one()
-        out = []
-        for i in range(self.dim):
-            v = [z] * self.dim
-            v[i] = o
-            out.append(tuple(v))
-        return out
+        return tuple(lift(S, self.field, c) for c in self.unit)
 
     def generic_vectors(self, copies=1):
-        """(ring, vec_1, ..., vec_copies) of generic polynomial coordinates."""
-        names = []
-        for c in range(copies):
-            prefix = "xyzw"[c] if copies <= 4 else f"v{c}_"
-            names += [f"{prefix}{i+1}" for i in range(self.dim)]
+        """(ring, vec_1, ..., vec_copies) of generic polynomial coordinates;
+        at most four copies, named x, y, z, w."""
+        names = [f"{'xyzw'[c]}{i+1}" for c in range(copies) for i in range(self.dim)]
         ring = PolyRing(self.field, names)
         gens = ring.gens()
         vecs = [tuple(gens[c * self.dim:(c + 1) * self.dim]) for c in range(copies)]
@@ -112,47 +98,47 @@ class CubicJordan:
     def sharp(self, x, S=None):
         return self.sharp_program(S or self.field, x)
 
-    def trace_linear(self, x, S=None):
-        """T(x): first directional derivative of N at c in direction x."""
-        return self.directional_norm_derivative(self.unit_vec(S), x, S)
-
-    def second_derivative_at_unit(self, x, y, S=None):
-        """The e1*e2 coefficient of N(c + e1 x + e2 y)."""
-        S = S or self.field
+    def _infinitesimal_norm(self, S, a, b1, b2=None):
+        """N(a + e1*b1 + e2*b2) over ``BiDualRing(S)``; b2 defaults to 0."""
         BS = BiDualRing(S)
         z = S.zero()
-        c = self.unit_vec(S)
-        arg = tuple(BiDualElement(a, b1, b2, z, BS) for a, b1, b2 in zip(c, x, y))
-        return self.norm_program(BS, arg).c
+        if b2 is None:
+            b2 = (z,) * len(a)
+        arg = tuple(BiDualElement(u, v, w, z, BS) for u, v, w in zip(a, b1, b2))
+        return self.norm_program(BS, arg)
 
-    def trace_bilinear(self, x, y, S=None):
-        """T(x,y) = T(x)T(y) - D2N(c; x, y), derived directly from N."""
-        S = S or self.field
-        return self.trace_linear(x, S) * self.trace_linear(y, S) - \
-            self.second_derivative_at_unit(x, y, S)
+    def directional_norm_derivative(self, x, y, S=None):
+        """The derivative of N at x in direction y."""
+        return self._infinitesimal_norm(S or self.field, x, y).b1
 
     def trace_vector(self):
-        """(T(e_1), ..., T(e_n)) over k, computed in one generic pass."""
+        """(T(e_1), ..., T(e_n)) over k: the coefficients of one generic
+        directional derivative of N at c, cached."""
         if self._trace_vec is None:
             ring = PolyRing(self.field, self.dim)
-            lin = self.trace_linear(ring.gens(), S=ring)
+            lin = self.directional_norm_derivative(self.unit_vec(ring), ring.gens(), ring)
             self._trace_vec = tuple(
                 lin.coefficient([1 if j == i else 0 for j in range(self.dim)])
                 for i in range(self.dim)
             )
         return self._trace_vec
 
-    def gram(self):
-        """Gram matrix of the bilinear trace on the standard basis.
+    def trace_linear(self, x, S=None):
+        """T(x) = sum_i T(e_i) x_i via the cached trace vector."""
+        S = S or self.field
+        return linalg.mat_vec([self.trace_vector()], x, S, self.field)[0]
 
-        One generic pass: the mixed second derivative of N at c is evaluated
-        on two generic vectors and its bilinear coefficients are read off,
-        then combined with the linear trace coefficients.
+    def gram(self):
+        """Gram matrix of the bilinear trace on the standard basis, cached.
+
+        Entry (i, j) is T(e_i)T(e_j) minus the x_i y_j coefficient of the
+        mixed second derivative of N at c, evaluated once on two generic
+        vectors x and y.
         """
         if self._gram is None:
             n = self.dim
             ring, X, Y = self.generic_vectors(2)
-            mixed = self.second_derivative_at_unit(X, Y, S=ring)
+            mixed = self._infinitesimal_norm(ring, self.unit_vec(ring), X, Y).c
             tv = self.trace_vector()
             g = []
             for i in range(n):
@@ -170,8 +156,8 @@ class CubicJordan:
         return linalg.rank(self.field, self.gram()) == self.dim
 
     def trace_pair(self, x, y, S=None):
-        """Bilinear trace sum_i x_i (G y)_i via the cached Gram matrix G
-        (fast path; G itself comes from the derivative-based derivation)."""
+        """The bilinear trace T(x, y) = sum_i x_i (G y)_i via the cached Gram
+        matrix G."""
         S = S or self.field
         gy = linalg.mat_vec(self.gram(), y, S, self.field)
         return linalg.mat_vec([x], gy, S)[0]
@@ -199,7 +185,8 @@ class CubicJordan:
         xsharp = self.sharp_program(S, x)
         xsharp2 = self.sharp_program(S, xsharp)
         cols = []
-        for t, e in zip(traces, self.basis(S)):
+        for t, e in zip(traces, linalg.identity(S, self.dim)):
+            e = tuple(e)
             cross = vsub(vsub(self.sharp_program(S, vadd(xsharp, e)), xsharp2),
                          self.sharp_program(S, e))
             cols.append(vsub(vscale(t, x), cross))
@@ -210,13 +197,14 @@ class CubicJordan:
     def axiom_suite(self, sample_count=25, seed=1):
         """Exact verification of the structure axioms.
 
-        Random samples (always including the base point) act as a fast
-        pre-filter that can produce concrete counterexamples; the identities
-        are then decided symbolically over generic polynomial coordinates,
-        which settles them in every commutative base change.  Nondegeneracy
-        of the trace form is a base-field check on the Gram determinant.
-        Failures are reported, never raised: the returned :class:`Report`
-        holds one check per entry of AXIOM_IDS, in that order.
+        Each identity goes through one decider: random samples (always
+        including the base point) act as a fast pre-filter that stops at the
+        first concrete counterexample; the identity is then decided
+        symbolically over generic polynomial coordinates, which settles it in
+        every commutative base change.  Nondegeneracy of the trace form is a
+        base-field rank check on the Gram matrix.  Failures are reported,
+        never raised: the returned :class:`Report` holds one check per entry
+        of AXIOM_IDS, in that order.
         """
         if sample_count < 1:
             raise AlbertError("sample_count must be at least 1")
@@ -230,6 +218,19 @@ class CubicJordan:
         def fmt(vec):
             return "(" + ",".join(field.format(c) for c in vec) + ")"
 
+        def decide(axiom_id, sides, vectors):
+            """Record whether ``sides(S, *v)`` returns two equal values on each
+            tuple v of ``vectors`` over k, then on generic coordinates."""
+            for v in vectors:
+                lhs, rhs = sides(field, *v)
+                if lhs != rhs:
+                    record(axiom_id, False,
+                           " ".join(f"{'xy'[i]}={fmt(u)}" for i, u in enumerate(v)))
+                    return
+            ring, *generic = self.generic_vectors(len(vectors[0]))
+            lhs, rhs = sides(ring, *generic)
+            record(axiom_id, lhs == rhs, "generic coordinates")
+
         c = self.unit_vec()
         samples = [c] + [self.sample_vec(rng, 4) for _ in range(sample_count - 1)]
 
@@ -238,63 +239,25 @@ class CubicJordan:
 
         record("trace-nondegenerate", self.nondegenerate())
 
-        # adjoint-trace: T(x^#, y) equals the directional derivative of N at x
-        # in direction y
-        ok, ce = True, None
-        for x, y in zip(samples, samples[1:] + samples[:1]):
-            if self.trace_pair(self.sharp(x), y) != self.directional_norm_derivative(x, y):
-                ok, ce = False, f"x={fmt(x)} y={fmt(y)}"
-                break
-        if ok:
-            ring, X, Y = self.generic_vectors(2)
-            lhs = self.trace_pair(self.sharp_program(ring, X), Y, S=ring)
-            rhs = self.directional_norm_derivative(X, Y, S=ring)
-            if lhs != rhs:
-                ok, ce = False, "generic coordinates"
-        record("adjoint-trace", ok, ce)
+        decide("adjoint-trace",
+               lambda S, x, y: (self.trace_pair(self.sharp_program(S, x), y, S),
+                                self.directional_norm_derivative(x, y, S)),
+               list(zip(samples, samples[1:] + samples[:1])))
 
-        # adjoint-double: x^{##} = N(x) x
-        ok, ce = True, None
-        for x in samples:
-            if tuple(self.sharp(self.sharp(x))) != tuple(vscale(self.norm(x), x)):
-                ok, ce = False, f"x={fmt(x)}"
-                break
-        if ok:
-            ring, X = self.generic_vectors(1)
-            lhs = self.sharp_program(ring, self.sharp_program(ring, X))
-            rhs = vscale(self.norm_program(ring, X), X)
-            if tuple(lhs) != tuple(rhs):
-                ok, ce = False, "generic coordinates"
-        record("adjoint-double", ok, ce)
+        decide("adjoint-double",
+               lambda S, x: (tuple(self.sharp_program(S, self.sharp_program(S, x))),
+                             vscale(self.norm_program(S, x), x)),
+               [(x,) for x in samples])
 
         record("unit-adjoint", tuple(self.sharp(c)) == tuple(c))
 
-        # unit-cross: c X x = T(x) c - x
-        ok, ce = True, None
-        for x in samples:
-            lhs = self.cross(c, x)
-            rhs = vsub(vscale(self.trace_linear(x), c), x)
-            if tuple(lhs) != tuple(rhs):
-                ok, ce = False, f"x={fmt(x)}"
-                break
-        if ok:
-            ring, X = self.generic_vectors(1)
-            cS = self.unit_vec(ring)
-            lhs = self.cross(cS, X, S=ring)
-            rhs = vsub(vscale(self.trace_linear(X, S=ring), cS), X)
-            if tuple(lhs) != tuple(rhs):
-                ok, ce = False, "generic coordinates"
-        record("unit-cross", ok, ce)
-        return report
+        def unit_cross(S, x):
+            cS = self.unit_vec(S)
+            return (tuple(self.cross(cS, x, S)),
+                    vsub(vscale(self.trace_linear(x, S), cS), x))
 
-    def directional_norm_derivative(self, x, y, S=None):
-        """The e1 coefficient of N(x + e1*y): the derivative of N at x
-        in direction y."""
-        S = S or self.field
-        BS = BiDualRing(S)
-        z = S.zero()
-        arg = tuple(BiDualElement(a, b, z, z, BS) for a, b in zip(x, y))
-        return self.norm_program(BS, arg).b1
+        decide("unit-cross", unit_cross, [(x,) for x in samples])
+        return report
 
 
 class DPlus(CubicJordan):

@@ -24,12 +24,6 @@ class DivisionByZero(AlbertError):
     code = "division-by-zero"
 
 
-class PoleAtPoint(AlbertError):
-    """A rational function was evaluated where its denominator vanishes."""
-
-    code = "pole-at-point"
-
-
 class NotInvertible(AlbertError):
     code = "not-invertible"
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ScenarioParseError, UnresolvedReference
+from .errors import ConstraintError, ScenarioParseError, UnresolvedReference
 from .scalars import PrimeField, QQ, QuadraticEtale
 from .upoly import RationalFunctionField
 
@@ -40,6 +40,17 @@ _TOKEN_RE = re.compile(
 
 #: deepest nesting of calls, lists and parentheses that an expression may have
 MAX_DEPTH = 64
+
+
+def _integer(digits, line=None, col=None):
+    """The int written by a string of decimal digits; a literal beyond the
+    interpreter's integer-string limit is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScenarioParseError(
+            f"number literal of {len(digits)} digits is too long", line, col
+        ) from None
 
 
 class Token:
@@ -210,12 +221,13 @@ class Parser:
         tok = self.next()
         if tok.kind != "num":
             self.error("expected a number")
-        value = Fraction(int(tok.text))
+        value = Fraction(_integer(tok.text, self.line, tok.pos + 1))
         if self.peek() is not None and self.peek().text == "/":
             # lookahead: denominators are bare numbers
             if self.peek(1) is not None and self.peek(1).kind == "num":
                 self.next()
-                den = int(self.next().text)
+                dtok = self.next()
+                den = _integer(dtok.text, self.line, dtok.pos + 1)
                 if den == 0:
                     self.error("zero denominator")
                 value = value / den
@@ -251,7 +263,6 @@ class Parser:
         """Terms like s^2-(-1), x^3-3*x-1; returns ascending coefficients."""
         coeffs = {}
         sign = Fraction(1)
-        first = True
         while True:
             tok = self.peek()
             if tok is None or tok.text == ")":
@@ -259,12 +270,10 @@ class Parser:
             if tok.text == "+":
                 self.next()
                 sign = Fraction(1)
-                first = False
                 continue
             if tok.text == "-":
                 self.next()
                 sign = Fraction(-1)
-                first = False
                 continue
             coef = Fraction(1)
             power = 0
@@ -287,10 +296,15 @@ class Parser:
                     ptok = self.next()
                     if ptok.kind != "num":
                         self.error("expected an exponent")
-                    power = int(ptok.text)
+                    power = _integer(ptok.text, self.line, ptok.pos + 1)
+                    if power > 3:
+                        # refused before the coefficient list is allocated
+                        if var == "s":
+                            raise ScenarioParseError(
+                                "quadratic extension must be given as s^2 - d", self.line)
+                        raise ConstraintError("minimal polynomial must be a monic cubic")
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
             sign = Fraction(1)
-            first = False
         if not coeffs:
             self.error("empty polynomial")
         deg = max(coeffs)
@@ -346,7 +360,7 @@ def eval_atom(name, line=None):
         return QQ
     m = _PRIME_FIELD_RE.match(name)
     if m:
-        return PrimeField(int(m.group(1)))
+        return PrimeField(_integer(m.group(1), line))
     if name in ("switch", "conjtrans"):
         return ("involution", name, {})
     raise UnresolvedReference(f"undefined name {name!r}")

@@ -25,8 +25,7 @@ add/sub merge loop accumulate without reducing and normalize once per
 result; a merge names the keys it changed, so a small summand does not cost
 a pass over a large accumulator.  Field
 payloads appear only at the boundary: the constructors encode, and
-:meth:`MPoly.coefficient`, :meth:`MPoly.evaluate`, ``repr`` and
-:func:`proportionality` decode.
+:meth:`MPoly.coefficient`, ``repr`` and :func:`proportionality` decode.
 
 Limit: the 8-bit packing caps every exponent, and every total degree a
 product may reach, at 255.  Every polynomial carries a conservative degree
@@ -174,24 +173,6 @@ class MPoly:
         ring = self.ring
         c = self.terms.get(ring.pack(exponents))
         return ring.field.zero() if c is None else ring._decode(c, self.den)
-
-    def evaluate(self, values):
-        """Evaluate at payloads of the coefficient field."""
-        ring = self.ring
-        acc = ring.field.zero()
-        for k, c in self.terms.items():
-            term = ring._decode(c, self.den)
-            i = 0
-            while k:
-                e = k & _MASK
-                if e:
-                    v = values[i]
-                    for _ in range(e):
-                        term = term * v
-                k >>= _BITS
-                i += 1
-            acc = acc + term
-        return acc
 
     def __repr__(self):
         if not self.terms:

@@ -74,19 +74,21 @@ def path_certify(J, matrix):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise AlbertError("path matrix has wrong shape")
     Rt = matrix[0][0].ring
-    # the distinct canonical denominators; entry regularity at the endpoints
-    # is a cheap syntactic test on them, run before the symbolic work
+    # common denominator q (the monic lcm of the distinct canonical
+    # denominators) and cleared numerators; t - p is prime, so an entry has a
+    # pole at p exactly when q(p) = 0, a cheap test run before the symbolic work
+    q = UPoly.const(field.one(), field)
     dens = dict.fromkeys(v.den for row in matrix for v in row)
-    for point, name in ((field.zero(), "0"), (field.one(), "1")):
-        if any(field.is_zero(den(point)) for den in dens):
+    for den in dens:
+        q = poly_lcm(q, den)
+    endpoints = ((field.zero(), "0"), (field.one(), "1"))
+    q_at = [q(point) for point, _ in endpoints]
+    for qp, (_, name) in zip(q_at, endpoints):
+        if field.is_zero(qp):
             raise PathError(
                 f"matrix entry has a pole at t = {name}",
                 code="pole-at-endpoint",
             )
-    # common denominator (the monic lcm) and cleared numerators
-    q = UPoly.const(field.one(), field)
-    for den in dens:
-        q = poly_lcm(q, den)
     cofactor = {den: q.exact_div(den) for den in dens}
     cleared = [[v.num * cofactor[v.den] for v in row] for row in matrix]
     # generic fiber check in k[t, X1..Xn]: variable 0 is t
@@ -112,25 +114,28 @@ def path_certify(J, matrix):
         raise PathError(
             "multiplier vanishes identically", code="generic-fiber-failure"
         )
-    q3 = q * q * q
-    nu = RatFunc(w, q3, Rt)
-    # multiplier regularity and nonvanishing at 0 and 1
-    zero, one = field.zero(), field.one()
-    for point, name in ((zero, "0"), (one, "1")):
-        if not Rt.is_regular_at(nu, point):
-            raise PathError(
-                f"multiplier has a pole at t = {name}", code="pole-at-endpoint"
-            )
-        if field.is_zero(Rt.evaluate(nu, point)):
+    nu = RatFunc(w, q * q * q, Rt)
+    # the canonical denominator of w/q^3 divides q^3, which is nonzero at both
+    # endpoints, so the multiplier has no pole there; it vanishes at p exactly
+    # when w(p) = 0, and its value there is w(p) q(p)^-3
+    nu_at = []
+    for qp, (point, name) in zip(q_at, endpoints):
+        wp = w(point)
+        if field.is_zero(wp):
             raise PathError(
                 f"multiplier vanishes at t = {name}",
                 code="multiplier-vanishes-at-endpoint",
             )
-    m0 = [[Rt.evaluate(v, zero) for v in row] for row in matrix]
-    m1 = [[Rt.evaluate(v, one) for v in row] for row in matrix]
-    start = certify(J, m0)
-    end = certify(J, m1)
-    if start.multiplier != Rt.evaluate(nu, zero) or end.multiplier != Rt.evaluate(nu, one):
+        nu_at.append(wp * field.inv(qp * qp * qp))
+    # each endpoint matrix is the cleared numerators at p times q(p)^-1
+    zero = field.zero()
+    ends = []
+    for qp, (point, _) in zip(q_at, endpoints):
+        qinv = field.inv(qp)
+        ends.append(certify(J, [[p(point) * qinv if p else zero for p in row]
+                                for row in cleared]))
+    start, end = ends
+    if start.multiplier != nu_at[0] or end.multiplier != nu_at[1]:
         raise AlbertError("endpoint multipliers disagree with the family multiplier")
     return RPath(J, [list(r) for r in matrix], nu, start, end)
 

@@ -36,18 +36,34 @@ from fractions import Fraction
 from .errors import AlbertError, DivisionByZero, ParentMismatch
 
 
+#: prime field moduli must lie below this bound: Miller-Rabin with the
+#: prime bases 2..37 decides primality exactly there
+MAX_MODULUS = 1 << 64
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin for n < ``MAX_MODULUS``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -230,6 +246,8 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p):
+        if p >= MAX_MODULUS:
+            raise AlbertError("prime field modulus must be below 2^64")
         if not _is_prime(p):
             raise AlbertError(f"{p} is not prime")
         self.p = p

@@ -456,7 +456,7 @@ def _trace_oracle(report, prefix, alg, samples, seed):
     for _ in range(samples):
         x = Jp.sample_vec(rng, 4)
         y = Jp.sample_vec(rng, 4)
-        if Jp.trace_bilinear(x, y) != alg.trace_pairing(alg.base_ring, x, y):
+        if Jp.trace_pair(x, y) != alg.trace_pairing(alg.base_ring, x, y):
             failures += 1
     report.record(f"{prefix}:derived-trace-matches-pairing", failures == 0,
                   f"{samples} pairs, {failures} failures")

@@ -8,7 +8,7 @@ makes pole detection at a point a purely syntactic test on the denominator.
 
 from __future__ import annotations
 
-from .errors import AlbertError, DivisionByZero, ParentMismatch, PoleAtPoint
+from .errors import AlbertError, DivisionByZero, ParentMismatch
 from .scalars import Ring
 
 
@@ -18,9 +18,11 @@ class UPoly:
     __slots__ = ("coeffs", "field")
 
     def __init__(self, coeffs, field):
-        while coeffs and field.is_zero(coeffs[-1]):
-            coeffs = coeffs[:-1]
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and field.is_zero(coeffs[n - 1]):
+            n -= 1
+        self.coeffs = coeffs[:n]
         self.field = field
 
     @classmethod
@@ -350,16 +352,6 @@ class RationalFunctionField(Ring):
         if not v.num:
             raise DivisionByZero("division by zero rational function")
         return RatFunc(v.den, v.num, self)
-
-    def evaluate(self, r, point):
-        """r(point) in the base field; raises PoleAtPoint when undefined."""
-        den_val = r.den(point)
-        if self.base.is_zero(den_val):
-            raise PoleAtPoint(f"pole at {self.base.format(point)}")
-        return r.num(point) / den_val
-
-    def is_regular_at(self, r, point):
-        return not self.base.is_zero(r.den(point))
 
     def format(self, v):
         num = ",".join(self.base.format(c) for c in v.num.coeffs) or "0"

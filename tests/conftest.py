@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.scalars import QQ, QuadraticExtension
+from albert.scalars import QQ, BiDualElement, BiDualRing, QuadraticExtension
 from albert.cubicnorm import CubicJordan
 from albert.deg3 import ConjugateTranspose, Matrix3
 from albert.tits import FirstTits, SecondTits
@@ -84,6 +84,26 @@ def random_norm_equal_pair(alg, rng, bound=4):
     g = alg.sample_invertible(rng, bound)
     h = g * random_norm_one(alg, rng, bound=bound)
     return g, h
+
+
+def ratfunc_at(r, point):
+    """r(point) in the base field, for a canonical rational function r that
+    is regular at ``point``."""
+    den = r.den(point)
+    assert den != 0, f"pole at {point}"
+    return r.num(point) / den
+
+
+def trace_bilinear(J, x, y, S=None):
+    """Reference bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y), one pair at
+    a time: T(x), T(y) and D2N(c; x, y) are the e1, e2 and e1*e2 coefficients
+    of N(c + e1*x + e2*y) over the two-infinitesimal ring."""
+    S = S or J.field
+    BS = BiDualRing(S)
+    z = S.zero()
+    arg = tuple(BiDualElement(a, b1, b2, z, BS) for a, b1, b2 in zip(J.unit_vec(S), x, y))
+    n = J.norm_program(BS, arg)
+    return n.b1 * n.b2 - n.c
 
 
 class MockCubicJordan(CubicJordan):

@@ -95,10 +95,17 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert main(["check-cert", bad_path, "--format", "machine"]) == 1
 
 
+LONG = "1" * 5000  # beyond the interpreter's 4300-digit integer-string limit
+P127 = str(2 ** 127 - 1)
+
+
 @pytest.mark.parametrize("old, new", [
     ("lambda 2\n", "lambda x\n"),
     ("path\n1|1 ", "path\n1|0 "),
     ("algebra matrix3(Q)\n", "algebra matrix3(K)\n"),
+    pytest.param("algebra matrix3(Q)\n", f"algebra matrix3(F{LONG})\n", id="long-modulus"),
+    pytest.param("algebra matrix3(Q)\n", f"algebra matrix3(F{P127})\n", id="modulus-2^127"),
+    pytest.param("algebra matrix3(Q)\n", "algebra Q[x]/(x^3000000000-1)\n", id="exponent-x"),
 ])
 def test_malformed_certificate_exits_parse_error(tmp_path, capsys, old, new):
     text = (GOLDEN / "certificate.cert").read_text(encoding="utf-8")
@@ -184,6 +191,22 @@ def _status(tmp_path, capsys, body):
 ])
 def test_former_traceback_exits_parse_error(tmp_path, capsys, body):
     assert _status(tmp_path, capsys, body)[0] == 2
+
+
+# an over-long number ended in a traceback; a modulus beyond 2^64 ran trial
+# division without end; an exponent was allocated as a coefficient list
+@pytest.mark.parametrize("body, status", [
+    (f"X = first_tits(D, lambda={LONG})", 2),
+    (f"X = matrix3(F{LONG})", 2),
+    (f"X = matrix3(F{P127})", 4),
+    (f"X = matrix3(F{2 ** 61 - 1})", 0),
+    ("X = Q[s]/(s^3000000000-(-1))", 2),
+    ("X = Q[x]/(x^3000000000-1)", 4),
+    ("X = cubic_etale(Q, f=[1" + ",0" * 40000 + "])", 4),
+], ids=["long-lambda", "long-modulus", "modulus-2^127", "modulus-2^61", "exponent-s",
+        "exponent-x", "long-f"])
+def test_large_literal_exits_with_documented_status(tmp_path, capsys, body, status):
+    assert _status(tmp_path, capsys, body)[0] == status
 
 
 def test_utwist_checks_its_inner_involution(tmp_path, capsys):

@@ -4,7 +4,8 @@ on them, against references that lift and multiply by hand.
 Lifting into the base change of a quadratic or split centre lifts the
 components; ``mat_vec`` over an extension equals lifting the matrix first;
 the Gram contractions ``trace_of_product`` and ``trace_pair`` agree with the
-oracles ``trace_pairing`` and ``trace_bilinear`` on generic coordinates.
+oracle ``trace_pairing`` and the per-pair reference ``conftest.trace_bilinear``
+on generic coordinates.
 """
 
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from albert.multipoly import PolyRing
 from albert.scalars import QQ, BiDualRing, PrimeField, QuadraticExtension, SplitQuadratic, lift
 from albert.tits import FirstTits, SecondTits
 from albert.upoly import RationalFunctionField
+from conftest import trace_bilinear
 
 F7 = PrimeField(7)
 CENTRES = [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ),
@@ -133,4 +135,4 @@ def _second_conjtrans():
 def test_trace_pair_matches_trace_bilinear(build):
     J = build()
     ring, X, Y = J.generic_vectors(2)
-    assert J.trace_pair(X, Y, S=ring) == J.trace_bilinear(X, Y, S=ring)
+    assert J.trace_pair(X, Y, S=ring) == trace_bilinear(J, X, Y, S=ring)

@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 from albert.cli import main
+from albert.scenario import SUITES
 
 CONSTRUCTORS = ["matrix3", "cubic_etale", "cyclic", "prodop", "dplus",
                 "first_tits", "second_tits", "utwist"]
@@ -118,3 +119,70 @@ def test_semantic_certificate_mutation_fails_check(tmp_path_factory, mutation):
     with redirect_stdout(out):
         assert main(["check-cert", str(path), "--format", "machine"]) == 1
     assert out.getvalue().endswith("RESULT FAIL\n")
+
+
+# ---- run directives on 9-dimensional structures ------------------------------
+
+LONG = "1" * 5000  # beyond the interpreter's 4300-digit integer-string limit
+OVERSIZED = [f"X = first_tits(E, lambda={LONG})", f"X = matrix3(F{LONG})",
+             "X = matrix3(F170141183460469231731687303715884105727)",
+             "X = Q[x]/(x^3000000000-1)", "X = Q[s]/(s^3000000000-(-1))",
+             f"X = cubic_etale(Q, f=[{LONG},0,0,1])", f"run axioms(P, samples=1, seed={LONG})"]
+SMALL = st.sampled_from(["0", "1", "-1", "2", "1/2"])
+VEC3 = st.lists(SMALL, min_size=3, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")
+COUNT = st.sampled_from(["0", "1", "2"])
+# arguments by the kind a SUITES parameter takes; names are declared below
+ARGUMENTS = {
+    "a cubic norm structure": st.sampled_from(["J", "P"]),
+    "a first construction": st.just("J"),
+    "a degree-3 algebra or its dplus": st.sampled_from(["P", "E"]),
+    "a degree-3 algebra": st.just("E"),
+    "a similarity map": st.just("M"),
+    "a path": st.just("W"),
+    "a certificate": st.just("M"),  # certificates need split coordinates, not 9 dims
+    "an element of J.D": st.one_of(st.just("[1,0,0]"), VEC3),
+    "a pair (a;b)": st.sampled_from(["(1;1)", "(2;1/2)", "(1;0)"]),
+    "a count": COUNT,
+    "an integer seed": st.sampled_from(["1", "2"]),
+}
+
+
+@st.composite
+def run_scenarios(draw):
+    """9-dimensional structures J = J(E, lambda) and P = dplus(matrix3(k)), a
+    map and a path on J, then up to three ``run`` directives drawn from
+    ``scenario.SUITES`` with counts of at most 2; one argument in ten is
+    the wrong name, and one scenario in four also has a line with an
+    over-long number, a modulus beyond 2^64 or a large exponent."""
+    etale = ["Q[x]/(x^3-3*x-1)", "Q[x]/(x^3-x)", "F5[x]/(x^3-2)", "F7[x]/(x^3-3)"]
+    fields = ["Q", "F2", "F3", "F2305843009213693951"]
+    lines = [
+        f"E = {draw(st.sampled_from(etale))}",
+        f"J = first_tits(E, lambda={draw(st.sampled_from(['1', '2', '-3']))})",
+        f"P = dplus(matrix3({draw(st.sampled_from(fields))}))",
+        "M = aut_J_A(J, c=[1,0,0])",
+        f"W = conj_path(J, a={draw(st.sampled_from(['[1,0,0]', '[2,1,0]', '[1,0,1]']))})",
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(SUITES)))
+        parts = []
+        for i, (key, param) in enumerate(SUITES[name].params.items()):
+            if i >= SUITES[name].positional and not draw(st.integers(0, 3)):
+                continue  # leave out a keyword: a default, or a missing argument
+            value = draw(ARGUMENTS[param.kind.what])
+            if not draw(st.integers(0, 9)):
+                value = draw(st.sampled_from(["J", "P", "E", "M", "W", "Q", "[1,2]"]))
+            parts.append(value if i < SUITES[name].positional else f"{key}={value}")
+        lines.append(f"run {name}({', '.join(parts)})")
+    if not draw(st.integers(0, 3)):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(OVERSIZED)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=run_scenarios())
+def test_run_directives_exit_with_documented_status(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("runs") / "s.txt"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["check-axioms", str(path)]) in (0, 1, 2, 3, 4, 5)

