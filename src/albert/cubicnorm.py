@@ -8,24 +8,23 @@ usable numerically, symbolically over polynomial rings (the universal case
 that decides identity-type axioms in every base change), and along
 one-parameter families over rational function fields.
 
-Everything else is derived from (N, #, c), through one evaluation of N at
-a + e1*b1 + e2*b2 over the two-infinitesimal extension ``BiDualRing``:
+Everything else is derived from (N, #, c).  Derivatives are homogeneous
+parts of one polynomial evaluation, read by one helper, never limits, so
+every characteristic (including 2 and 3) is handled uniformly:
 
-* the directional derivative of N at x in direction y, its e1 coefficient;
-* the trace vector (T(e_1), ..., T(e_n)), read off one generic directional
-  derivative at c; the linear trace T(x) contracts it with x;
+* the directional derivative of N at x in direction y, the e^1 part of
+  N(x + e*y) over S[e];
+* the trace vector (T(e_1), ..., T(e_n)), the linear part of N(c + X) for
+  generic X; the linear trace T(x) contracts it with x;
 * the Gram matrix of the bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y),
-  where D2N is the mixed second directional derivative of N at c (the e1*e2
-  coefficient), read off one generic evaluation; this closed form is the
+  where D2N is the mixed second directional derivative of N at c, the
+  polarized quadratic part of the same N(c + X); this closed form is the
   polynomial unfolding of the logarithmic second derivative, using N(c) = 1,
   and is validated against independent oracles in the test suite; the
   bilinear trace contracts the Gram matrix with x and y;
 * the cross product x X y = (x+y)^# - x^# - y^#;
-* the U-operators U_x(y) = T(x,y)x - x^# X y.
-
-Directional derivatives are always taken with nilpotent infinitesimals over
-the exact scalar ring, never with limits, so every characteristic (including
-2 and 3) is handled uniformly.
+* the U-operators U_x(y) = T(x,y)x - x^# X y, whose matrix reads every
+  x^# X e_j off the linear part of (x^# + Y)^# for generic Y.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import random
 
 from .errors import AlbertError
-from .scalars import BiDualElement, BiDualRing, lift
+from .scalars import lift
 from .multipoly import PolyRing
 from .deg3 import vadd, vscale, vsub
 from .report import Report
@@ -47,6 +46,23 @@ AXIOM_IDS = (
     "unit-adjoint",         # c^# = c
     "unit-cross",           # c X x = T(x) c - x
 )
+
+
+def _part(value, n, degree):
+    """The degree-1 or degree-2 part of a polynomial ``value`` in n
+    variables, read as a derivative at 0: degree 1 gives the list of linear
+    coefficients, degree 2 the symmetric matrix B of the polarized quadratic
+    part q, q(x + y) - q(x) - q(y) = sum_ij x_i B_ij y_j."""
+    zero = value.ring.field.zero()
+    if degree == 1:
+        out = [zero] * n
+        for (i,), c in value.part(1).items():
+            out[i] = c
+        return out
+    out = [[zero] * n for _ in range(n)]
+    for (i, j), c in value.part(2).items():
+        out[i][j] = out[j][i] = c if i != j else c + c
+    return out
 
 
 class CubicJordan:
@@ -98,29 +114,31 @@ class CubicJordan:
     def sharp(self, x, S=None):
         return self.sharp_program(S or self.field, x)
 
-    def _infinitesimal_norm(self, S, a, b1, b2=None):
-        """N(a + e1*b1 + e2*b2) over ``BiDualRing(S)``; b2 defaults to 0."""
-        BS = BiDualRing(S)
-        z = S.zero()
-        if b2 is None:
-            b2 = (z,) * len(a)
-        arg = tuple(BiDualElement(u, v, w, z, BS) for u, v, w in zip(a, b1, b2))
-        return self.norm_program(BS, arg)
+    def _expand_at_unit(self):
+        """Fill the trace vector and Gram matrix caches from one generic
+        evaluation of N(c + X): T(e_i) is the x_i coefficient, the derivative
+        of N at c, and Gram entry (i, j) is T(e_i)T(e_j) minus entry (i, j)
+        of the mixed second derivative of N at c, the polarized quadratic
+        part."""
+        n = self.dim
+        ring = PolyRing(self.field, n)
+        value = self.norm_program(ring, vadd(self.unit_vec(ring), ring.gens()))
+        tv = _part(value, n, 1)
+        mixed = _part(value, n, 2)
+        self._trace_vec = tuple(tv)
+        self._gram = [[ti * tj - m for tj, m in zip(tv, row)] for ti, row in zip(tv, mixed)]
 
     def directional_norm_derivative(self, x, y, S=None):
-        """The derivative of N at x in direction y."""
-        return self._infinitesimal_norm(S or self.field, x, y).b1
+        """The derivative of N at x in direction y: the e coefficient of
+        N(x + e*y) over S[e]."""
+        ring = PolyRing(S or self.field, ["e"])
+        value = self.norm_program(ring, [ring.univariate([a, b]) for a, b in zip(x, y)])
+        return _part(value, 1, 1)[0]
 
     def trace_vector(self):
-        """(T(e_1), ..., T(e_n)) over k: the coefficients of one generic
-        directional derivative of N at c, cached."""
+        """(T(e_1), ..., T(e_n)) over k, cached."""
         if self._trace_vec is None:
-            ring = PolyRing(self.field, self.dim)
-            lin = self.directional_norm_derivative(self.unit_vec(ring), ring.gens(), ring)
-            self._trace_vec = tuple(
-                lin.coefficient([1 if j == i else 0 for j in range(self.dim)])
-                for i in range(self.dim)
-            )
+            self._expand_at_unit()
         return self._trace_vec
 
     def trace_linear(self, x, S=None):
@@ -129,27 +147,9 @@ class CubicJordan:
         return linalg.mat_vec([self.trace_vector()], x, S, self.field)[0]
 
     def gram(self):
-        """Gram matrix of the bilinear trace on the standard basis, cached.
-
-        Entry (i, j) is T(e_i)T(e_j) minus the x_i y_j coefficient of the
-        mixed second derivative of N at c, evaluated once on two generic
-        vectors x and y.
-        """
+        """Gram matrix of the bilinear trace on the standard basis, cached."""
         if self._gram is None:
-            n = self.dim
-            ring, X, Y = self.generic_vectors(2)
-            mixed = self._infinitesimal_norm(ring, self.unit_vec(ring), X, Y).c
-            tv = self.trace_vector()
-            g = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    e = [0] * (2 * n)
-                    e[i] += 1
-                    e[n + j] += 1
-                    row.append(tv[i] * tv[j] - mixed.coefficient(e))
-                g.append(row)
-            self._gram = g
+            self._expand_at_unit()
         return self._gram
 
     def nondegenerate(self):
@@ -176,21 +176,20 @@ class CubicJordan:
     def u_matrix(self, x, S=None):
         """Matrix of U_x acting on column coordinate vectors.
 
-        Column j is T(x, e_j) x - x^# X e_j.  The Gram matrix is symmetric, so
-        the traces T(x, e_j) are the entries of G x; the cross products share
-        the one (x^#)^#.
+        Entry (i, j) is T(x, e_j) x_i - (x^# X e_j)_i.  The Gram matrix is
+        symmetric, so the traces T(x, e_j) are the entries of G x.  Since #
+        is quadratic, x^# X y is the part linear in y of (x^# + y)^#, so one
+        evaluation at x^# + Y, Y generic, gives every cross product.
         """
         S = S or self.field
-        traces = linalg.mat_vec(self.gram(), x, S, self.field)
+        n = self.dim
+        ring = PolyRing(S, n)
         xsharp = self.sharp_program(S, x)
-        xsharp2 = self.sharp_program(S, xsharp)
-        cols = []
-        for t, e in zip(traces, linalg.identity(S, self.dim)):
-            e = tuple(e)
-            cross = vsub(vsub(self.sharp_program(S, vadd(xsharp, e)), xsharp2),
-                         self.sharp_program(S, e))
-            cols.append(vsub(vscale(t, x), cross))
-        return linalg.transpose(cols)
+        value = self.sharp_program(ring, [ring.from_base(a) + y
+                                          for a, y in zip(xsharp, ring.gens())])
+        traces = linalg.mat_vec(self.gram(), x, S, self.field)
+        return [[t * xi - c for t, c in zip(traces, _part(v, n, 1))]
+                for xi, v in zip(x, value)]
 
     # -- axiom verification --------------------------------------------------
 
@@ -208,7 +207,6 @@ class CubicJordan:
         """
         if sample_count < 1:
             raise AlbertError("sample_count must be at least 1")
-        rng = random.Random(seed)
         field = self.field
         report = Report()
 
@@ -218,7 +216,7 @@ class CubicJordan:
         def fmt(vec):
             return "(" + ",".join(field.format(c) for c in vec) + ")"
 
-        def decide(axiom_id, sides, vectors):
+        def decide(axiom_id, sides, vectors, arity):
             """Record whether ``sides(S, *v)`` returns two equal values on each
             tuple v of ``vectors`` over k, then on generic coordinates."""
             for v in vectors:
@@ -227,12 +225,28 @@ class CubicJordan:
                     record(axiom_id, False,
                            " ".join(f"{'xy'[i]}={fmt(u)}" for i, u in enumerate(v)))
                     return
-            ring, *generic = self.generic_vectors(len(vectors[0]))
+            ring, *generic = self.generic_vectors(arity)
             lhs, rhs = sides(ring, *generic)
             record(axiom_id, lhs == rhs, "generic coordinates")
 
         c = self.unit_vec()
-        samples = [c] + [self.sample_vec(rng, 4) for _ in range(sample_count - 1)]
+
+        def samples():
+            """c, then sample_count - 1 vectors drawn from a fresh seeded
+            stream, so every decider sees the same samples."""
+            rng = random.Random(seed)
+            yield c
+            for _ in range(sample_count - 1):
+                yield self.sample_vec(rng, 4)
+
+        def cyclic_pairs():
+            """(s_0, s_1), ..., (s_last, s_0) over the samples."""
+            it = samples()
+            first = prev = next(it)
+            for s in it:
+                yield prev, s
+                prev = s
+            yield prev, first
 
         # checks run and are recorded in AXIOM_IDS order
         record("unit-norm", self.norm(c) == field.one())
@@ -242,12 +256,12 @@ class CubicJordan:
         decide("adjoint-trace",
                lambda S, x, y: (self.trace_pair(self.sharp_program(S, x), y, S),
                                 self.directional_norm_derivative(x, y, S)),
-               list(zip(samples, samples[1:] + samples[:1])))
+               cyclic_pairs(), 2)
 
         decide("adjoint-double",
                lambda S, x: (tuple(self.sharp_program(S, self.sharp_program(S, x))),
                              vscale(self.norm_program(S, x), x)),
-               [(x,) for x in samples])
+               ((x,) for x in samples()), 1)
 
         record("unit-adjoint", tuple(self.sharp(c)) == tuple(c))
 
@@ -256,7 +270,7 @@ class CubicJordan:
             return (tuple(self.cross(cS, x, S)),
                     vsub(vscale(self.trace_linear(x, S), cS), x))
 
-        decide("unit-cross", unit_cross, [(x,) for x in samples])
+        decide("unit-cross", unit_cross, ((x,) for x in samples()), 1)
         return report
 
 

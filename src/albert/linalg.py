@@ -5,22 +5,26 @@ and one contraction.  :func:`echelon`, plain fraction-style Gaussian
 elimination (no pivoting heuristics are needed since all arithmetic is
 exact), is behind :func:`rank`, :func:`inverse`, :func:`kernel` and
 :class:`Subspace`.  :func:`mat_vec`, the one matrix-vector product, skips the
-zero entries of the matrix and is behind :func:`mat_mul`.
+zero entries of the matrix and is behind :func:`mat_mul`.  Over Q it is
+integer-coded: v and each row of the matrix are cleared to ``int``
+numerators over one denominator, the sums run on ``int``s and each output
+entry is one ``Fraction``.  Every other ring keeps the per-entry loop.
 
 Two pieces carry constant data over a field k to coordinates over an
-extension ring S (a polynomial ring, a dual-number ring, k(t) or the base
-change of a quadratic centre): :func:`mat_vec`, which lifts the nonzero
-entries through :func:`scalars.lift`, and :class:`Subspace`, which maps
-between a subspace of k^n and the coordinates of a chosen basis, over k or
-over S.
+extension ring S (a polynomial ring, k(t) or the base change of a quadratic
+centre): :func:`mat_vec`, which lifts the nonzero entries through
+:func:`scalars.lift`, and :class:`Subspace`, which maps between a subspace of
+k^n and the coordinates of a chosen basis, over k or over S.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .errors import AlbertError, NotInvertible
-from .scalars import lift
+from .scalars import RationalField, lift
 
 
 def identity(field, n):
@@ -38,9 +42,13 @@ def mat_vec(A, v, S=None, k=None):
 
     Zero entries of A are skipped; the others are lifted into S when S is
     not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
+    Over Q, told by the ring or else by the type of v's payloads, the
+    product runs on integers (see :func:`_mat_vec_qq`).
     """
     if k is None:
         k = S
+    if isinstance(S, RationalField) if S is not None else v and type(v[0]) is Fraction:
+        return _mat_vec_qq(A, v)
     lifted = S != k
     out = []
     for row in A:
@@ -52,6 +60,23 @@ def mat_vec(A, v, S=None, k=None):
         if acc is None:
             acc = S.zero() if S is not None else row[0] * v[0]
         out.append(acc)
+    return out
+
+
+def _mat_vec_qq(A, v):
+    """A v over Q: v and each row of A are cleared to integer numerators
+    over one denominator, the sums run on ``int``s, and each output entry
+    is one ``Fraction``."""
+    dv = lcm(*[x.denominator for x in v])
+    w = [x.numerator * (dv // x.denominator) for x in v]
+    out = []
+    for row in A:
+        dr = lcm(*[c.denominator for c in row])
+        acc = 0
+        for c, x in zip(row, w):
+            if c and x:
+                acc += c.numerator * (dr // c.denominator) * x
+        out.append(Fraction(acc, dr * dv))
     return out
 
 

@@ -25,14 +25,15 @@ add/sub merge loop accumulate without reducing and normalize once per
 result; a merge names the keys it changed, so a small summand does not cost
 a pass over a large accumulator.  Field
 payloads appear only at the boundary: the constructors encode, and
-:meth:`MPoly.coefficient`, ``repr`` and :func:`proportionality` decode.
+:meth:`MPoly.coefficient`, :meth:`MPoly.part`, ``repr`` and
+:func:`proportionality` decode.
 
 Limit: the 8-bit packing caps every exponent, and every total degree a
 product may reach, at 255.  Every polynomial carries a conservative degree
 bound, and multiplication refuses with an ``AlbertError`` rather than
 overflow the packing.  Only this module knows the key layout: other modules
 build polynomials with the :class:`PolyRing` constructors and read them
-through ``unpack`` and :meth:`MPoly.coefficient`.
+through ``unpack``, :meth:`MPoly.coefficient` and :meth:`MPoly.part`.
 """
 
 from __future__ import annotations
@@ -173,6 +174,22 @@ class MPoly:
         ring = self.ring
         c = self.terms.get(ring.pack(exponents))
         return ring.field.zero() if c is None else ring._decode(c, self.den)
+
+    def part(self, degree):
+        """The terms of total degree ``degree`` as {monomial: coefficient};
+        a monomial is the ascending tuple of its variable indices with
+        multiplicity, x0^2*x3 as (0, 0, 3)."""
+        decode, den = self.ring._decode, self.den
+        out = {}
+        for key, c in self.terms.items():
+            idx = []
+            while key and len(idx) <= degree:
+                i = ((key & -key).bit_length() - 1) // _BITS
+                idx.append(i)
+                key -= 1 << (_BITS * i)
+            if not key and len(idx) == degree:
+                out[tuple(idx)] = decode(c, den)
+        return out
 
     def __repr__(self):
         if not self.terms:

@@ -8,9 +8,7 @@ Supported rings:
 * ``SplitQuadratic(base)`` - the split etale algebra base x base, elements
   ``SplitElement`` (honest component pairs, valid in every characteristic);
 * ``RationalFunctionField(base, var)`` - univariate rational functions, see
-  :mod:`albert.upoly`;
-* ``BiDualRing(base)`` - the two-infinitesimal extension base[e1, e2]/(e1^2, e2^2)
-  used for exact first and mixed second directional derivatives.
+  :mod:`albert.upoly`.
 
 Elements are plain payload objects carrying native Python operators; rings are
 lightweight parent objects providing construction, sampling, canonical
@@ -543,127 +541,6 @@ class SplitQuadratic(QuadraticEtale):
 
     def __hash__(self):
         return hash(("split", self.base))
-
-
-def _dot(zero, pairs):
-    """sum x*y over ``pairs``, skipping the products with a zero factor."""
-    acc = None
-    for x, y in pairs:
-        if x and y:
-            acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
-
-
-class BiDualElement:
-    """a + b1*e1 + b2*e2 + c*e1*e2 with e1^2 = e2^2 = 0.
-
-    The e1*e2 component of a product collects exactly the mixed second-order
-    directional derivative, which is what the derived trace form needs.
-    """
-
-    __slots__ = ("a", "b1", "b2", "c", "ring")
-
-    def __init__(self, a, b1, b2, c, ring):
-        self.a = a
-        self.b1 = b1
-        self.b2 = b2
-        self.c = c
-        self.ring = ring
-
-    def _coerce(self, other):
-        if isinstance(other, BiDualElement):
-            return other
-        if isinstance(other, int):
-            z = self.ring.base
-            zz = z.zero()
-            return BiDualElement(z.from_int(other), zz, zz, zz, self.ring)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return BiDualElement(self.a + o.a, self.b1 + o.b1, self.b2 + o.b2, self.c + o.c, self.ring)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return BiDualElement(self.a - o.a, self.b1 - o.b1, self.b2 - o.b2, self.c - o.c, self.ring)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return BiDualElement(o.a - self.a, o.b1 - self.b1, o.b2 - self.b2, o.c - self.c, self.ring)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        z = self.ring._bzero
-        return BiDualElement(
-            self.a * o.a,
-            _dot(z, ((self.a, o.b1), (self.b1, o.a))),
-            _dot(z, ((self.a, o.b2), (self.b2, o.a))),
-            _dot(z, ((self.a, o.c), (self.c, o.a), (self.b1, o.b2), (self.b2, o.b1))),
-            self.ring,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BiDualElement(-self.a, -self.b1, -self.b2, -self.c, self.ring)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b1 == o.b1 and self.b2 == o.b2 and self.c == o.c
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b1) or bool(self.b2) or bool(self.c)
-
-    def __repr__(self):
-        return f"({self.a}) + ({self.b1})e1 + ({self.b2})e2 + ({self.c})e1e2"
-
-
-class BiDualRing(Ring):
-    """base[e1, e2] / (e1^2, e2^2)."""
-
-    def __init__(self, base):
-        self.base = base
-        self._bzero = base.zero()
-
-    def zero(self):
-        z = self.base.zero()
-        return BiDualElement(z, z, z, z, self)
-
-    def one(self):
-        z = self.base.zero()
-        return BiDualElement(self.base.one(), z, z, z, self)
-
-    def from_int(self, n):
-        z = self.base.zero()
-        return BiDualElement(self.base.from_int(n), z, z, z, self)
-
-    def from_base(self, value):
-        z = self.base.zero()
-        return BiDualElement(value, z, z, z, self)
-
-    def characteristic(self):
-        return self.base.characteristic()
-
-    def __eq__(self, other):
-        return isinstance(other, BiDualRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("bidual", self.base))
-
-    def spec_string(self):
-        return f"{self.base.spec_string()}[e1,e2]"
 
 
 def lift(target, source, value):

@@ -176,11 +176,17 @@ def _involution(value, B):
     return UTwist(inner, _coerce_element(B, u))
 
 
-def _integer(value, least=None):
+#: the largest count a suite accepts (``samples``, ``pairs``, ``trials``)
+MAX_COUNT = 10**6
+
+
+def _integer(value, least=None, most=None):
     if not (isinstance(value, Fraction) and value.denominator == 1):
         raise ScenarioParseError("must be an integer")
     if least is not None and value < least:
         raise ConstraintError(f"must be at least {least}", code="bad-count")
+    if most is not None and value > most:
+        raise ConstraintError(f"must be at most {most}", code="bad-count")
     return int(value)
 
 
@@ -223,7 +229,8 @@ KINDS = {
     "list": Kind("a list", ("list",), lambda v, owner: ("list", _items(v))),
     "pair": Kind("a pair (a;b)", ("pair",), lambda v, owner:
                  tuple(coerce_scalar(_ring(owner), c) for c in _parts(v, "pair"))),
-    "count": Kind("a count", ("scalar",), lambda v, owner: _integer(v, least=1)),
+    "count": Kind("a count", ("scalar",),
+                  lambda v, owner: _integer(v, least=1, most=MAX_COUNT)),
     "seed": Kind("an integer seed", ("scalar",), _seed),
     "flag": Kind("0 or 1", ("scalar",), _flag),
 }

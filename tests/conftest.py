@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.scalars import QQ, BiDualElement, BiDualRing, QuadraticExtension
+from albert.scalars import QQ, QuadraticExtension, Ring
 from albert.cubicnorm import CubicJordan
-from albert.deg3 import ConjugateTranspose, Matrix3
+from albert.deg3 import ConjugateTranspose, Matrix3, vadd, vscale, vsub
 from albert.tits import FirstTits, SecondTits
 
 
@@ -94,6 +94,95 @@ def ratfunc_at(r, point):
     return r.num(point) / den
 
 
+class BiDualElement:
+    """a + b1*e1 + b2*e2 + c*e1*e2 with e1^2 = e2^2 = 0."""
+
+    __slots__ = ("a", "b1", "b2", "c", "ring")
+
+    def __init__(self, a, b1, b2, c, ring):
+        self.a, self.b1, self.b2, self.c, self.ring = a, b1, b2, c, ring
+
+    def _coerce(self, other):
+        if isinstance(other, BiDualElement):
+            return other
+        return self.ring.from_int(other) if isinstance(other, int) else None
+
+    def _map(self, other, op):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return BiDualElement(op(self.a, o.a), op(self.b1, o.b1), op(self.b2, o.b2),
+                             op(self.c, o.c), self.ring)
+
+    def __add__(self, other):
+        return self._map(other, lambda u, v: u + v)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._map(other, lambda u, v: u - v)
+
+    def __rsub__(self, other):
+        return self._map(other, lambda u, v: v - u)
+
+    def __neg__(self):
+        return BiDualElement(-self.a, -self.b1, -self.b2, -self.c, self.ring)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return BiDualElement(self.a * o.a, self.a * o.b1 + self.b1 * o.a,
+                             self.a * o.b2 + self.b2 * o.a,
+                             self.a * o.c + self.c * o.a + self.b1 * o.b2 + self.b2 * o.b1,
+                             self.ring)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.a, self.b1, self.b2, self.c) == (o.a, o.b1, o.b2, o.c)
+
+    def __bool__(self):
+        return any((self.a, self.b1, self.b2, self.c))
+
+
+class BiDualRing(Ring):
+    """base[e1, e2] / (e1^2, e2^2), the reference ring of exact first and
+    mixed second directional derivatives; independent of the polynomial
+    reading that ``CubicJordan`` derives them with."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def from_base(self, value):
+        z = self.base.zero()
+        return BiDualElement(value, z, z, z, self)
+
+    def zero(self):
+        return self.from_base(self.base.zero())
+
+    def one(self):
+        return self.from_base(self.base.one())
+
+    def from_int(self, n):
+        return self.from_base(self.base.from_int(n))
+
+    def characteristic(self):
+        return self.base.characteristic()
+
+    def spec_string(self):
+        return f"{self.base.spec_string()}[e1,e2]"
+
+    def __eq__(self, other):
+        return isinstance(other, BiDualRing) and other.base == self.base
+
+    def __hash__(self):
+        return hash(("bidual", self.base))
+
+
 def trace_bilinear(J, x, y, S=None):
     """Reference bilinear trace T(x,y) = T(x)T(y) - D2N(c; x, y), one pair at
     a time: T(x), T(y) and D2N(c; x, y) are the e1, e2 and e1*e2 coefficients
@@ -104,6 +193,23 @@ def trace_bilinear(J, x, y, S=None):
     arg = tuple(BiDualElement(a, b1, b2, z, BS) for a, b1, b2 in zip(J.unit_vec(S), x, y))
     n = J.norm_program(BS, arg)
     return n.b1 * n.b2 - n.c
+
+
+def u_matrix_by_columns(J, x):
+    """Reference matrix of U_x, one column per basis vector e_j:
+    T(x, e_j) x - ((x^# + e_j)^# - x^## - e_j^#), with T(x, e_j) from
+    :func:`trace_bilinear`."""
+    S = J.field
+    z, o = S.zero(), S.one()
+    xs = J.sharp_program(S, x)
+    xs2 = J.sharp_program(S, xs)
+    cols = []
+    for j in range(J.dim):
+        e = tuple(o if i == j else z for i in range(J.dim))
+        t = trace_bilinear(J, x, e)
+        cross = vsub(vsub(J.sharp_program(S, vadd(xs, e)), xs2), J.sharp_program(S, e))
+        cols.append(vsub(vscale(t, x), cross))
+    return [list(row) for row in zip(*cols)]
 
 
 class MockCubicJordan(CubicJordan):

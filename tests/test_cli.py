@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from albert.cli import main
+from albert.scenario import MAX_COUNT
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -258,6 +259,26 @@ def test_count_below_one_exits_validation(tmp_path, capsys, body):
 def test_samples_flag_below_one_exits_validation(tmp_path, capsys):
     scen = write(tmp_path, "s.txt", PRELUDE + "run axioms(J, samples=2, seed=1)\n")
     assert main(["check-axioms", scen, "--samples", "0"]) == 4
+
+
+HUGE = str(10**40)
+
+
+@pytest.mark.parametrize("body", [
+    f"run axioms(J, samples={HUGE}, seed=1)",
+    f"run fundamental(J, pairs={HUGE}, seed=1)",
+    f"run chi_suite(JE, a=[1,2,3], trials={MAX_COUNT + 1}, seed=1)",
+])
+def test_count_above_limit_exits_validation(tmp_path, capsys, body):
+    # refused while binding, before any sample is drawn
+    assert main(["check-axioms", write(tmp_path, "s.txt", PRELUDE + body + "\n")]) == 4
+    assert f"must be at most {MAX_COUNT}" in capsys.readouterr().err
+
+
+def test_samples_flag_above_limit_exits_validation(tmp_path, capsys):
+    scen = write(tmp_path, "s.txt", PRELUDE + "run axioms(J, samples=2, seed=1)\n")
+    assert main(["check-axioms", scen, "--samples", HUGE]) == 4
+    assert f"must be at most {MAX_COUNT}" in capsys.readouterr().err
 
 
 DEEP = "matrix3(" * 2000 + "Q" + ")" * 2000

@@ -5,9 +5,11 @@ Lifting into the base change of a quadratic or split centre lifts the
 components; ``mat_vec`` over an extension equals lifting the matrix first;
 the Gram contractions ``trace_of_product`` and ``trace_pair`` agree with the
 oracle ``trace_pairing`` and the per-pair reference ``conftest.trace_bilinear``
-on generic coordinates.
+on generic coordinates; the directional derivative equals the e1 coefficient
+over the reference two-infinitesimal ring ``conftest.BiDualRing``.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,10 +19,10 @@ from albert import linalg
 from albert.deg3 import (ConjugateTranspose, CubicEtale, Cyclic, Matrix3,
                          ProductWithOpposite, Switch)
 from albert.multipoly import PolyRing
-from albert.scalars import QQ, BiDualRing, PrimeField, QuadraticExtension, SplitQuadratic, lift
+from albert.scalars import QQ, PrimeField, QuadraticExtension, SplitQuadratic, lift
 from albert.tits import FirstTits, SecondTits
 from albert.upoly import RationalFunctionField
-from conftest import trace_bilinear
+from conftest import BiDualElement, BiDualRing, trace_bilinear
 
 F7 = PrimeField(7)
 CENTRES = [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ),
@@ -136,3 +138,18 @@ def test_trace_pair_matches_trace_bilinear(build):
     J = build()
     ring, X, Y = J.generic_vectors(2)
     assert J.trace_pair(X, Y, S=ring) == trace_bilinear(J, X, Y, S=ring)
+
+
+@pytest.mark.parametrize("build", [lambda: FirstTits(E, F(3)), _second_prodop],
+                         ids=["first_E", "second_prodop_E"])
+def test_directional_derivative_matches_bidual_reference(build):
+    # the e coefficient of N(x + e*y) over S[e], on generic coordinates
+    # (S itself a polynomial ring) and on samples over k
+    J = build()
+    ring, X, Y = J.generic_vectors(2)
+    rng = random.Random(2)
+    for S, x, y in [(ring, X, Y), (J.field, J.sample_vec(rng), J.sample_vec(rng))]:
+        BS = BiDualRing(S)
+        z = S.zero()
+        arg = [BiDualElement(a, b, z, z, BS) for a, b in zip(x, y)]
+        assert J.directional_norm_derivative(x, y, S) == J.norm_program(BS, arg).b1

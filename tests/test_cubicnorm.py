@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from albert import linalg
 from albert.errors import NotInvertible
-from albert.scalars import QQ, PrimeField
-from albert.deg3 import CubicEtale, Matrix3, vscale
+from albert.scalars import QQ, PrimeField, QuadraticExtension
+from albert.deg3 import ConjugateTranspose, CubicEtale, Matrix3, vadd, vscale
 from albert.cubicnorm import AXIOM_IDS, DPlus
-from albert.tits import FirstTits
-from conftest import MockCubicJordan, matrix_unit, sample_invertible_vec, trace_bilinear
+from albert.tits import FirstTits, SecondTits
+from conftest import (MockCubicJordan, matrix_unit, sample_invertible_vec, trace_bilinear,
+                      u_matrix_by_columns)
 
 M3 = Matrix3(QQ)
 DP = DPlus(M3)
@@ -122,6 +124,30 @@ def test_fundamental_formula_sampled(J27):
         assert linalg.mat_eq(uxy, linalg.mat_mul(ux, linalg.mat_mul(uy, ux)))
 
 
+def _second_conjtrans():
+    Qi = QuadraticExtension(QQ, F(-1))
+    B = Matrix3(Qi).attach_involution(ConjugateTranspose())
+    return SecondTits(B, B.one(), Qi.one())
+
+
+F7 = PrimeField(7)
+U_MATRIX_CASES = {
+    "first_M3_Q": lambda: FirstTits(M3, F(2)),
+    "first_etale_Q": lambda: FirstTits(CubicEtale(QQ, [F(-1), F(-3), F(0), F(1)]), F(3)),
+    "first_M3_F7": lambda: FirstTits(Matrix3(F7), F7.from_int(3)),
+    "second_conjtrans_Qi": _second_conjtrans,
+}
+
+
+@pytest.mark.parametrize("case", sorted(U_MATRIX_CASES))
+def test_u_matrix_matches_column_reference(case):
+    J = U_MATRIX_CASES[case]()
+    rng = random.Random(11)
+    zero = tuple(J.field.zero() for _ in range(J.dim))
+    for x in [zero, J.unit_vec(), J.sample_vec(rng, 3)]:
+        assert J.u_matrix(x) == u_matrix_by_columns(J, x)
+
+
 # ---- inverses ----------------------------------------------------------------
 
 
@@ -177,6 +203,41 @@ def test_axiom_suite_zero_sharp_fails(J27):
     assert not passed
     # the base point itself is the first counterexample tried
     assert details.startswith("counterexample x=(1,")
+
+
+def test_adjoint_trace_counterexample_wraps_around():
+    # x^# shifted by (x_1 - 1) c agrees with the adjugate at c only, so with
+    # two samples (c, s) the pair (c, s) passes and the wrap-around (s, c)
+    # is the counterexample
+    mock = MockCubicJordan(
+        QQ, DP.dim, DP.unit, DP.norm_program,
+        lambda S, x: vadd(DP.sharp_program(S, x), vscale(x[0] - 1, DP.unit_vec(S))),
+    )
+    rep = mock.axiom_suite(sample_count=2, seed=4)
+    s = DP.sample_vec(random.Random(4), 4)
+    assert s[0] != 1
+
+    def fmt(v):
+        return "(" + ",".join(str(c) for c in v) + ")"
+
+    assert rep.items[2] == ("adjoint-trace", False,
+                            f"counterexample x={fmt(s)} y={fmt(DP.unit)}")
+
+
+def test_axiom_suite_memory_does_not_grow_with_samples():
+    # the samples are drawn as they are decided, never held as a list; a
+    # first untraced run fills the caches and the interpreter's free lists
+    Jp = DPlus(Matrix3(PrimeField(3)))
+    Jp.axiom_suite(sample_count=400, seed=1)
+    peaks = []
+    for n in (40, 400):
+        tracemalloc.start()
+        try:
+            Jp.axiom_suite(sample_count=n, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 1024
 
 
 def test_axiom_report_rendering(J27):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from albert import linalg
 from albert.errors import AlbertError, NotInvertible
-from albert.scalars import QQ, PrimeField
+from albert.multipoly import PolyRing
+from albert.scalars import QQ, PrimeField, lift
 from albert.upoly import RationalFunctionField
 
 
@@ -73,3 +75,57 @@ def test_mat_mul_sparse_matches_naive_sum(field):
             for v in row:
                 if field.is_zero(v):
                     assert v == field.zero() and type(v) is type(field.zero())
+
+
+# entries for the integer-coded contraction over Q: often zero, signed
+# numerators, and denominators that include large pairwise coprime primes
+QQ_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-10**12, 10**12),
+              st.sampled_from([1, 2, 3, 12, 10**9 + 7, 998244353, 2**61 - 1])),
+)
+
+
+def qq_matrix(rows, cols):
+    return st.lists(st.lists(QQ_ENTRIES, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def naive_mat_vec(A, v, zero):
+    return [sum((c * x for c, x in zip(row, v)), zero) for row in A]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), inner=st.integers(1, 5),
+       cols=st.integers(1, 4), zero_row=st.integers(0, 4))
+def test_qq_contraction_matches_fraction_reference(data, rows, inner, cols, zero_row):
+    A = data.draw(qq_matrix(rows, inner))
+    B = data.draw(qq_matrix(inner, cols))
+    A[zero_row % rows] = [F(0)] * inner
+    product = linalg.mat_mul(A, B)
+    assert product == naive_product(QQ, A, B)
+    assert all(type(v) is F for row in product for v in row)
+    for col in zip(*B):
+        v = list(col)
+        assert linalg.mat_vec(A, v) == linalg.mat_vec(A, v, QQ) == naive_mat_vec(A, v, F(0))
+    assert linalg.mat_vec(A, [F(0)] * inner, QQ) == [F(0)] * rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), inner=st.integers(1, 4))
+def test_lifted_and_prime_field_contractions_match_reference(data, rows, inner):
+    A = data.draw(qq_matrix(rows, inner))
+    w = data.draw(qq_matrix(inner, 2))
+    # k = Q, S = Q[x, y]: the entries of A are lifted
+    P = PolyRing(QQ, ["x", "y"])
+    x, y = P.gens()
+    v = [lift(P, QQ, c) * x + lift(P, QQ, d) * y + 1 for c, d in w]
+    lifted = [[lift(P, QQ, c) for c in row] for row in A]
+    assert linalg.mat_vec(A, v, P, QQ) == naive_mat_vec(lifted, v, P.zero())
+    # F_7
+    F7 = PrimeField(7)
+    Ap = [[F7.from_int(c.numerator) for c in row] for row in A]
+    vp = [F7.from_int(c.numerator) for c, _ in w]
+    want = naive_mat_vec(Ap, vp, F7.zero())
+    assert linalg.mat_vec(Ap, vp) == linalg.mat_vec(Ap, vp, F7) == want
+    assert linalg.mat_mul(Ap, [[c] for c in vp]) == [[c] for c in want]

@@ -254,3 +254,26 @@ def test_refutes_scalar_multiples(name):
         other = n2.scale(c)
         assert (other != n2) == (c != field.one())
         assert proportionality(other, n2) == c
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), QuadraticExtension(QQ, F(-1))],
+                         ids=["Q", "F5", "Q(i)"])
+def test_part_reads_the_homogeneous_components(field):
+    R = PolyRing(field, 4)
+    x = R.gens()
+    half = field.inv(field.from_int(2))
+    p = (x[0] + 2) * (x[1] - x[3].scale(half)) * (x[0] * x[2] + 3) + x[0] * x[0] * x[3] + 4
+    assert p.part(0) == {(): field.from_int(4)}
+    assert p.part(1) == {(1,): field.from_int(6), (3,): field.from_int(-3)}
+    assert p.part(2) == {(0, 1): field.from_int(3), (0, 3): -3 * half}
+    assert p.part(3) == {(0, 1, 2): field.from_int(2), (0, 2, 3): -field.one(),
+                         (0, 0, 3): field.one()}
+    total = R.zero()
+    for d in range(5):
+        for mono, c in p.part(d).items():
+            assert len(mono) == d and list(mono) == sorted(mono)
+            exps = [mono.count(i) for i in range(4)]
+            assert c == p.coefficient(exps) and c
+            total = total + R.monomial(c, exps)
+    assert total == p
+    assert R.zero().part(0) == {}

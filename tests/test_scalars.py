@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from albert.errors import AlbertError, DivisionByZero, ParentMismatch
 from albert.scalars import (
     QQ,
-    BiDualElement,
-    BiDualRing,
     PrimeField,
     QuadraticExtension,
     SplitQuadratic,
@@ -16,7 +14,7 @@ from albert.scalars import (
 )
 from albert.scenario import evaluate_descriptor
 from albert.upoly import RationalFunctionField
-from conftest import ratfunc_at
+from conftest import BiDualElement, BiDualRing, ratfunc_at
 
 
 def test_rational_arithmetic():
