@@ -44,6 +44,7 @@ from .errors import (
     NotInvertible,
     ParentMismatch,
 )
+from .multipoly import dot
 from .scalars import QuadraticEtale, SplitQuadratic, lift
 from .upoly import UPoly, is_separable
 from . import linalg
@@ -370,20 +371,16 @@ class CubicEtale(Deg3Algebra):
         return (S.one(), S.zero(), S.zero())
 
     def mul(self, S, a, b):
+        """Coordinate j is one :func:`dot`: the raw coefficient of x^j of
+        a(x) b(x), plus those of x^3 and x^4 times their reductions mod f."""
         a0, a1, a2 = a
         b0, b1, b2 = b
-        # raw coefficients of degree 0..4
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a0 * b2 + a1 * b1 + a2 * b0
-        c3 = a1 * b2 + a2 * b1
+        c3 = dot([(a1, b2), (a2, b1)])
         c4 = a2 * b2
         x3 = self.lift_coords(S, self._x3)
         x4 = self.lift_coords(S, self._x4)
-        out = (c0, c1, c2)
-        out = vadd(out, vscale(c3, x3))
-        out = vadd(out, vscale(c4, x4))
-        return out
+        low = ([(a0, b0)], [(a0, b1), (a1, b0)], [(a0, b2), (a1, b1), (a2, b0)])
+        return tuple(dot(pairs + [(c3, r3), (c4, r4)]) for pairs, r3, r4 in zip(low, x3, x4))
 
     def char_matrix(self, S, a):
         """The regular representation: columns a*1, a*x, a*x^2."""
@@ -410,11 +407,14 @@ class CubicEtale(Deg3Algebra):
 
 
 def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    """det m by cofactors along the first row: three two-pair minors and
+    one three-pair :func:`dot`."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return dot([
+        (a, dot([(e, i), (-f, h)])),
+        (b, dot([(f, g), (-d, i)])),
+        (c, dot([(d, h), (-e, g)])),
+    ])
 
 
 def _trace_s3(m):

@@ -5,10 +5,13 @@ and one contraction.  :func:`echelon`, plain fraction-style Gaussian
 elimination (no pivoting heuristics are needed since all arithmetic is
 exact), is behind :func:`rank`, :func:`inverse`, :func:`kernel` and
 :class:`Subspace`.  :func:`mat_vec`, the one matrix-vector product, skips the
-zero entries of the matrix and is behind :func:`mat_mul`.  Over Q it is
-integer-coded: v and each row of the matrix are cleared to ``int``
-numerators over one denominator, the sums run on ``int``s and each output
-entry is one ``Fraction``.  Every other ring keeps the per-entry loop.
+zero entries of the matrix and computes each output entry as one
+:func:`multipoly.dot`, so over a polynomial ring a row's products accumulate
+into one dict; it is behind :func:`mat_mul`.  Over Q the contraction is
+integer-coded instead (:func:`_mat_mul_qq`): each row of A and each column
+of B is cleared once to ``int`` numerators over one denominator, the sums
+run on ``int``s and each output entry is one ``Fraction``; ``mat_vec`` over
+Q is its one-column case.
 
 Two pieces carry constant data over a field k to coordinates over an
 extension ring S (a polynomial ring, k(t) or the base change of a quadratic
@@ -22,8 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import mul
 
 from .errors import AlbertError, NotInvertible
+from .multipoly import dot
 from .scalars import RationalField, lift
 
 
@@ -33,7 +38,11 @@ def identity(field, n):
 
 
 def mat_mul(A, B):
-    """A B, as :func:`mat_vec` of A on each column of B."""
+    """A B.  Over Q, told by the type of B's entries, one integer-coded
+    contraction (see :func:`_mat_mul_qq`); otherwise :func:`mat_vec` of A
+    on each column of B."""
+    if B and B[0] and type(B[0][0]) is Fraction:
+        return _mat_mul_qq(A, list(zip(*B)))
     return transpose(map(partial(mat_vec, A), zip(*B)))
 
 
@@ -42,42 +51,42 @@ def mat_vec(A, v, S=None, k=None):
 
     Zero entries of A are skipped; the others are lifted into S when S is
     not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
-    Over Q, told by the ring or else by the type of v's payloads, the
-    product runs on integers (see :func:`_mat_vec_qq`).
+    Each entry is one :func:`multipoly.dot` of a row with v.  Over Q, told
+    by the ring or else by the type of v's payloads, the product is the
+    one-column case of :func:`_mat_mul_qq`.
     """
     if k is None:
         k = S
     if isinstance(S, RationalField) if S is not None else v and type(v[0]) is Fraction:
-        return _mat_vec_qq(A, v)
+        return [row[0] for row in _mat_mul_qq(A, [v])]
     lifted = S != k
     out = []
     for row in A:
-        acc = None
-        for c, x in zip(row, v):
-            if c:
-                term = (lift(S, k, c) if lifted else c) * x
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = S.zero() if S is not None else row[0] * v[0]
-        out.append(acc)
+        pairs = [(lift(S, k, c) if lifted else c, x) for c, x in zip(row, v) if c]
+        if pairs:
+            out.append(dot(pairs))
+        else:
+            out.append(S.zero() if S is not None else row[0] * v[0])
     return out
 
 
-def _mat_vec_qq(A, v):
-    """A v over Q: v and each row of A are cleared to integer numerators
-    over one denominator, the sums run on ``int``s, and each output entry
-    is one ``Fraction``."""
-    dv = lcm(*[x.denominator for x in v])
-    w = [x.numerator * (dv // x.denominator) for x in v]
+def _mat_mul_qq(A, cols):
+    """A times the vectors ``cols`` over Q, as rows of A's length.  Each row
+    of A and each column is cleared once to ``int`` numerators over one
+    denominator; the sums run on ``int``s and each entry is one
+    ``Fraction``."""
+    cleared = [_clear(col) for col in cols]
     out = []
     for row in A:
-        dr = lcm(*[c.denominator for c in row])
-        acc = 0
-        for c, x in zip(row, w):
-            if c and x:
-                acc += c.numerator * (dr // c.denominator) * x
-        out.append(Fraction(acc, dr * dv))
+        dr, r = _clear(row)
+        out.append([Fraction(sum(map(mul, r, w)), dr * dw) for dw, w in cleared])
     return out
+
+
+def _clear(xs):
+    """(d, [x * d for x in xs]) with d the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in xs])
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def mat_sub(A, B):

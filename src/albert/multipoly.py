@@ -20,11 +20,16 @@ multiply and merge loops run on plain Python ``int``s where they can:
 Each :class:`PolyRing` picks one codec for its field when it is built:
 ``encode(payload) -> (int, den)``, ``decode(int, den) -> payload`` and
 ``normalize(dict, den, changed) -> (terms, den)``, which reduces mod p or
-divides out the gcd, and drops zeros.  The one multiply loop and the one
-add/sub merge loop accumulate without reducing and normalize once per
-result; a merge names the keys it changed, so a small summand does not cost
-a pass over a large accumulator.  Field
-payloads appear only at the boundary: the constructors encode, and
+divides out the gcd, and drops zeros.  There is one pair loop,
+:meth:`PolyRing.dot`, the sum of products sum a_i*b_i: every product
+accumulates into one unreduced dict over one common denominator, normalized
+once, so a sum of products costs no intermediate normal forms and no copies
+of a growing accumulator.  ``MPoly.__mul__`` is its one-pair case, and the
+module-level :func:`dot` sends polynomial pairs to it and runs the plain
+``acc + a*b`` loop for every other ring.  The one add/sub merge loop also
+normalizes once per result; a merge names the keys it changed, so a small
+summand does not cost a pass over a large accumulator.  Field payloads
+appear only at the boundary: the constructors encode, and
 :meth:`MPoly.coefficient`, :meth:`MPoly.part`, ``repr`` and
 :func:`proportionality` decode.
 
@@ -120,24 +125,7 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
-        a, b = self.terms, o.terms
-        if not a or not b:
-            return ring.zero()
-        bound = self.degbound + o.degbound
-        if bound > _MAXDEG:
-            raise AlbertError(f"polynomial degree bound {bound} exceeds packing limit")
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        zero = ring._zero
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                k = ka + kb
-                out[k] = get(k, zero) + ca * cb
-        terms, den = ring._normalize(out, self.den * o.den)
-        return MPoly(terms, den, ring, bound)
+        return self.ring.dot(((self, o),))
 
     __rmul__ = __mul__
 
@@ -317,6 +305,57 @@ class PolyRing(Ring):
         terms, den = self._normalize(terms, den)
         return MPoly(terms, den, self, degbound)
 
+    def dot(self, pairs):
+        """sum a*b over ``pairs`` of polynomials of this ring (ints coerce).
+
+        Pairs with a zero side are skipped.  The sum has one denominator,
+        the lcm of the a.den * b.den, and each pair's smaller side is scaled
+        to it; every product accumulates into one unreduced dict, which the
+        codec normalizes once.  A pair whose degree bound passes the packing
+        limit is refused.
+        """
+        jobs = []
+        den, bound = 1, 0
+        for a, b in pairs:
+            if type(a) is not MPoly or a.ring is not self:
+                a = self._own(a)
+            if type(b) is not MPoly or b.ring is not self:
+                b = self._own(b)
+            ta, tb = a.terms, b.terms
+            if not ta or not tb:
+                continue
+            deg = a.degbound + b.degbound
+            if deg > _MAXDEG:
+                raise AlbertError(f"polynomial degree bound {deg} exceeds packing limit")
+            bound = max(bound, deg)
+            d = a.den * b.den
+            if d != den:
+                den = lcm(den, d)
+            jobs.append((ta, tb, d) if len(ta) >= len(tb) else (tb, ta, d))
+        out = {}
+        get = out.get
+        zero = self._zero
+        for ta, tb, d in jobs:
+            if d != den:
+                f = den // d
+                tb = {k: c * f for k, c in tb.items()}
+            for kb, cb in tb.items():
+                for ka, ca in ta.items():
+                    k = ka + kb
+                    out[k] = get(k, zero) + ca * cb
+        terms, den = self._normalize(out, den)
+        return MPoly(terms, den, self, bound)
+
+    def _own(self, p):
+        """p as an element of this ring: ints coerce, other rings refuse."""
+        if isinstance(p, MPoly):
+            if p.ring == self:
+                return p
+            raise ParentMismatch("mixed polynomial rings")
+        if isinstance(p, int):
+            return self.from_int(p)
+        raise TypeError(f"not a polynomial of {self.spec_string()}: {p!r}")
+
     def zero(self):
         return MPoly({}, 1, self, 0)
 
@@ -421,3 +460,19 @@ def proportionality(p, q):
     if p.den != q.den:
         pc, qc = pc * q.den, qc * p.den
     return ring._decode(pc, qc)
+
+
+def dot(pairs):
+    """sum a*b over a nonempty sequence of pairs of one ring's elements.
+
+    Polynomials go to :meth:`PolyRing.dot`, told by the type of the first
+    operand; every other ring (``Fraction``, F_p, k(t), centre elements)
+    runs the plain ``acc + a*b`` loop.
+    """
+    a, b = pairs[0]
+    if type(a) is MPoly:
+        return a.ring.dot(pairs)
+    acc = a * b
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc

@@ -28,6 +28,7 @@ that are accepted as caller-supplied metadata and recorded, never evaluated.
 from __future__ import annotations
 
 from .errors import AlbertError, ConstraintError
+from .multipoly import dot
 from .scalars import QuadraticEtale, lift
 from .deg3 import ProductWithOpposite, Switch, vscale, vsub
 from .cubicnorm import CubicJordan
@@ -78,7 +79,8 @@ class FirstTits(CubicJordan):
         ny = D.norm(S, y)
         nz = D.norm(S, z)
         txyz = D.trace_of_product(S, D.mul(S, x, y), z)
-        return nx + lam * ny + lam_inv * nz - txyz
+        one = S.one()
+        return dot([(one, nx), (lam, ny), (lam_inv, nz), (-one, txyz)])
 
     def sharp_program(self, S, coords):
         D = self.D

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.scalars import QQ, QuadraticExtension, Ring
+from albert.errors import AlbertError
+from albert.multipoly import MPoly
+from albert.scalars import QQ, QuadraticExtension, Ring, lift
 from albert.cubicnorm import CubicJordan
 from albert.deg3 import ConjugateTranspose, Matrix3, vadd, vscale, vsub
 from albert.tits import FirstTits, SecondTits
@@ -92,6 +94,81 @@ def ratfunc_at(r, point):
     den = r.den(point)
     assert den != 0, f"pole at {point}"
     return r.num(point) / den
+
+
+# ---- references for the fused sum of products ---------------------------------
+#
+# The expressions that ``multipoly.dot`` replaced: each product is formed and
+# normalized on its own and added into a growing accumulator.
+
+
+def ref_poly_mul(a, b):
+    """a*b by the per-pair loop of the kernel before ``PolyRing.dot``."""
+    ring = a.ring
+    ta, tb = a.terms, b.terms
+    if not ta or not tb:
+        return ring.zero()
+    bound = a.degbound + b.degbound
+    if bound > 255:
+        raise AlbertError(f"polynomial degree bound {bound} exceeds packing limit")
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    out = {}
+    get = out.get
+    zero = ring._zero
+    for kb, cb in tb.items():
+        for ka, ca in ta.items():
+            k = ka + kb
+            out[k] = get(k, zero) + ca * cb
+    terms, den = ring._normalize(out, a.den * b.den)
+    return MPoly(terms, den, ring, bound)
+
+
+def ref_poly_dot(ring, pairs):
+    """sum a*b over the pairs, one :func:`ref_poly_mul` at a time."""
+    acc = ring.zero()
+    for a, b in pairs:
+        acc = acc + ref_poly_mul(a, b)
+    return acc
+
+
+def old_det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def old_cubic_etale_mul(E, S, a, b):
+    """The product of k[x]/(f) from raw coefficients c0..c4, with x^3 and
+    x^4 reduced mod f by vector updates."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0 = a0 * b0
+    c1 = a0 * b1 + a1 * b0
+    c2 = a0 * b2 + a1 * b1 + a2 * b0
+    c3 = a1 * b2 + a2 * b1
+    c4 = a2 * b2
+    out = vadd((c0, c1, c2), vscale(c3, E.lift_coords(S, E._x3)))
+    return vadd(out, vscale(c4, E.lift_coords(S, E._x4)))
+
+
+def old_first_tits_norm(J, S, coords):
+    """N(x) + lam N(y) + lam^-1 N(z) - T(xyz) for J = J(D, lam), each term
+    added into one accumulator; the norms are :func:`old_det3` of the
+    characteristic matrices and T(xyz) is sum_ij (xy)_i T(e_i e_j) z_j."""
+    D = J.D
+    x, y, z = J.blocks(coords)
+    nx, ny, nz = (D._scalar(S, old_det3(D.char_matrix(S, v))) for v in (x, y, z))
+    xy = D.mul(S, x, y)
+    txyz = S.zero()
+    for xi, row in zip(xy, D.trace_gram()):
+        for g, zj in zip(row, z):
+            if g:
+                txyz = txyz + xi * lift(S, D.base_ring, g) * zj
+    lam, lam_inv = lift(S, J.field, J.lam), lift(S, J.field, J.lam_inv)
+    return nx + lam * ny + lam_inv * nz - txyz
 
 
 class BiDualElement:

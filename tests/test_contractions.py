@@ -7,6 +7,12 @@ the Gram contractions ``trace_of_product`` and ``trace_pair`` agree with the
 oracle ``trace_pairing`` and the per-pair reference ``conftest.trace_bilinear``
 on generic coordinates; the directional derivative equals the e1 coefficient
 over the reference two-infinitesimal ring ``conftest.BiDualRing``.
+
+The call sites of the fused sum of products (``deg3._det3``,
+``CubicEtale.mul`` and ``FirstTits.norm_program``) equal the expressions they
+replaced, kept in ``conftest``, on generic coordinates over a polynomial ring
+and on scalars over Q, F_p and k(t), where ``multipoly.dot`` runs its plain
+loop.
 """
 
 import random
@@ -15,14 +21,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from albert import linalg
+from albert import deg3, linalg
 from albert.deg3 import (ConjugateTranspose, CubicEtale, Cyclic, Matrix3,
                          ProductWithOpposite, Switch)
 from albert.multipoly import PolyRing
 from albert.scalars import QQ, PrimeField, QuadraticExtension, SplitQuadratic, lift
 from albert.tits import FirstTits, SecondTits
-from albert.upoly import RationalFunctionField
-from conftest import BiDualElement, BiDualRing, trace_bilinear
+from albert.upoly import RationalFunctionField, UPoly
+from conftest import (BiDualElement, BiDualRing, old_cubic_etale_mul, old_det3,
+                      old_first_tits_norm, trace_bilinear)
 
 F7 = PrimeField(7)
 CENTRES = [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ),
@@ -153,3 +160,73 @@ def test_directional_derivative_matches_bidual_reference(build):
         z = S.zero()
         arg = [BiDualElement(a, b, z, z, BS) for a, b in zip(x, y)]
         assert J.directional_norm_derivative(x, y, S) == J.norm_program(BS, arg).b1
+
+
+# -- the fused call sites against the expressions they replaced ---------------
+
+F2 = PrimeField(2)
+Qt = RationalFunctionField(QQ, "t")
+
+
+def _identical(got, want):
+    assert got == want
+    if hasattr(want, "terms"):
+        assert (got.terms, got.den) == (want.terms, want.den)
+
+
+def _scalar_cases(rng):
+    """(ring, sampler) for Q, F2, F7 and Q(t); the plain-loop rings."""
+    return [(k, lambda k=k: k.sample(rng, 5)) for k in (QQ, F2, F7, Qt)]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F7], ids=["Q", "F2", "F7"])
+def test_det3_matches_the_cofactor_expression(field):
+    R = PolyRing(field, 9)
+    g = R.gens()
+    third = field.inv(field.from_int(3))
+    generic = [[g[3 * i + j] for j in range(3)] for i in range(3)]
+    shifted = [[g[3 * i + j].scale(third) + g[(3 * i + j + 4) % 9] - 1 for j in range(3)]
+               for i in range(3)]
+    for m in (generic, shifted):
+        _identical(deg3._det3(m), old_det3(m))
+    rng = random.Random(11)
+    for k, sample in _scalar_cases(rng):
+        for _ in range(10):
+            m = [[sample() for _ in range(3)] for _ in range(3)]
+            m[rng.randrange(3)][rng.randrange(3)] = k.zero()
+            assert deg3._det3(m) == old_det3(m)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F7], ids=["Q", "F2", "F7"])
+def test_cubic_etale_mul_matches_the_vector_updates(field):
+    E3 = CubicEtale(field, [field.from_int(c) for c in (1, 1, 0, 1)])
+    R = PolyRing(field, 6)
+    g = R.gens()
+    a, b = tuple(g[:3]), (g[3] * g[4] + 2, g[5] - g[0], g[1] * g[1])
+    _identical(E3.mul(R, a, b), old_cubic_etale_mul(E3, R, a, b))
+    rng = random.Random(12)
+    for _ in range(10):
+        a, b = (tuple(field.sample(rng, 5) for _ in range(3)) for _ in range(2))
+        assert E3.mul(field, a, b) == old_cubic_etale_mul(E3, field, a, b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FirstTits(E, F(1, 2)),
+    lambda: FirstTits(CubicEtale(F2, [F2.one(), F2.one(), F2.zero(), F2.one()]), F2.one()),
+    lambda: FirstTits(Matrix3(F7), F7.from_int(3)),
+    lambda: FirstTits(Matrix3(QQ), F(2)),
+], ids=["E_Q", "E_F2", "matrix3_F7", "matrix3_Q"])
+def test_first_tits_norm_matches_the_accumulated_expression(build):
+    J = build()
+    ring, X = J.generic_vectors(1)
+    _identical(J.norm_program(ring, X), old_first_tits_norm(J, ring, X))
+    rng = random.Random(13)
+    for _ in range(5):
+        x = J.sample_vec(rng, 5)
+        assert J.norm_program(J.field, x) == old_first_tits_norm(J, J.field, x)
+    if J.field is QQ:
+        # coordinates over Q(t): a + b t with one coordinate over 1 + t
+        xt = [Qt.from_poly(UPoly([QQ.sample(rng, 5), QQ.sample(rng, 5)], QQ))
+              for _ in range(J.dim)]
+        xt[0] = xt[0] / Qt.from_poly(UPoly([F(1), F(1)], QQ))
+        assert J.norm_program(Qt, xt) == old_first_tits_norm(J, Qt, xt)

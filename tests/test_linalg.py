@@ -97,13 +97,17 @@ def naive_mat_vec(A, v, zero):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 5), inner=st.integers(1, 5),
-       cols=st.integers(1, 4), zero_row=st.integers(0, 4))
-def test_qq_contraction_matches_fraction_reference(data, rows, inner, cols, zero_row):
+       cols=st.integers(1, 4), zero_row=st.integers(0, 4), zero_col=st.integers(0, 3))
+def test_qq_contraction_matches_fraction_reference(data, rows, inner, cols, zero_row, zero_col):
     A = data.draw(qq_matrix(rows, inner))
     B = data.draw(qq_matrix(inner, cols))
     A[zero_row % rows] = [F(0)] * inner
+    for row in B:
+        row[zero_col % cols] = F(0)
     product = linalg.mat_mul(A, B)
     assert product == naive_product(QQ, A, B)
+    assert all(product[zero_row % rows][j] == 0 for j in range(cols))
+    assert all(product[i][zero_col % cols] == 0 for i in range(rows))
     assert all(type(v) is F for row in product for v in row)
     for col in zip(*B):
         v = list(col)

@@ -6,11 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from albert.errors import AlbertError, ParentMismatch
 from albert.scalars import QQ, PrimeField, QuadraticExtension
-from albert.multipoly import PolyRing, proportionality
+from albert.multipoly import PolyRing, dot, proportionality
 from albert.deg3 import CubicEtale
 from albert.tits import FirstTits
-from albert.upoly import UPoly
+from albert.upoly import RationalFunctionField, UPoly
+from conftest import ref_poly_dot, ref_poly_mul
 
 
 def det3_permutation_oracle(entries):
@@ -85,8 +87,6 @@ def test_coefficient_lookup():
 
 
 def test_degree_guard():
-    from albert.errors import AlbertError
-
     R = PolyRing(QQ, 1)
     (x,) = R.gens()
     p = x
@@ -122,6 +122,10 @@ def scalars(field):
         return rational
     if isinstance(field, PrimeField):
         return small.map(field.from_int)
+    if isinstance(field, RationalFunctionField):
+        # (a + b t) / (1 + c t)
+        return st.builds(lambda a, b, c: field.from_poly(UPoly([a, b], QQ))
+                         / field.from_poly(UPoly([F(1), c], QQ)), rational, rational, rational)
     return st.builds(field.make, rational, rational)
 
 
@@ -277,3 +281,83 @@ def test_part_reads_the_homogeneous_components(field):
             total = total + R.monomial(c, exps)
     assert total == p
     assert R.zero().part(0) == {}
+
+
+# -- the fused sum of products against the per-pair reference -------------------
+
+DOT_RINGS = dict(RINGS, **{"Q(t)": PolyRing(RationalFunctionField(QQ, "t"), NVARS)})
+
+
+def assert_same_poly(got, want):
+    assert_canonical(got)
+    assert (got.terms, got.den, got.degbound) == (want.terms, want.den, want.degbound)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_dot_matches_per_pair_reference(data):
+    ring = DOT_RINGS[data.draw(st.sampled_from(sorted(DOT_RINGS)))]
+    drawn = data.draw(st.lists(st.tuples(polys(ring), polys(ring)), max_size=4))
+    pairs = [(a, b) for (a, _), (b, _) in drawn]
+    assert_same_poly(ring.dot(pairs), ref_poly_dot(ring, pairs))
+    if pairs:
+        assert_same_poly(dot(pairs), ref_poly_dot(ring, pairs))
+        a, b = pairs[0]
+        assert_same_poly(a * b, ref_poly_mul(a, b))
+
+
+@pytest.mark.parametrize("name", ["Q", "F2", "F7", "Q(sqrt2)", "Q(t)"])
+def test_dot_edge_cases(name):
+    ring = DOT_RINGS[name]
+    field = ring.field
+    x, y, z = ring.gens()
+    # 1/5 and 1/3: distinct denominators over Q, invertible in F2 and F7
+    fifth, third = field.inv(field.from_int(5)), field.inv(field.from_int(3))
+    empty = ring.dot([])
+    assert (empty.terms, empty.den) == ({}, 1) and empty == ring.zero()
+    # zero operands are skipped; ints coerce
+    p, q = x.scale(fifth) + 1, y.scale(third) - z
+    pairs = [(ring.zero(), p), (p, q), (q, ring.zero()), (2, z)]
+    assert_same_poly(ring.dot(pairs), ref_poly_dot(ring, [(p, q), (ring.from_int(2), z)]))
+    # total cancellation leaves the canonical zero, den 1
+    gone = ring.dot([(p, q), (-p, q), (x.scale(fifth), y.scale(third)),
+                     (x.scale(-third), y.scale(fifth))])
+    assert (gone.terms, gone.den) == ({}, 1)
+    with pytest.raises(ParentMismatch):
+        ring.dot([(x, PolyRing(field, ["u", "v", "w"]).gen(0))])
+
+
+def test_dot_over_q_with_distinct_denominators():
+    ring = DOT_RINGS["Q"]
+    x, y, z = ring.gens()
+    pairs = [(x.scale(F(1, 2)), y.scale(F(1, 3))), (x.scale(F(3, 5)), z.scale(F(2, 7))),
+             (z.scale(F(1, 4)), z.scale(F(5, 6))), (ring.from_base(F(1, 9)), x + y)]
+    got = ring.dot(pairs)
+    assert_same_poly(got, ref_poly_dot(ring, pairs))
+    assert got.den == 2520 and got.coefficient([1, 1, 0]) == F(1, 6)
+
+
+def test_dot_refuses_a_pair_past_the_degree_bound():
+    ring = DOT_RINGS["F7"]
+    x, y, _ = ring.gens()
+    p = x
+    for _ in range(7):
+        p = p * p  # degree 128
+    with pytest.raises(AlbertError, match="degree bound 256 exceeds packing limit"):
+        ring.dot([(x, y), (p, p)])
+    with pytest.raises(AlbertError, match="degree bound 256 exceeds packing limit"):
+        ref_poly_mul(p, p)
+    # a zero side is skipped before the bound is checked
+    assert ring.dot([(p, p.scale(ring.field.zero())), (x, y)]) == x * y
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), RationalFunctionField(QQ, "t"),
+                                   QuadraticExtension(QQ, F(-1))], ids=["Q", "F2", "F7", "Q(t)", "Q(i)"])
+def test_dot_of_scalars_is_the_plain_sum(field):
+    rng = random.Random(5)
+    for size in (1, 2, 5):
+        pairs = [(field.sample(rng, 5), field.sample(rng, 5)) for _ in range(size)]
+        want = field.zero()
+        for a, b in pairs:
+            want = want + a * b
+        assert dot(pairs) == want
