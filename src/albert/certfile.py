@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .errors import AlbertError, CertificateError
 from .deg3 import Deg3Algebra
-from .upoly import RationalFunctionField
+from .upoly import RatFunc, RationalFunctionField
 from .tits import FirstTits
 from .rpaths import RCertificate
 
@@ -30,6 +30,11 @@ FORMAT_VERSION = "1"
 
 #: characters of an offending value, or of its cause, that an error quotes
 QUOTE_LIMIT = 200
+
+#: the highest t-degree of a path entry's numerator or denominator; the
+#: packed exponents of ``path_certify`` refuse higher ones, and reducing an
+#: entry costs a Euclidean gcd whose time grows fast with its degree
+MAX_PATH_DEGREE = 255
 
 
 def _clip(text):
@@ -144,6 +149,15 @@ def parse_certificate(text):
             raise CertificateError("target row has wrong length")
         target.append([parse(field.parse, v, "bad target entry") for v in row])
     Rt = RationalFunctionField(field, "t")
+
+    def read_entry(text):
+        """A path entry, its degree checked before it is reduced."""
+        num, den = Rt.parse_pair(text)
+        degree = max(num.degree, den.degree)
+        if degree > MAX_PATH_DEGREE:
+            raise AlbertError(f"t-degree {degree} exceeds the limit {MAX_PATH_DEGREE}")
+        return RatFunc(num, den, Rt)
+
     paths = []
     while True:
         marker = next_line().strip()
@@ -156,7 +170,7 @@ def parse_certificate(text):
             row = next_line().split()
             if len(row) != dim:
                 raise CertificateError("path row has wrong length")
-            matrix.append([parse(Rt.parse, v, f"bad entry of path {len(paths) + 1}")
+            matrix.append([parse(read_entry, v, f"bad entry of path {len(paths) + 1}")
                            for v in row])
         paths.append(matrix)
     return RCertificate(J, target, paths)

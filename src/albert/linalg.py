@@ -4,8 +4,10 @@ Matrices are lists of row lists of field payloads.  There is one elimination
 and one contraction.  :func:`echelon`, plain fraction-style Gaussian
 elimination (no pivoting heuristics are needed since all arithmetic is
 exact), is behind :func:`rank`, :func:`inverse`, :func:`kernel` and
-:class:`Subspace`.  :func:`mat_vec`, the one matrix-vector product, skips the
-zero entries of the matrix and computes each output entry as one
+:class:`Subspace`; it scales the pivot row, and subtracts it from the other
+rows, only at the pivot row's nonzero positions, over every field.
+:func:`mat_vec`, the one matrix-vector product, skips a pair whose matrix or
+vector entry is zero and computes each output entry as one
 :func:`multipoly.dot`, so over a polynomial ring a row's products accumulate
 into one dict; it is behind :func:`mat_mul`.  Over Q the contraction is
 integer-coded instead (:func:`_mat_mul_qq`): each row of A and each column
@@ -49,8 +51,8 @@ def mat_mul(A, B):
 def mat_vec(A, v, S=None, k=None):
     """A v for A over k and v over k or over an extension ring S of k.
 
-    Zero entries of A are skipped; the others are lifted into S when S is
-    not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
+    A pair with a zero entry of A or of v is skipped; the other entries of
+    A are lifted into S when S is not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
     Each entry is one :func:`multipoly.dot` of a row with v.  Over Q, told
     by the ring or else by the type of v's payloads, the product is the
     one-column case of :func:`_mat_mul_qq`.
@@ -62,7 +64,7 @@ def mat_vec(A, v, S=None, k=None):
     lifted = S != k
     out = []
     for row in A:
-        pairs = [(lift(S, k, c) if lifted else c, x) for c, x in zip(row, v) if c]
+        pairs = [(lift(S, k, c) if lifted else c, x) for c, x in zip(row, v) if c and x]
         if pairs:
             out.append(dot(pairs))
         else:
@@ -103,7 +105,9 @@ def transpose(A):
 
 def echelon(field, M, track=None):
     """In-place row echelon; returns pivot column list.  ``track`` rows get the
-    same row operations (used for inversion)."""
+    same row operations (used for inversion).  The pivot row is scaled, and
+    subtracted from the other rows, only at its nonzero positions; rows of M
+    and ``track`` are updated in place."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     piv_cols = []
@@ -121,20 +125,32 @@ def echelon(field, M, track=None):
             if track is not None:
                 track[r], track[pivot] = track[pivot], track[r]
         inv_p = field.inv(M[r][c])
-        M[r] = [x * inv_p for x in M[r]]
+        updates = [(M, _scale_support(M[r], inv_p))]
         if track is not None:
-            track[r] = [x * inv_p for x in track[r]]
+            updates.append((track, _scale_support(track[r], inv_p)))
         for i in range(rows):
-            if i != r and not field.is_zero(M[i][c]):
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-                if track is not None:
-                    track[i] = [x - f * y for x, y in zip(track[i], track[r])]
+            f = M[i][c]
+            if i != r and not field.is_zero(f):
+                for X, support in updates:
+                    row = X[i]
+                    for j, y in support:
+                        row[j] = row[j] - f * y
         piv_cols.append(c)
         r += 1
         if r == rows:
             break
     return piv_cols
+
+
+def _scale_support(row, c):
+    """Multiply the nonzero entries of ``row`` by c in place; return them as
+    (position, new value) pairs."""
+    support = []
+    for j, x in enumerate(row):
+        if x:
+            row[j] = x = x * c
+            support.append((j, x))
+    return support
 
 
 def rank(field, A):

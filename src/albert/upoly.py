@@ -4,6 +4,14 @@
 tower.  ``RationalFunctionField(base, var)`` has ``RatFunc`` elements kept in
 canonical form: numerator and denominator coprime, denominator monic.  That
 makes pole detection at a point a purely syntactic test on the denominator.
+
+Canonical operands keep the gcds few, by Henrici's rules (P. Henrici,
+J. ACM 3 (1956) 6-9; Knuth, TAOCP vol. 2, 4.5.1): a sum computes
+gcd(den_a, den_b) and, only where that is not 1, its gcd with the cross
+sum; a product or quotient computes gcd(num_a, den_b) and gcd(num_b, den_a);
+a zero operand, a constant side or equal denominators compute none of the
+gcds they make trivial, and an inverse computes none.  The reducing
+constructor computes one gcd, unless a side is constant.
 """
 
 from __future__ import annotations
@@ -209,7 +217,12 @@ def is_separable(f):
 
 
 class RatFunc:
-    """Canonical fraction of univariate polynomials."""
+    """Canonical fraction of univariate polynomials.
+
+    ``+ - * /`` reduce by Henrici's rules (see the module docstring), so a
+    result is canonical without a gcd of its whole numerator and
+    denominator.
+    """
 
     __slots__ = ("num", "den", "ring")
 
@@ -218,10 +231,7 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         if not _canonical:
             if num:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                num, den = _cancel(num, den)
             else:
                 den = UPoly.const(ring.base.one(), ring.base)
             lead_inv = ring.base.inv(den.lead())
@@ -247,7 +257,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den, self.ring)
+        return _sum(self.ring, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -255,7 +265,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den, self.ring)
+        return _sum(self.ring, self.num, self.den, -o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -267,7 +277,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den, self.ring)
+        return _product(self.ring, self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -275,9 +285,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num, self.ring)
+        return _product(self.ring, self.num, self.den, *_inverse(self.ring, o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -305,6 +313,64 @@ class RatFunc:
         if self.den.degree == 0:
             return self.num.format(v)
         return f"({self.num.format(v)})/({self.den.format(v)})"
+
+
+def _sum(ring, an, ad, bn, bd):
+    """an/ad + bn/bd for canonical operands.  With d1 = gcd(ad, bd) and
+    t = an (bd/d1) + bn (ad/d1), the sum is t/d2 over (ad/d1)(bd/d2) for
+    d2 = gcd(t, d1); a constant denominator (it is 1) makes d1 = 1.  Only
+    t can vanish where a denominator other than 1 would remain."""
+    if not an:
+        return RatFunc(bn, bd, ring, _canonical=True)
+    if not bn:
+        return RatFunc(an, ad, ring, _canonical=True)
+    if ad.degree == 0:
+        return RatFunc(an * bd + bn if bd.degree else an + bn, bd, ring, _canonical=True)
+    if bd.degree == 0:
+        return RatFunc(an + bn * ad, ad, ring, _canonical=True)
+    d1 = ad if ad == bd else poly_gcd(ad, bd)
+    if d1.degree == 0:
+        return RatFunc(an * bd + bn * ad, ad * bd, ring, _canonical=True)
+    ad1 = ad.exact_div(d1)
+    t = an * bd.exact_div(d1) + bn * ad1
+    if not t:
+        return ring.zero()
+    d2 = poly_gcd(t, d1)
+    if d2.degree > 0:
+        t, bd = t.exact_div(d2), bd.exact_div(d2)
+    return RatFunc(t, ad1 * bd, ring, _canonical=True)
+
+
+def _product(ring, an, ad, bn, bd):
+    """(an/ad)(bn/bd) for canonical operands: each numerator is divided by
+    its gcd with the other denominator, gcd(an, bd) and gcd(bn, ad); a
+    constant side skips its gcd."""
+    if not an or not bn:
+        return ring.zero()
+    an, bd = _cancel(an, bd)
+    bn, ad = _cancel(bn, ad)
+    return RatFunc(an * bn, ad * bd, ring, _canonical=True)
+
+
+def _cancel(a, b):
+    """a and b divided by their monic gcd; no gcd is taken when either is
+    constant, since it is then 1."""
+    if a.degree > 0 and b.degree > 0:
+        g = poly_gcd(a, b)
+        if g.degree > 0:
+            return a.exact_div(g), b.exact_div(g)
+    return a, b
+
+
+def _inverse(ring, v):
+    """(num, den) of 1/v for a canonical v, canonical with no gcd."""
+    if not v.num:
+        raise DivisionByZero("division by zero rational function")
+    lead = v.num.lead()
+    if lead == ring.base.one():
+        return v.den, v.num
+    lead_inv = ring.base.inv(lead)
+    return v.den.scale(lead_inv), v.num.scale(lead_inv)
 
 
 class RationalFunctionField(Ring):
@@ -349,9 +415,7 @@ class RationalFunctionField(Ring):
         return RatFunc(num, den, self)
 
     def inv(self, v):
-        if not v.num:
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(v.den, v.num, self)
+        return RatFunc(*_inverse(self, v), self, _canonical=True)
 
     def format(self, v):
         num = ",".join(self.base.format(c) for c in v.num.coeffs) or "0"
@@ -359,13 +423,18 @@ class RationalFunctionField(Ring):
         return f"{num}|{den}"
 
     def parse(self, text):
+        return RatFunc(*self.parse_pair(text), self)
+
+    def parse_pair(self, text):
+        """The numerator and denominator polynomials written in ``num|den``
+        (``|den`` may be left out), before any reduction."""
         if "|" in text:
             ntext, dtext = text.split("|", 1)
         else:
             ntext, dtext = text, self.base.format(self.base.one())
         num = UPoly([self.base.parse(c) for c in ntext.split(",")], self.base)
         den = UPoly([self.base.parse(c) for c in dtext.split(",")], self.base)
-        return RatFunc(num, den, self)
+        return num, den
 
     def spec_string(self):
         return f"{self.base.spec_string()}({self.var})"

@@ -10,6 +10,7 @@ from albert.scalars import QQ, QuadraticExtension, Ring, lift
 from albert.cubicnorm import CubicJordan
 from albert.deg3 import ConjugateTranspose, Matrix3, vadd, vscale, vsub
 from albert.tits import FirstTits, SecondTits
+from albert.upoly import RatFunc, UPoly, poly_gcd
 
 
 @pytest.fixture(scope="session")
@@ -296,3 +297,69 @@ class MockCubicJordan(CubicJordan):
         super().__init__(field, dim, unit, label)
         self.norm_program = norm_fn
         self.sharp_program = sharp_fn
+
+
+# ---- references for the k(t) kernel and the elimination -----------------------
+#
+# The formulas that Henrici's rules in ``upoly.RatFunc`` and the zero-skipping
+# ``linalg.echelon`` replaced: each k(t) result is the naive fraction reduced
+# by one full gcd, and each elimination step runs over whole rows.
+
+
+def ref_ratfunc(num, den, ring):
+    """num/den reduced by one full ``poly_gcd``, with a monic denominator."""
+    base = ring.base
+    if num:
+        g = poly_gcd(num, den)
+        num, den = num.exact_div(g), den.exact_div(g)
+    else:
+        den = UPoly.const(base.one(), base)
+    lead_inv = base.inv(den.lead())
+    return RatFunc(num.scale(lead_inv), den.scale(lead_inv), ring, _canonical=True)
+
+
+def ref_ratfunc_op(op, a, b):
+    """a op b for op in '+', '-', '*', '/' by the naive fraction."""
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if op == "+":
+        return ref_ratfunc(an * bd + bn * ad, ad * bd, a.ring)
+    if op == "-":
+        return ref_ratfunc(an * bd - bn * ad, ad * bd, a.ring)
+    if op == "*":
+        return ref_ratfunc(an * bn, ad * bd, a.ring)
+    return ref_ratfunc(an * bd, ad * bn, a.ring)
+
+
+def ref_echelon(field, M, track=None):
+    """Row echelon with every row operation over whole rows."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if not field.is_zero(M[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            if track is not None:
+                track[r], track[pivot] = track[pivot], track[r]
+        inv_p = field.inv(M[r][c])
+        M[r] = [x * inv_p for x in M[r]]
+        if track is not None:
+            track[r] = [x * inv_p for x in track[r]]
+        for i in range(rows):
+            if i != r and not field.is_zero(M[i][c]):
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                if track is not None:
+                    track[i] = [x - f * y for x, y in zip(track[i], track[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return piv_cols

@@ -4,11 +4,14 @@ Declaration-only scenarios built from the structure constructors and literal
 atoms never make the CLI raise; they pass (0) or exit with a documented error
 status.  A certificate with one token replaced by a malformed literal exits
 with the parse-error status 2; one with a target or path entry replaced by a
-valid literal of another value at t = 0 fails its check with status 1.
+valid literal of another value at t = 0 fails its check with status 1, and
+one with a path entry of t-degree above 255 is refused with status 2 before
+any gcd is taken.
 """
 
 import io
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +122,37 @@ def test_semantic_certificate_mutation_fails_check(tmp_path_factory, mutation):
     with redirect_stdout(out):
         assert main(["check-cert", str(path), "--format", "machine"]) == 1
     assert out.getvalue().endswith("RESULT FAIL\n")
+
+
+# num|den sides of t-degree 256 to 5000: a sparse or a dense coefficient list
+HIGH_DEGREE_SIDES = st.builds(
+    lambda degree, dense: ",".join(["1" if dense or i in (0, degree) else "0"
+                                    for i in range(degree + 1)]),
+    st.integers(256, 5000), st.booleans())
+HIGH_DEGREE_ENTRIES = st.one_of(
+    HIGH_DEGREE_SIDES,
+    HIGH_DEGREE_SIDES.map(lambda side: f"{side}|1,1"),
+    HIGH_DEGREE_SIDES.map(lambda side: f"1,1|{side}"),
+    st.tuples(HIGH_DEGREE_SIDES, HIGH_DEGREE_SIDES).map("|".join),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(position=st.sampled_from(PATH_ENTRIES), literal=HIGH_DEGREE_ENTRIES)
+def test_high_degree_path_entry_exits_parse_error(tmp_path_factory, position, literal):
+    i, j = position
+    lines = list(GOLDEN_CERT)
+    tokens = lines[i].split()
+    tokens[j] = literal
+    lines[i] = " ".join(tokens)
+    path = tmp_path_factory.mktemp("cert") / "c.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stderr(err):
+        assert main(["check-cert", str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    assert "exceeds the limit 255" in err.getvalue()
 
 
 # ---- run directives on 9-dimensional structures ------------------------------

@@ -10,6 +10,8 @@ from albert.multipoly import PolyRing
 from albert.scalars import QQ, PrimeField, lift
 from albert.upoly import RationalFunctionField
 
+from conftest import ref_echelon
+
 
 def rand_matrix(field, rng, n):
     return [[field.sample(rng, 5) for _ in range(n)] for _ in range(n)]
@@ -58,12 +60,15 @@ def sparse_matrix(field, rng, rows, cols):
              for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctionField(QQ, "t")],
-                         ids=["Q", "F7", "Q(t)"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), RationalFunctionField(QQ, "t"),
+                                   PolyRing(QQ, ["x", "y"])],
+                         ids=["Q", "F7", "Q(t)", "Q[x,y]"])
 def test_mat_mul_sparse_matches_naive_sum(field):
     rng = random.Random(3)
     for _ in range(5):
         A, B = sparse_matrix(field, rng, 4, 5), sparse_matrix(field, rng, 5, 3)
+        v = [field.sample(rng, 5) if j % 2 else field.zero() for j in range(5)]
+        assert linalg.mat_vec(A, v) == naive_mat_vec(A, v, field.zero())
         A[1] = [field.zero()] * 5             # an all-zero row of A
         for row in B:                         # an all-zero column of B
             row[2] = field.zero()
@@ -133,3 +138,32 @@ def test_lifted_and_prime_field_contractions_match_reference(data, rows, inner):
     want = naive_mat_vec(Ap, vp, F7.zero())
     assert linalg.mat_vec(Ap, vp) == linalg.mat_vec(Ap, vp, F7) == want
     assert linalg.mat_mul(Ap, [[c] for c in vp]) == [[c] for c in want]
+
+
+FIELDS = [QQ, PrimeField(7), RationalFunctionField(QQ, "t")]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7", "Q(t)"])
+def test_echelon_matches_dense_reference(field):
+    """Same pivot columns, reduced matrix and ``track`` as the loop over
+    whole rows, on sparse and dense matrices with zero rows, zero columns
+    and pivot rows that are zero where other rows are not."""
+    rng = random.Random(11)
+    z, o = field.zero(), field.one()
+    for trial in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice([0.2, 0.5, 1.0])
+        M = [[field.sample(rng, 4) if rng.random() < density else z for _ in range(cols)]
+             for _ in range(rows)]
+        M[rng.randrange(rows)] = [z] * cols
+        zero_col = rng.randrange(cols)
+        for row in M:
+            row[zero_col] = z
+        if trial % 3 == 0 and cols > 1:
+            # a unit-vector pivot row above rows that are dense past it
+            M[0] = [o] + [z] * (cols - 1)
+        track = ([[field.sample(rng, 4) if rng.random() < density else z for _ in range(3)]
+                  for _ in range(rows)] if trial % 2 else linalg.identity(field, rows))
+        M_ref, track_ref = [list(r) for r in M], [list(r) for r in track]
+        assert linalg.echelon(field, M, track) == ref_echelon(field, M_ref, track_ref)
+        assert M == M_ref and track == track_ref

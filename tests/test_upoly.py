@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction as F
+from operator import add, mul, sub, truediv
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from albert.errors import AlbertError
-from albert.scalars import QQ, PrimeField
+from albert.errors import AlbertError, DivisionByZero
+from albert.scalars import QQ, PrimeField, QuadraticExtension
 from albert.upoly import (
+    RatFunc,
     RationalFunctionField,
     UPoly,
     is_separable,
     poly_gcd,
     poly_lcm,
 )
+
+from conftest import ref_ratfunc, ref_ratfunc_op
 
 
 def up(*coeffs):
@@ -75,3 +80,100 @@ def test_ratfunc_format_parse():
     t = Rt.gen()
     r = (t * t + 1) / (t * 3 - 2)
     assert Rt.parse(Rt.format(r)) == r
+
+
+# ---- Henrici's rules against the naive fraction -------------------------------
+
+def _prime_base(p):
+    field = PrimeField(p)
+    return field, st.integers(0, p - 1).map(field.from_int)
+
+
+QS2 = QuadraticExtension(QQ, F(2))
+# (base field, strategy for its elements)
+BASES = [
+    (QQ, st.builds(F, st.integers(-4, 4), st.integers(1, 3))),
+    _prime_base(2),
+    _prime_base(5),
+    _prime_base(7),
+    (QS2, st.builds(QS2.make, st.integers(-3, 3).map(F), st.integers(-2, 2).map(F))),
+]
+CASES = ["random", "zero_left", "zero_right", "equal_den", "coprime_den", "shared",
+         "to_zero", "to_poly", "int_left", "int_right"]
+
+
+def _canonical(r):
+    return r.num.coeffs, r.den.coeffs
+
+
+@st.composite
+def ratfunc_cases(draw):
+    """(Rt, case, op, a, b): canonical operands built with the reference
+    reduction so that the case holds; an int operand stays an int."""
+    base, coeff = draw(st.sampled_from(BASES))
+    Rt = RationalFunctionField(base, "t")
+
+    def poly(min_size=0, max_size=3):
+        return UPoly(draw(st.lists(coeff, min_size=min_size, max_size=max_size)), base)
+
+    def nonzero_poly(max_size=3):
+        p = poly(1, max_size)
+        return p if p else UPoly.const(base.one(), base)
+
+    def frac(num, den):
+        return ref_ratfunc(num, den, Rt)
+
+    case = draw(st.sampled_from(CASES))
+    op = draw(st.sampled_from("+-*/"))
+    a = frac(poly(), nonzero_poly())
+    b = frac(poly(), nonzero_poly())
+    if case == "zero_left":
+        a = Rt.zero()
+    elif case == "zero_right":
+        b = Rt.zero()
+    elif case == "equal_den":
+        b = frac(poly(), a.den)
+    elif case == "coprime_den":
+        t = UPoly.x(base)
+        a, b = frac(poly(), t * t), frac(poly(), t + 1)
+    elif case == "shared":
+        g, h = nonzero_poly(), nonzero_poly()
+        a = frac(g * poly(), h * nonzero_poly())
+        b = frac(h * poly(), g * h * nonzero_poly())
+    elif case == "to_zero":
+        op = draw(st.sampled_from("+-"))
+        b = a if op == "-" else -a
+    elif case == "to_poly":
+        b = frac(poly() * a.den - a.num, a.den)
+        op = "+"
+    elif case == "int_left":
+        a = draw(st.integers(-3, 3))
+    elif case == "int_right":
+        b = draw(st.integers(-3, 3))
+    return Rt, case, op, a, b
+
+
+OPS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+
+@settings(max_examples=400, deadline=None)
+@given(ratfunc_cases())
+def test_ratfunc_ops_match_naive_fraction(example):
+    """Every operation, with an int on either side too, gives the fraction
+    that one full gcd reduces, coprime and with a monic denominator."""
+    Rt, case, op, a, b = example
+    ra = Rt.from_int(a) if isinstance(a, int) else a
+    rb = Rt.from_int(b) if isinstance(b, int) else b
+    if op == "/" and not rb:
+        with pytest.raises(DivisionByZero):
+            OPS[op](a, b)
+        return
+    got = OPS[op](a, b)
+    assert isinstance(got, RatFunc)
+    assert _canonical(got) == _canonical(ref_ratfunc_op(op, ra, rb))
+    assert poly_gcd(got.num, got.den).degree == 0 if got.num else got.den.degree == 0
+    assert got.den.is_monic()
+    if case == "to_zero":
+        assert not got
+    if case == "to_poly":
+        assert got.den.degree == 0
