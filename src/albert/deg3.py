@@ -17,13 +17,18 @@ Characteristic data is one division-free program in ``Deg3Algebra``: each
 kind supplies ``char_matrix(S, a)``, a 3x3 matrix over a commutative ring
 whose characteristic polynomial is the reduced one of a (the regular
 representation of ``CubicEtale``, the matrix itself for ``Matrix3``, left
-multiplication on 1, z, z^2 over L for ``Cyclic``, the two inner matrices
-paired entrywise into split pairs for ``ProductWithOpposite``), and the
-trace, second coefficient and determinant are read from its minors.
-``_scalar`` brings a value of that matrix ring back to S; for ``Cyclic`` it
-checks that the value lies in the base field.  The adjoint is
-a^2 - T(a) a + S(a) 1, except for ``Matrix3``, whose adjoint is the
-adjugate.  Prime characteristics 2 and 3 work unchanged.
+multiplication on 1, z, z^2 over L for ``Cyclic``), and the trace, second
+coefficient and determinant are read from its minors.  ``_scalar`` brings a
+value of that matrix ring back to S; for ``Cyclic`` it checks that the value
+lies in the base field.  The adjoint is a^2 - T(a) a + S(a) 1, except for
+``Matrix3``, whose adjoint is the adjugate.  ``ProductWithOpposite`` pairs
+the inner algebra's characteristic data, norm and adjoint of its two
+components.  Prime characteristics 2 and 3 work unchanged.
+
+Each entry of a ``Matrix3`` product, each minor of the adjugate, the sum of
+the principal minors, the determinant and each coordinate of a ``CubicEtale``
+product is one :func:`multipoly.dot`: over Q and F_p it builds one
+canonical value, not one per product and per sum.
 
 Two membership predicates serve the second-construction maps:
 :func:`is_unitary` (g sigma(g) = 1) and :func:`similitude_multiplier`
@@ -418,36 +423,20 @@ def _det3(m):
 
 
 def _trace_s3(m):
-    """Trace and sum of principal 2x2 minors of a 3x3 matrix."""
-    t = m[0][0] + m[1][1] + m[2][2]
-    s = (
-        m[0][0] * m[1][1]
-        - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2]
-        - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2]
-        - m[1][2] * m[2][1]
-    )
-    return t, s
+    """Trace and sum of principal 2x2 minors of a 3x3 matrix; the minors
+    are one six-pair :func:`dot`."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a + e + i, dot([(a, e), (-b, d), (a, i), (-c, g), (e, i), (-f, h)])
 
 
 def _adjugate3(m):
+    """The adjugate of a 3x3 matrix; each entry is a two-pair minor
+    :func:`dot`."""
+    (a, b, c), (d, e, f), (g, h, i) = m
     return [
-        [
-            m[1][1] * m[2][2] - m[1][2] * m[2][1],
-            m[0][2] * m[2][1] - m[0][1] * m[2][2],
-            m[0][1] * m[1][2] - m[0][2] * m[1][1],
-        ],
-        [
-            m[1][2] * m[2][0] - m[1][0] * m[2][2],
-            m[0][0] * m[2][2] - m[0][2] * m[2][0],
-            m[0][2] * m[1][0] - m[0][0] * m[1][2],
-        ],
-        [
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-            m[0][1] * m[2][0] - m[0][0] * m[2][1],
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-        ],
+        [dot([(e, i), (-f, h)]), dot([(c, h), (-b, i)]), dot([(b, f), (-c, e)])],
+        [dot([(f, g), (-d, i)]), dot([(a, i), (-c, g)]), dot([(c, d), (-a, f)])],
+        [dot([(d, h), (-e, g)]), dot([(b, g), (-a, h)]), dot([(a, e), (-b, d)])],
     ]
 
 
@@ -465,12 +454,9 @@ class Matrix3(Deg3Algebra):
         return (o, z, z, z, o, z, z, z, o)
 
     def mul(self, S, a, b):
-        A, B = _mat3(a), _mat3(b)
-        out = []
-        for i in range(3):
-            for j in range(3):
-                out.append(A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j])
-        return tuple(out)
+        """Each entry is one three-pair :func:`dot` of a row and a column."""
+        cols = [b[j::3] for j in range(3)]
+        return tuple(dot(list(zip(a[i:i + 3], col))) for i in (0, 3, 6) for col in cols)
 
     def char_matrix(self, S, a):
         return _mat3(a)
@@ -662,16 +648,19 @@ class ProductWithOpposite(Deg3Algebra):
         zy = self.inner.mul(Sb, by, ay)
         return self._join(S, zx, zy)
 
-    def char_matrix(self, S, a):
-        """The inner characteristic matrices of both components, paired
-        entrywise into split pairs."""
+    def char_data(self, S, a):
+        """The inner characteristic data of both components, paired: the
+        split centre's operations are componentwise."""
         ax, ay = self._split(S, a)
-        mx = self.inner.char_matrix(S.base, ax)
-        my = self.inner.char_matrix(S.base, ay)
-        return [[S.make(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(mx, my)]
+        return tuple(map(S.make, self.inner.char_data(S.base, ax), self.inner.char_data(S.base, ay)))
 
-    def _scalar(self, S, v):
-        return S.make(self.inner._scalar(S.base, v.a), self.inner._scalar(S.base, v.b))
+    def norm(self, S, a):
+        ax, ay = self._split(S, a)
+        return S.make(self.inner.norm(S.base, ax), self.inner.norm(S.base, ay))
+
+    def sharp(self, S, a):
+        ax, ay = self._split(S, a)
+        return self._join(S, self.inner.sharp(S.base, ax), self.inner.sharp(S.base, ay))
 
     def descriptor_string(self):
         return f"prodop({self.inner.descriptor_string()})"
@@ -690,17 +679,13 @@ class Involution:
         """Structural checks: involutive anti-homomorphism on the basis."""
         base = algebra.base_ring
         basis = algebra.basis()
-        for e in basis:
-            img = Element(algebra, base, self.apply(algebra, base, e.coords))
-            back = Element(algebra, base, self.apply(algebra, base, img.coords))
-            if back != e:
+        images = [Element(algebra, base, self.apply(algebra, base, e.coords)) for e in basis]
+        for e, se in zip(basis, images):
+            if self.apply(algebra, base, se.coords) != e.coords:
                 raise ConstraintError(f"{self.kind} is not involutive")
-        for e in basis:
-            for f in basis:
-                lhs = self.apply(algebra, base, (e * f).coords)
-                se = Element(algebra, base, self.apply(algebra, base, e.coords))
-                sf = Element(algebra, base, self.apply(algebra, base, f.coords))
-                if lhs != (sf * se).coords:
+        for e, se in zip(basis, images):
+            for f, sf in zip(basis, images):
+                if self.apply(algebra, base, (e * f).coords) != (sf * se).coords:
                     raise ConstraintError(f"{self.kind} is not an anti-homomorphism")
 
     def apply(self, algebra, S, a):

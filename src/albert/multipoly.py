@@ -24,13 +24,16 @@ divides out the gcd, and drops zeros.  There is one pair loop,
 :meth:`PolyRing.dot`, the sum of products sum a_i*b_i: every product
 accumulates into one unreduced dict over one common denominator, normalized
 once, so a sum of products costs no intermediate normal forms and no copies
-of a growing accumulator.  ``MPoly.__mul__`` is its one-pair case, and the
-module-level :func:`dot` sends polynomial pairs to it and runs the plain
-``acc + a*b`` loop for every other ring.  The one add/sub merge loop also
-normalizes once per result; a merge names the keys it changed, so a small
-summand does not cost a pass over a large accumulator.  Field payloads
-appear only at the boundary: the constructors encode, and
-:meth:`MPoly.coefficient`, :meth:`MPoly.part`, ``repr`` and
+of a growing accumulator.  ``MPoly.__mul__`` is its one-pair case.  The
+module-level :func:`dot` is the one entry point for sums of products over
+every ring, and only dispatches: polynomial pairs go to
+:meth:`PolyRing.dot`, scalars to their ring's ``dot`` in
+:mod:`albert.scalars` (integer-coded over Q and F_p, base-ring dots over a
+quadratic or split centre, the plain ``acc + a*b`` loop otherwise).  The
+one add/sub merge loop also normalizes once per result; a merge names the
+keys it changed, so a small summand does not cost a pass over a large
+accumulator.  Field payloads appear only at the boundary: the constructors
+encode, and :meth:`MPoly.coefficient`, :meth:`MPoly.part`, ``repr`` and
 :func:`proportionality` decode.
 
 Limit: the 8-bit packing caps every exponent, and every total degree a
@@ -47,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AlbertError, ParentMismatch
-from .scalars import FpElement, PrimeField, RationalField, Ring
+from .scalars import FpElement, PrimeField, QuadElement, RationalField, Ring, SplitElement
 
 _BITS = 8
 _MASK = (1 << _BITS) - 1
@@ -465,14 +468,19 @@ def proportionality(p, q):
 def dot(pairs):
     """sum a*b over a nonempty sequence of pairs of one ring's elements.
 
-    Polynomials go to :meth:`PolyRing.dot`, told by the type of the first
-    operand; every other ring (``Fraction``, F_p, k(t), centre elements)
-    runs the plain ``acc + a*b`` loop.
+    Told by the type of the first operand that is not an int (ints
+    coerce), the sum goes to its ring's ``dot``: :meth:`PolyRing.dot`, the
+    integer-coded sums over Q and F_p, or the base-ring dots of a quadratic
+    or split centre.  Every other ring (k(t), the elements of a degree-3
+    algebra) runs the plain ``acc + a*b`` loop of :meth:`Ring.dot`.
     """
     a, b = pairs[0]
-    if type(a) is MPoly:
-        return a.ring.dot(pairs)
-    acc = a * b
-    for a, b in pairs[1:]:
-        acc = acc + a * b
-    return acc
+    x = b if type(a) is int else a
+    kind = type(x)
+    if kind is Fraction:
+        return RationalField.dot(pairs)
+    if kind is FpElement:
+        return PrimeField.dot(pairs)
+    if kind is MPoly or kind is QuadElement or kind is SplitElement:
+        return x.ring.dot(pairs)
+    return Ring.dot(pairs)

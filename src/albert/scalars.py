@@ -22,6 +22,14 @@ product, and ``QuadraticEtale.base_part`` reads the base component of a value
 that conjugation fixes.  Code that accepts either centre tests for
 ``QuadraticEtale``.
 
+Every ring has a sum of products ``dot(pairs)``, which
+:func:`albert.multipoly.dot` dispatches to: the plain ``acc + a*b`` loop of
+``Ring.dot`` by default; over Q ``int`` numerators over one running lcm
+denominator and one ``Fraction`` for the result; over F_p one ``int`` sum of
+the ``val`` products, reduced once; over a quadratic or split centre base-ring
+dots of the components.  Ints coerce in each, and elements of another prime
+field or centre raise ``ParentMismatch``, as the operators do.
+
 :func:`lift` is the one way a scalar moves to a larger ring: up the extension
 chain through ``from_base``, or into the base change ``K.extend(S)`` of a
 quadratic or split centre K along an extension S of its base, componentwise.
@@ -30,6 +38,7 @@ quadratic or split centre K along an extension S of its base, componentwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlbertError, DivisionByZero, ParentMismatch
 
@@ -103,6 +112,17 @@ class Ring:
     def format(self, v):
         return str(v)
 
+    @staticmethod
+    def dot(pairs):
+        """sum a*b over a nonempty sequence of pairs of this ring's
+        elements (ints coerce): the plain ``acc + a*b`` loop, which rings
+        with a cheaper sum of products override."""
+        a, b = pairs[0]
+        acc = a * b
+        for a, b in pairs[1:]:
+            acc = acc + a * b
+        return acc
+
     def spec_string(self):
         raise NotImplementedError
 
@@ -137,6 +157,23 @@ class RationalField(Ring):
 
     def format(self, v):
         return str(v)
+
+    @staticmethod
+    def dot(pairs):
+        """sum a*b on ``int`` numerators over one running lcm denominator,
+        with one ``Fraction`` for the result (ints coerce)."""
+        num, den = 0, 1
+        for a, b in pairs:
+            an, ad = a.as_integer_ratio()
+            bn, bd = b.as_integer_ratio()
+            d = ad * bd
+            if d == den:
+                num += an * bn
+            else:
+                m = lcm(den, d)
+                num = num * (m // den) + an * bn * (m // d)
+                den = m
+        return Fraction(num, den)
 
     def parse(self, text):
         try:
@@ -271,6 +308,19 @@ class PrimeField(Ring):
     def format(self, v):
         return str(v.val)
 
+    @staticmethod
+    def dot(pairs):
+        """sum a*b as one ``int`` sum of ``val`` products, reduced once.
+        The modulus is the first operand's that is not an int; ints coerce,
+        and another prime field's elements raise ``ParentMismatch``."""
+        a, b = pairs[0]
+        x = b if type(a) is int else a
+        check = x._check
+        total = 0
+        for a, b in pairs:
+            total += check(a) * check(b)
+        return FpElement(total, x.p)
+
     def parse(self, text):
         try:
             return FpElement(int(text), self.p)
@@ -302,12 +352,8 @@ class PairElement:
         self.ring = ring
 
     def _coerce(self, other):
-        if isinstance(other, PairElement):
-            if other.ring != self.ring:
-                raise ParentMismatch("mixed quadratic etale rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
+        if isinstance(other, (PairElement, int)):
+            return self.ring._own(other)
         return None
 
     def __add__(self, other):
@@ -425,6 +471,21 @@ class QuadraticEtale(Ring):
     def sample(self, rng, bound=9):
         return self.make(self.base.sample(rng, bound), self.base.sample(rng, bound))
 
+    def _own_pairs(self, pairs):
+        own = self._own
+        return [(own(x), own(y)) for x, y in pairs]
+
+    def _own(self, v):
+        """v as an element of this ring: ints coerce, another ring's
+        elements raise ``ParentMismatch``."""
+        if isinstance(v, PairElement):
+            if v.ring is self or v.ring == self:
+                return v
+            raise ParentMismatch("mixed quadratic etale rings")
+        if isinstance(v, int):
+            return self.from_int(v)
+        raise TypeError(f"not an element of {self.spec_string()}: {v!r}")
+
     def base_part(self, v):
         """The base component of a value that conjugation fixes."""
         if self.conj(v) != v:
@@ -469,6 +530,17 @@ class QuadraticExtension(QuadraticEtale):
 
     def norm_to_base(self, v):
         return v.a * v.a - self.d * v.b * v.b
+
+    def dot(self, pairs):
+        """sum x*y as three base-ring dots: for x = a + b s and y = c + e s,
+        the parts sum a c + d sum b e and sum (a e + b c)."""
+        ps = self._own_pairs(pairs)
+        dot = self.base.dot
+        return QuadElement(
+            dot([(x.a, y.a) for x, y in ps] + [(self.d, dot([(x.b, y.b) for x, y in ps]))]),
+            dot([(x.a, y.b) for x, y in ps] + [(x.b, y.a) for x, y in ps]),
+            self,
+        )
 
     def trace_to_base(self, v):
         return v.a + v.a
@@ -520,6 +592,12 @@ class SplitQuadratic(QuadraticEtale):
 
     def norm_to_base(self, v):
         return v.a * v.b
+
+    def dot(self, pairs):
+        """sum x*y as two base-ring dots, one per component."""
+        ps = self._own_pairs(pairs)
+        return SplitElement(self.base.dot([(x.a, y.a) for x, y in ps]),
+                            self.base.dot([(x.b, y.b) for x, y in ps]), self)
 
     def trace_to_base(self, v):
         return v.a + v.b

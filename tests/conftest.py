@@ -103,6 +103,16 @@ def ratfunc_at(r, point):
 # normalized on its own and added into a growing accumulator.
 
 
+def ref_dot(pairs):
+    """sum a*b over a nonempty list of pairs by the plain loop, one product
+    and one sum at a time, with the ring's own operators."""
+    a, b = pairs[0]
+    acc = a * b
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc
+
+
 def ref_poly_mul(a, b):
     """a*b by the per-pair loop of the kernel before ``PolyRing.dot``."""
     ring = a.ring
@@ -139,6 +149,32 @@ def old_det3(m):
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def old_matrix3_mul(a, b):
+    """The entries of a 3x3 product, each as A*B + A*B + A*B."""
+    A, B = [a[0:3], a[3:6], a[6:9]], [b[0:3], b[3:6], b[6:9]]
+    return tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] + A[i][2] * B[2][j]
+                 for i in range(3) for j in range(3))
+
+
+def old_trace_s3(m):
+    t = m[0][0] + m[1][1] + m[2][2]
+    s = (m[0][0] * m[1][1] - m[0][1] * m[1][0] + m[0][0] * m[2][2]
+         - m[0][2] * m[2][0] + m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    return t, s
+
+
+def old_adjugate3(m):
+    """Entry (i, j) is the signed minor of m without row j and column i."""
+    out = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            r = [x for x in range(3) if x != j]
+            c = [x for x in range(3) if x != i]
+            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
+            out[i][j] = minor if (i + j) % 2 == 0 else -minor
+    return out
 
 
 def old_cubic_etale_mul(E, S, a, b):

@@ -9,10 +9,11 @@ on generic coordinates; the directional derivative equals the e1 coefficient
 over the reference two-infinitesimal ring ``conftest.BiDualRing``.
 
 The call sites of the fused sum of products (``deg3._det3``,
-``CubicEtale.mul`` and ``FirstTits.norm_program``) equal the expressions they
-replaced, kept in ``conftest``, on generic coordinates over a polynomial ring
-and on scalars over Q, F_p and k(t), where ``multipoly.dot`` runs its plain
-loop.
+``Matrix3.mul``, ``_adjugate3``, ``_trace_s3``, ``CubicEtale.mul`` and
+``FirstTits.norm_program``) equal the expressions they replaced, kept in
+``conftest``, on generic coordinates over a polynomial ring and on scalars
+over Q, F_p, k(t) and the quadratic centres, where ``multipoly.dot`` runs each
+ring's own ``dot``.
 """
 
 import random
@@ -28,8 +29,8 @@ from albert.multipoly import PolyRing
 from albert.scalars import QQ, PrimeField, QuadraticExtension, SplitQuadratic, lift
 from albert.tits import FirstTits, SecondTits
 from albert.upoly import RationalFunctionField, UPoly
-from conftest import (BiDualElement, BiDualRing, old_cubic_etale_mul, old_det3,
-                      old_first_tits_norm, trace_bilinear)
+from conftest import (BiDualElement, BiDualRing, old_adjugate3, old_cubic_etale_mul, old_det3,
+                      old_first_tits_norm, old_matrix3_mul, old_trace_s3, trace_bilinear)
 
 F7 = PrimeField(7)
 CENTRES = [QuadraticExtension(QQ, F(-1)), SplitQuadratic(QQ),
@@ -175,7 +176,8 @@ def _identical(got, want):
 
 
 def _scalar_cases(rng):
-    """(ring, sampler) for Q, F2, F7 and Q(t); the plain-loop rings."""
+    """(ring, sampler) for Q, F2, F7 and Q(t): the integer-coded rings and
+    one on the plain loop."""
     return [(k, lambda k=k: k.sample(rng, 5)) for k in (QQ, F2, F7, Qt)]
 
 
@@ -195,6 +197,28 @@ def test_det3_matches_the_cofactor_expression(field):
             m = [[sample() for _ in range(3)] for _ in range(3)]
             m[rng.randrange(3)][rng.randrange(3)] = k.zero()
             assert deg3._det3(m) == old_det3(m)
+
+
+MATRIX_RINGS = {
+    "Q": QQ, "F2": F2, "F7": F7, "Q(t)": Qt, "Q[x,y]": PolyRing(QQ, ["x", "y"]),
+    "Q(i)": CENTRES[0], "QxQ": CENTRES[1], "F7(sqrt3)": CENTRES[2], "F7xF7": CENTRES[3],
+    "Q(i)[x,y]": CENTRES[0].extend(PolyRing(QQ, ["x", "y"])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_RINGS))
+def test_matrix3_products_and_minors_match_the_expressions(name):
+    S = MATRIX_RINGS[name]
+    M = Matrix3(S)
+    rng = random.Random(13)
+    for _ in range(4):
+        a, b = ([S.sample(rng, 4) for _ in range(9)] for _ in range(2))
+        a[rng.randrange(9)] = S.zero()
+        for got, want in zip(M.mul(S, a, b), old_matrix3_mul(a, b)):
+            _identical(got, want)
+        m = deg3._mat3(a)
+        assert deg3._trace_s3(m) == old_trace_s3(m)
+        assert deg3._adjugate3(m) == old_adjugate3(m)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F7], ids=["Q", "F2", "F7"])

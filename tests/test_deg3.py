@@ -12,6 +12,7 @@ from albert.deg3 import (
     CubicEtale,
     Cyclic,
     Element,
+    Involution,
     Matrix3,
     ProductWithOpposite,
     Switch,
@@ -278,6 +279,36 @@ def test_involution_properties_sampled():
             assert x.conj().conj() == x
             assert (x * y).conj() == y.conj() * x.conj()
             assert x.conj().norm() == ring.conj(x.norm())
+
+
+class EntrywiseConjugation(Involution):
+    """Centre conjugation of every entry without the transpose: involutive,
+    but a homomorphism of matrix3 rather than an anti-homomorphism."""
+
+    kind = "entrywise-conj"
+
+    def apply(self, algebra, S, a):
+        return tuple(S.conj(v) for v in a)
+
+
+class TimesS(Involution):
+    """Multiplication of every entry by s with s^2 = -1: sigma(sigma(a)) = -a."""
+
+    kind = "times-s"
+
+    def apply(self, algebra, S, a):
+        s = S.make(S.base.zero(), S.base.one())
+        return tuple(s * v for v in a)
+
+
+@pytest.mark.parametrize("involution, message", [
+    (EntrywiseConjugation(), "entrywise-conj is not an anti-homomorphism"),
+    (TimesS(), "times-s is not involutive"),
+], ids=["not-anti-homomorphism", "not-involutive"])
+def test_involution_validate_refuses(involution, message):
+    B = Matrix3(QuadraticExtension(QQ, F(-1)))
+    with pytest.raises(ConstraintError, match=message):
+        B.attach_involution(involution)
 
 
 def test_no_involution_error():

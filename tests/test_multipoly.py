@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from albert.errors import AlbertError, ParentMismatch
-from albert.scalars import QQ, PrimeField, QuadraticExtension
-from albert.multipoly import PolyRing, dot, proportionality
+from albert.scalars import QQ, PrimeField, QuadraticExtension, SplitQuadratic
+from albert.multipoly import MPoly, PolyRing, dot, proportionality
 from albert.deg3 import CubicEtale
 from albert.tits import FirstTits
 from albert.upoly import RationalFunctionField, UPoly
-from conftest import ref_poly_dot, ref_poly_mul
+from conftest import ref_dot, ref_poly_dot, ref_poly_mul
 
 
 def det3_permutation_oracle(entries):
@@ -126,7 +126,7 @@ def scalars(field):
         # (a + b t) / (1 + c t)
         return st.builds(lambda a, b, c: field.from_poly(UPoly([a, b], QQ))
                          / field.from_poly(UPoly([F(1), c], QQ)), rational, rational, rational)
-    return st.builds(field.make, rational, rational)
+    return st.builds(field.make, scalars(field.base), scalars(field.base))
 
 
 def reference(field, pairs):
@@ -361,3 +361,100 @@ def test_dot_of_scalars_is_the_plain_sum(field):
         for a, b in pairs:
             want = want + a * b
         assert dot(pairs) == want
+
+
+# -- the module-level dot against the plain loop, on every scalar ring ----------
+
+F5 = PrimeField(5)
+SCALAR_RINGS = {
+    "Q": QQ,
+    "F2": PrimeField(2),
+    "F7": PrimeField(7),
+    "Q(i)": QuadraticExtension(QQ, F(-1)),
+    "QxQ": SplitQuadratic(QQ),
+    "F5(sqrt2)": QuadraticExtension(F5, F5.from_int(2)),
+    "F5xF5": SplitQuadratic(F5),
+    "Q(t)": RationalFunctionField(QQ, "t"),
+    "Q[x1,x2,x3]": RINGS["Q"],
+}
+
+
+def operands(ring):
+    """An element of ``ring``, its zero or a small int."""
+    if isinstance(ring, PolyRing):
+        elements = polys(ring).map(lambda drawn: drawn[0])
+    else:
+        elements = scalars(ring)
+    return st.one_of(elements, st.just(ring.zero()), st.integers(-3, 3))
+
+
+def assert_same_value(got, want, case=None):
+    """Equal and of the same type: a Fraction stays a Fraction, never an int."""
+    assert type(got) is type(want) and got == want, case
+    if isinstance(got, MPoly):
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dot_matches_the_plain_loop_on_every_ring(data):
+    ring = SCALAR_RINGS[data.draw(st.sampled_from(sorted(SCALAR_RINGS)))]
+    x = operands(ring)
+    pairs = data.draw(st.lists(st.tuples(x, x), min_size=1, max_size=5))
+    assert_same_value(dot(pairs), ref_dot(pairs))
+
+
+def inverse_of(ring, n):
+    if isinstance(ring, PolyRing):
+        return ring.from_base(ring.field.inv(ring.field.from_int(n)))
+    return ring.inv(ring.from_int(n))
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_RINGS))
+def test_dot_cases_on_every_ring(name):
+    ring = SCALAR_RINGS[name]
+    zero = ring.zero()
+    # 1/3 and 1/11: unequal denominators over Q, nonzero in F2, F5 and F7
+    x, y = inverse_of(ring, 3), inverse_of(ring, 11)
+    if isinstance(ring, PolyRing):
+        x, y = x + ring.gen(0), y * ring.gen(1)
+    cases = {
+        "single pair": [(x, y)],
+        "zero sides": [(zero, x), (x, y), (y, zero)],
+        "all zero": [(zero, zero), (x, zero)],
+        "ints": [(2, x), (y, -3), (x, y)],
+        "int first": [(1, 1), (x, y)],
+        "unequal denominators": [(x, x), (y, y), (x, y)],
+        "cancellation": [(x, y), (-x, y), (y, x), (x, -y)],
+    }
+    for case, pairs in cases.items():
+        assert_same_value(dot(pairs), ref_dot(pairs), case)
+    assert dot(cases["cancellation"]) == zero
+    assert type(dot(cases["cancellation"])) is type(zero)
+
+
+def test_dot_over_q_cancels_to_a_fraction():
+    pairs = [(F(1, 2), F(1, 3)), (F(-1, 6), 1), (F(2, 7), F(7, 4)), (-1, F(1, 2))]
+    got = dot(pairs)
+    assert type(got) is F and got == 0
+    got = dot([(F(1, 6), F(3, 5)), (F(1, 10), 1)])
+    assert type(got) is F and (got.numerator, got.denominator) == (1, 5)
+
+
+def test_dot_refuses_mixed_moduli_and_mixed_centres():
+    F2, F7 = PrimeField(2), PrimeField(7)
+    Qi, QxQ, F5i = SCALAR_RINGS["Q(i)"], SCALAR_RINGS["QxQ"], SCALAR_RINGS["F5(sqrt2)"]
+    mixed = [
+        [(F7.one(), F2.one())],
+        [(F7.one(), F7.one()), (F2.one(), F2.one())],
+        [(3, F7.one()), (F7.one(), F2.one())],
+        [(Qi.one(), QxQ.one())],
+        [(Qi.one(), Qi.one()), (QxQ.one(), QxQ.one())],
+        [(Qi.one(), F5i.one())],
+        [(QxQ.one(), SCALAR_RINGS["F5xF5"].one())],
+    ]
+    for pairs in mixed:
+        with pytest.raises(ParentMismatch):
+            dot(pairs)
+        with pytest.raises(ParentMismatch):
+            ref_dot(pairs)
