@@ -31,9 +31,9 @@ FORMAT_VERSION = "1"
 #: characters of an offending value, or of its cause, that an error quotes
 QUOTE_LIMIT = 200
 
-#: the highest t-degree of a path entry's numerator or denominator; the
-#: packed exponents of ``path_certify`` refuse higher ones, and reducing an
-#: entry costs a Euclidean gcd whose time grows fast with its degree
+#: the highest t-degree of a path entry's numerator or denominator that is
+#: read and reduced; ``path_certify`` refuses far lower degrees (about 85)
+#: when its norm passes the exponent packing
 MAX_PATH_DEGREE = 255
 
 

@@ -408,7 +408,7 @@ class CubicEtale(Deg3Algebra):
         )
 
     def __hash__(self):
-        return hash(("cubic-etale", self.base_ring, self.f.coeffs))
+        return hash(("cubic-etale", self.base_ring, self.f))
 
 
 def _det3(m):

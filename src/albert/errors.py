@@ -44,6 +44,13 @@ class SimilarityError(AlbertError):
     code = "not-a-similarity"
 
 
+class LimitExceeded(AlbertError):
+    """A stated limit of the implementation was reached; the input may be
+    valid, so this is a refusal, never a verdict."""
+
+    code = "limit-exceeded"
+
+
 class PathError(AlbertError):
     """A one-parameter family failed path certification."""
 

@@ -38,7 +38,7 @@ encode, and :meth:`MPoly.coefficient`, :meth:`MPoly.part`, ``repr`` and
 
 Limit: the 8-bit packing caps every exponent, and every total degree a
 product may reach, at 255.  Every polynomial carries a conservative degree
-bound, and multiplication refuses with an ``AlbertError`` rather than
+bound, and multiplication refuses with a ``LimitExceeded`` error rather than
 overflow the packing.  Only this module knows the key layout: other modules
 build polynomials with the :class:`PolyRing` constructors and read them
 through ``unpack``, :meth:`MPoly.coefficient` and :meth:`MPoly.part`.
@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import AlbertError, ParentMismatch
+from .errors import LimitExceeded, ParentMismatch
 from .scalars import FpElement, PrimeField, QuadElement, RationalField, Ring, SplitElement
 
 _BITS = 8
@@ -286,7 +286,7 @@ class PolyRing(Ring):
         for i, e in enumerate(exponents):
             if e:
                 if e > _MAXDEG:
-                    raise AlbertError("exponent exceeds packing limit")
+                    raise LimitExceeded(f"exponent {e} exceeds packing limit {_MAXDEG}")
                 key |= e << (_BITS * i)
         return key
 
@@ -299,12 +299,13 @@ class PolyRing(Ring):
 
     def _make(self, payloads, degbound):
         """sum_k payloads[k] times the monomial k, over one common denominator."""
-        encoded = [(k, *self._encode(c)) for k, c in payloads.items()]
-        den = 1
-        for _, _, d in encoded:
-            if d != den:
-                den = lcm(den, d)
-        terms = {k: n if d == den else n * (den // d) for k, n, d in encoded}
+        encode = self._encode
+        return self._make_coded([(k, *encode(c)) for k, c in payloads.items()], degbound)
+
+    def _make_coded(self, coded, degbound):
+        """sum n/d times the monomial k over (k, n, d) in ``coded``."""
+        den = lcm(*(d for _, _, d in coded))
+        terms = {k: n if d == den else n * (den // d) for k, n, d in coded}
         terms, den = self._normalize(terms, den)
         return MPoly(terms, den, self, degbound)
 
@@ -329,7 +330,8 @@ class PolyRing(Ring):
                 continue
             deg = a.degbound + b.degbound
             if deg > _MAXDEG:
-                raise AlbertError(f"polynomial degree bound {deg} exceeds packing limit")
+                raise LimitExceeded(
+                    f"polynomial degree bound {deg} exceeds packing limit {_MAXDEG}")
             bound = max(bound, deg)
             d = a.den * b.den
             if d != den:
@@ -385,29 +387,32 @@ class PolyRing(Ring):
     def univariate(self, coeffs):
         """sum_d coeffs[d] x_0^d, coefficients in ascending powers."""
         if len(coeffs) > _MAXDEG + 1:
-            raise AlbertError("exponent exceeds packing limit")
+            raise LimitExceeded(f"exponent {len(coeffs) - 1} exceeds packing limit {_MAXDEG}")
         return self._make(dict(enumerate(coeffs)), max(len(coeffs) - 1, 0))
 
-    def linear_form(self, coeffs, first=0):
+    def linear_form(self, coeffs, first=0, dens=None):
         """The form sum_j p_j(x_0) x_{first+j}.
 
         ``coeffs[j]`` lists the coefficients of p_j in ascending powers of
         x_0, which is a parameter when ``first`` > 0.  Constant p_j give the
-        plain linear form sum_j c_j x_{first+j}.
+        plain linear form sum_j c_j x_{first+j}.  Given ``dens``, the
+        coefficients of p_j come coded as this ring's codec codes them (the
+        form ``UPoly.coded`` keeps), over the denominator ``dens[j]``.
         """
-        is_zero = self.field.is_zero
-        payloads = {}
+        is_zero, encode = self.field.is_zero, self._encode
+        coded = []
         deg = 0
         for j, poly in enumerate(coeffs):
             var = 1 << (_BITS * (first + j))
+            den = None if dens is None else dens[j]
             for d, c in enumerate(poly):
                 if not is_zero(c):
-                    payloads[var + d] = c
+                    coded.append((var + d, c, den) if den else (var + d, *encode(c)))
                     if d > deg:
                         deg = d
         if deg >= _MAXDEG:
-            raise AlbertError("exponent exceeds packing limit")
-        return self._make(payloads, deg + 1)
+            raise LimitExceeded(f"linear form degree {deg + 1} exceeds packing limit {_MAXDEG}")
+        return self._make_coded(coded, deg + 1)
 
     def characteristic(self):
         return self.field.characteristic()

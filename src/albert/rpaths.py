@@ -18,7 +18,7 @@ entries.
 
 from __future__ import annotations
 
-from .errors import AlbertError, ConstraintError, NotInvertible, PathError
+from .errors import AlbertError, ConstraintError, LimitExceeded, NotInvertible, PathError
 from .upoly import UPoly, RatFunc, RationalFunctionField, poly_lcm
 from .multipoly import PolyRing
 from .deg3 import CubicEtale, Matrix3, transvection_factorization
@@ -93,7 +93,8 @@ def path_certify(J, matrix):
     cleared = [[v.num * cofactor[v.den] for v in row] for row in matrix]
     # generic fiber check in k[t, X1..Xn]: variable 0 is t
     ring = PolyRing(field, ["t"] + [f"x{i+1}" for i in range(n)])
-    fX = [ring.linear_form([p.coeffs for p in row], first=1) for row in cleared]
+    fX = [ring.linear_form([p.coded for p in row], first=1, dens=[p.den for p in row])
+          for row in cleared]
     composed = J.norm_program(ring, fX)
     plain = J.norm_program(ring, ring.gens()[1:])
     if not plain:
@@ -349,7 +350,9 @@ def cert_check(cert):
 
     Re-certifies the target, re-certifies every path from its raw matrix,
     and verifies the endpoint chain from the target to the identity.  Nothing
-    the builder computed is trusted; only matrices are read."""
+    the builder computed is trusted; only matrices are read.  A stated limit
+    reached on the way (``LimitExceeded``) is raised, not recorded: it says
+    nothing about the certificate."""
     report = Report()
     J = cert.parent
     try:
@@ -359,6 +362,8 @@ def cert_check(cert):
             report.record("target-automorphism", False, "multiplier or base point off")
         else:
             report.record("target-automorphism", True)
+    except LimitExceeded:
+        raise
     except AlbertError as exc:
         report.record("target-certified", False, str(exc))
         return report
@@ -374,6 +379,8 @@ def cert_check(cert):
                     fresh.is_automorphism_family(),
                     "" if fresh.is_automorphism_family() else "multiplier varies",
                 )
+        except LimitExceeded:
+            raise
         except AlbertError as exc:
             report.record(f"path-{idx+1}-certified", False, f"{exc.code}: {exc}")
             return report

@@ -1,7 +1,19 @@
 """Univariate polynomials and rational function fields.
 
-``UPoly`` is a dense coefficient-list polynomial over any field of the scalar
-tower.  ``RationalFunctionField(base, var)`` has ``RatFunc`` elements kept in
+``UPoly`` is a dense polynomial over any field of the scalar tower, coded by
+the :mod:`albert.multipoly` codec: ``coded`` is the ascending tuple of coded
+coefficients, no trailing zero, over the denominator ``den``.  Over Q they
+are ``int`` numerators over one positive ``den`` with gcd 1 (den = 1 for
+zero), over F_p ``int``s in [0, p), over any other field its payloads with
+``den`` = 1.  Every loop runs on the coded values, evaluation at a point of
+the base field included; ``coeffs``, ``lead`` and ``format`` decode.  Over Q
+``divmod`` is a pseudo-division and :func:`poly_gcd` a primitive remainder
+sequence on the numerators (Geddes, Czapor and Labahn, *Algorithms for
+Computer Algebra*, ch. 7): each pseudo-remainder is divided by its content,
+so coefficients do not grow from step to step.  Over every other field the
+gcd is Euclid on the coded values.
+
+``RationalFunctionField(base, var)`` has ``RatFunc`` elements kept in
 canonical form: numerator and denominator coprime, denominator monic.  That
 makes pole detection at a point a purely syntactic test on the denominator.
 
@@ -16,22 +28,72 @@ constructor computes one gcd, unless a side is constant.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+
 from .errors import AlbertError, DivisionByZero, ParentMismatch
-from .scalars import Ring
+from .multipoly import _codec
+from .scalars import FpElement, PrimeField, RationalField, Ring
+
+
+class _Coding:
+    """How one field's coefficients are coded: the ``multipoly`` codec's
+    encode, decode and coded zero, the coded one, the modulus p over F_p
+    (else 0), and whether they are numerators over a denominator (over Q)."""
+
+    def __init__(self, field):
+        self.field = field
+        self.encode, self.decode, _, self.zero = _codec(field)
+        self.one = self.encode(field.one())[0]
+        self.p = field.p if isinstance(field, PrimeField) else 0
+        self.rational = isinstance(field, RationalField)
+
+
+#: one coding per field, so that operands of one field share it
+_coding = cache(_Coding)
+
+
+def _normal(k, c, den):
+    """The canonical (coded, den) of the coded list ``c`` over ``den``:
+    reduced mod p, trailing zeros dropped, the gcd with ``den`` divided out."""
+    if k.p:
+        c = [x % k.p for x in c]
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    del c[n:]
+    if den != 1:
+        g = gcd(den, *c) if n else den
+        if g != 1:
+            c = [x // g for x in c]
+            den //= g
+    return tuple(c), den
+
+
+def _raw(k, coded, den=1):
+    f = object.__new__(UPoly)
+    f.coded, f.den, f._k = coded, den, k
+    return f
+
+
+def _make(k, c, den=1):
+    return _raw(k, *_normal(k, c, den))
 
 
 class UPoly:
-    """Dense univariate polynomial; coeffs ascending, no trailing zeros."""
+    """Dense univariate polynomial: ``coded`` ascending over ``den``, no
+    trailing zeros (see the module docstring); ``coeffs`` decodes."""
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("coded", "den", "_k")
 
     def __init__(self, coeffs, field):
-        coeffs = tuple(coeffs)
-        n = len(coeffs)
-        while n and field.is_zero(coeffs[n - 1]):
-            n -= 1
-        self.coeffs = coeffs[:n]
-        self.field = field
+        k = _coding(field)
+        pairs = [k.encode(x) for x in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        self.coded, self.den = _normal(k, [n if d == den else n * (den // d)
+                                           for n, d in pairs], den)
+        self._k = k
 
     @classmethod
     def const(cls, c, field):
@@ -42,20 +104,30 @@ class UPoly:
         return cls((field.zero(), field.one()), field)
 
     @property
+    def field(self):
+        return self._k.field
+
+    @property
+    def coeffs(self):
+        decode, den = self._k.decode, self.den
+        return tuple(decode(x, den) for x in self.coded)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.coded) - 1
 
     def lead(self):
-        if not self.coeffs:
+        if not self.coded:
             raise AlbertError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._k.decode(self.coded[-1], self.den)
 
     def is_monic(self):
-        return self.coeffs and self.coeffs[-1] == self.field.one()
+        k = self._k
+        return bool(self.coded) and self.coded[-1] == (self.den if k.rational else k.one)
 
     def _coerce(self, other):
         if isinstance(other, UPoly):
-            if other.field != self.field:
+            if other._k is not self._k:
                 raise ParentMismatch("mixed polynomial coefficient fields")
             return other
         if isinstance(other, int):
@@ -66,13 +138,15 @@ class UPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UPoly(out, self.field)
+        a, b, da, db = self.coded, o.coded, self.den, o.den
+        den = da
+        if da != db:
+            den = lcm(da, db)
+            a, b = [x * (den // da) for x in a], [x * (den // db) for x in b]
+        out = list(a) + [self._k.zero] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y
+        return _make(self._k, out, den)
 
     __radd__ = __add__
 
@@ -89,48 +163,63 @@ class UPoly:
         return o + (-self)
 
     def __neg__(self):
-        return UPoly([-c for c in self.coeffs], self.field)
+        p = self._k.p
+        if p:
+            return _raw(self._k, tuple(-x % p for x in self.coded))
+        return _raw(self._k, tuple(-x for x in self.coded), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        k = self._k
+        a, b = self.coded, o.coded
         if not a or not b:
-            return UPoly((), self.field)
-        z = self.field.zero()
-        out = [z] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if self.field.is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return UPoly(out, self.field)
+            return _raw(k, ())
+        if len(a) > len(b):
+            a, b = b, a
+        out = [k.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _make(k, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return UPoly([c * x for x in self.coeffs], self.field)
+        k = self._k
+        n, d = k.encode(c)
+        if not n:
+            return _raw(k, ())
+        return _make(k, [x * n for x in self.coded], self.den * d)
 
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.degree < 0:
+        if not o.coded:
             raise DivisionByZero("polynomial division by zero")
-        field = self.field
-        rem = list(self.coeffs)
-        q = [field.zero()] * max(0, len(rem) - len(o.coeffs) + 1)
-        inv_lead = field.inv(o.lead())
-        for i in range(len(rem) - len(o.coeffs), -1, -1):
-            c = rem[i + len(o.coeffs) - 1]
-            if field.is_zero(c):
+        k = self._k
+        if k.rational:
+            # s*A = Q*B + R on the numerators, so self = Q db/(s da) * o + R/(s da)
+            q, r, s = _pseudo_divmod(self.coded, o.coded)
+            den = s * self.den
+            return _make(k, [x * o.den for x in q], den), _make(k, r, den)
+        p, b = k.p, o.coded
+        n = len(b)
+        rem = list(self.coded)
+        q = [k.zero] * max(0, len(rem) - n + 1)
+        inv = pow(b[-1], -1, p) if p else k.field.inv(b[-1])
+        for i in range(len(rem) - n, -1, -1):
+            c = rem[i + n - 1] % p if p else rem[i + n - 1]
+            if not c:
                 continue
-            f = c * inv_lead
+            f = c * inv % p if p else c * inv
             q[i] = f
-            for j, oc in enumerate(o.coeffs):
-                rem[i + j] = rem[i + j] - f * oc
-        return UPoly(q, field), UPoly(rem, field)
+            for j, y in enumerate(b, i):
+                rem[j] -= f * y
+        return _make(k, q), _make(k, rem)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -142,65 +231,125 @@ class UPoly:
         return q
 
     def monic(self):
-        if self.degree < 0:
+        k, c = self._k, self.coded
+        if not c or self.is_monic():
             return self
-        return self.scale(self.field.inv(self.lead()))
+        if k.rational:
+            if c[-1] < 0:
+                c = [-x for x in c]
+            return _make(k, list(c), c[-1])
+        return self.scale(k.field.inv(self.lead()))
 
     def derivative(self):
-        f = self.field
-        return UPoly([f.from_int(i) * c for i, c in enumerate(self.coeffs)][1:], f)
+        k = self._k
+        if k.p or k.rational:
+            return _make(k, [i * x for i, x in enumerate(self.coded)][1:], self.den)
+        from_int = k.field.from_int
+        return _make(k, [from_int(i) * x for i, x in enumerate(self.coded)][1:])
 
     def __call__(self, point):
-        """Evaluate by Horner; ``point`` may live in any extension ring."""
-        if not self.coeffs:
+        """Evaluate by Horner: on the coded coefficients at a point of the
+        base field (an int included), otherwise on the decoded ones, since
+        ``point`` may live in any extension ring."""
+        k, c = self._k, self.coded
+        kind = Fraction if k.rational else FpElement if k.p else None
+        if kind and (type(point) is int or type(point) is kind and
+                     getattr(point, "p", 0) == k.p):
+            # sum x_i (n/d)^i = (sum x_i n^i d^(K-i)) / d^K for K = deg
+            n, d = (point, 1) if type(point) is int else k.encode(point)
+            acc, dk = 0, 1
+            for x in reversed(c):
+                acc = acc * n + x * dk
+                dk *= d
+            return k.decode(acc * d, self.den * dk)
+        if not c:
             return point - point if not isinstance(point, int) else self.field.zero()
         acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * point + c
+        for x in reversed(self.coeffs):
+            acc = x if acc is None else acc * point + x
         return acc
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coded == o.coded and self.den == o.den
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.coded)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.coded, self.den))
 
     def format(self, var="t"):
-        if not self.coeffs:
+        if not self.coded:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if self.field.is_zero(c):
                 continue
             cs = self.field.format(c)
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append(f"{cs}*{var}")
-            else:
-                parts.append(f"{cs}*{var}^{i}")
+            parts.append(cs if i == 0 else f"{cs}*{var}" if i == 1 else f"{cs}*{var}^{i}")
         return " + ".join(parts)
 
     def __repr__(self):
         return self.format()
 
 
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s*a = q*b + r, deg r < deg b and s > 0, for ``int``
+    lists, b nonzero.  A step multiplies by lead(b)/g only, g the gcd of
+    lead(b) and the remainder's leading term."""
+    n, lead = len(b), b[-1]
+    r = list(a)
+    q = [0] * max(0, len(r) - n + 1)
+    s = 1
+    for i in range(len(r) - n, -1, -1):
+        c = r[i + n - 1]
+        if not c:
+            continue
+        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+        m, c = lead // g, c // g
+        if m != 1:
+            s *= m
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+        q[i] = c
+        for j, y in enumerate(b, i):
+            r[j] -= c * y
+    del r[n - 1:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _primitive(c):
+    g = gcd(*c)
+    return [x // g for x in c] if g != 1 else list(c)
+
+
 def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm."""
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
+    """Monic gcd: over Q a primitive remainder sequence on the integer
+    numerators, over every other field Euclid on the coded coefficients."""
+    k = a._k
+    if not k.rational or not a or not b:
+        while b:
+            a, b = b, a % b
+        return a.monic() if a else a
+    x, y = _primitive(a.coded), _primitive(b.coded)
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _pseudo_divmod(x, y)[1]
+        if not r:
+            break
+        x, y = y, _primitive(r)
+    return _make(k, y).monic()
 
 
 def poly_lcm(a, b):
     if not a or not b:
-        return UPoly((), a.field)
+        return _raw(a._k, ())
     return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
@@ -233,11 +382,10 @@ class RatFunc:
             if num:
                 num, den = _cancel(num, den)
             else:
-                den = UPoly.const(ring.base.one(), ring.base)
-            lead_inv = ring.base.inv(den.lead())
-            if den.lead() != ring.base.one():
-                num = num.scale(lead_inv)
-                den = den.scale(lead_inv)
+                den = ring.unit
+            if not den.is_monic():
+                num = num.scale(ring.base.inv(den.lead()))
+                den = den.monic()
         self.num = num
         self.den = den
         self.ring = ring
@@ -366,11 +514,9 @@ def _inverse(ring, v):
     """(num, den) of 1/v for a canonical v, canonical with no gcd."""
     if not v.num:
         raise DivisionByZero("division by zero rational function")
-    lead = v.num.lead()
-    if lead == ring.base.one():
+    if v.num.is_monic():
         return v.den, v.num
-    lead_inv = ring.base.inv(lead)
-    return v.den.scale(lead_inv), v.num.scale(lead_inv)
+    return v.den.scale(ring.base.inv(v.num.lead())), v.num.monic()
 
 
 class RationalFunctionField(Ring):
@@ -383,14 +529,16 @@ class RationalFunctionField(Ring):
             raise AlbertError("rational functions need field coefficients")
         self.base = base
         self.var = var
+        # ``RatFunc`` values are immutable, so the constants are built once
+        self.unit = UPoly.const(base.one(), base)
+        self._zero = RatFunc(UPoly((), base), self.unit, self, _canonical=True)
+        self._one = RatFunc(self.unit, self.unit, self, _canonical=True)
 
     def zero(self):
-        return RatFunc(UPoly((), self.base), UPoly.const(self.base.one(), self.base),
-                       self, _canonical=True)
+        return self._zero
 
     def one(self):
-        o = UPoly.const(self.base.one(), self.base)
-        return RatFunc(o, o, self, _canonical=True)
+        return self._one
 
     def from_int(self, n):
         return self.from_poly(UPoly.const(self.base.from_int(n), self.base))
@@ -399,7 +547,7 @@ class RationalFunctionField(Ring):
         return self.from_poly(UPoly.const(value, self.base))
 
     def from_poly(self, p):
-        return RatFunc(p, UPoly.const(self.base.one(), self.base), self, _canonical=True)
+        return RatFunc(p, self.unit, self, _canonical=True)
 
     def gen(self):
         return self.from_poly(UPoly.x(self.base))

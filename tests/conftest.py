@@ -399,3 +399,141 @@ def ref_echelon(field, M, track=None):
         if r == rows:
             break
     return piv_cols
+
+
+# ---- references for the integer-coded k[t] -------------------------------------
+#
+# ``upoly.UPoly`` as it was before its coefficients were coded, with field
+# payloads (``Fraction`` over Q) in every loop, and ``upoly.poly_gcd`` as
+# Euclid on them.
+
+
+class RefUPoly:
+    """Dense univariate polynomial; coeffs ascending, no trailing zeros."""
+
+    __slots__ = ("coeffs", "field")
+
+    def __init__(self, coeffs, field):
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and field.is_zero(coeffs[n - 1]):
+            n -= 1
+        self.coeffs = coeffs[:n]
+        self.field = field
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else -1
+
+    def lead(self):
+        return self.coeffs[-1]
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return RefUPoly((self.field.from_int(other),), self.field)
+        return other
+
+    def __add__(self, other):
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return RefUPoly(out, self.field)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __neg__(self):
+        return RefUPoly([-c for c in self.coeffs], self.field)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if not a or not b:
+            return RefUPoly((), self.field)
+        z = self.field.zero()
+        out = [z] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if self.field.is_zero(ca):
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return RefUPoly(out, self.field)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        return RefUPoly([c * x for x in self.coeffs], self.field)
+
+    def __divmod__(self, other):
+        o = self._coerce(other)
+        field = self.field
+        rem = list(self.coeffs)
+        q = [field.zero()] * max(0, len(rem) - len(o.coeffs) + 1)
+        inv_lead = field.inv(o.lead())
+        for i in range(len(rem) - len(o.coeffs), -1, -1):
+            c = rem[i + len(o.coeffs) - 1]
+            if field.is_zero(c):
+                continue
+            f = c * inv_lead
+            q[i] = f
+            for j, oc in enumerate(o.coeffs):
+                rem[i + j] = rem[i + j] - f * oc
+        return RefUPoly(q, field), RefUPoly(rem, field)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if self.degree < 0:
+            return self
+        return self.scale(self.field.inv(self.lead()))
+
+    def derivative(self):
+        f = self.field
+        return RefUPoly([f.from_int(i) * c for i, c in enumerate(self.coeffs)][1:], f)
+
+    def __call__(self, point):
+        if not self.coeffs:
+            return point - point if not isinstance(point, int) else self.field.zero()
+        acc = None
+        for c in reversed(self.coeffs):
+            acc = c if acc is None else acc * point + c
+        return acc
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+
+def ref_poly_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm."""
+    while b:
+        a, b = b, a % b
+    return a.monic() if a else a
+
+
+def ref_ratfunc_coeffs(op, a, b):
+    """The (numerator, denominator) coefficients of a op b, for op in '+',
+    '-', '*', '/', by the naive fraction of :class:`RefUPoly` reduced by one
+    :func:`ref_poly_gcd`, with a monic denominator."""
+    base = a.ring.base
+    an, ad, bn, bd = (RefUPoly(p.coeffs, base) for p in (a.num, a.den, b.num, b.den))
+    if op in "+-":
+        num, den = an * bd + (bn * ad if op == "+" else -(bn * ad)), ad * bd
+    elif op == "*":
+        num, den = an * bn, ad * bd
+    else:
+        num, den = an * bd, ad * bn
+    if num:
+        g = ref_poly_gcd(num, den)
+        num, den = divmod(num, g)[0], divmod(den, g)[0]
+    else:
+        den = RefUPoly((base.one(),), base)
+    lead_inv = base.inv(den.lead())
+    return num.scale(lead_inv).coeffs, den.scale(lead_inv).coeffs

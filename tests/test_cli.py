@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from albert.cli import main
+from albert.scalars import QQ
 from albert.scenario import MAX_COUNT
+from albert.upoly import RationalFunctionField, poly_gcd
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,6 +117,76 @@ def test_malformed_certificate_exits_parse_error(tmp_path, capsys, old, new):
     path = write(tmp_path, "bad.cert", text.replace(old, new, 1))
     assert main(["check-cert", path]) == 2
     assert "certificate error" in capsys.readouterr().err
+
+
+def _substitute(entry, k):
+    """A ``num|den`` path entry with t replaced by t^k."""
+    return "|".join(
+        ",".join(",".join(["0"] * (k - 1) + [c]) if i else c for i, c in enumerate(side.split(",")))
+        for side in entry.split("|"))
+
+
+def reparametrized(text, k):
+    """Certificate text with t -> t^k in every path entry: the endpoints at
+    t = 0 and t = 1 do not move, so a valid certificate stays valid."""
+    lines = text.splitlines()
+    first = lines.index("path")
+    for i in range(first, len(lines)):
+        if lines[i] not in ("path", "end"):
+            lines[i] = " ".join(_substitute(e, k) for e in lines[i].split())
+    return "\n".join(lines) + "\n"
+
+
+def with_first_entry(text, entry):
+    """Certificate text with the first entry of the first path replaced."""
+    lines = text.splitlines()
+    i = lines.index("path") + 1
+    lines[i] = " ".join([entry] + lines[i].split()[1:])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [1, 12])
+def test_reparametrized_certificate_passes(tmp_path, capsys, k):
+    text = reparametrized((GOLDEN / "certificate.cert").read_text(encoding="utf-8"), k)
+    assert main(["check-cert", write(tmp_path, "c.cert", text), "--format", "machine"]) == 0
+    tampered = with_first_entry(text, "2|1")
+    assert main(["check-cert", write(tmp_path, "t.cert", tampered), "--format", "machine"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_packing_limit_is_refused_not_failed(tmp_path, capsys):
+    """At t -> t^13 the norm over k[t, X] passes the 8-bit exponent packing:
+    the certificate is still valid, so the limit is stated (exit 4) and no
+    check is reported as failed."""
+    text = reparametrized((GOLDEN / "certificate.cert").read_text(encoding="utf-8"), 13)
+    assert main(["check-cert", write(tmp_path, "c.cert", text), "--format", "machine"]) == 4
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out
+    assert "error (limit-exceeded)" in err and "exceeds packing limit 255" in err
+
+
+def dense_entry(degree):
+    """A ``num|den`` pair of dense coprime polynomials of t-degree
+    ``degree`` with nonzero coefficients in [-9, 9], seeded by the degree."""
+    rng = random.Random(degree)
+    sides = [[str(rng.choice((1, -1)) * rng.randint(1, 9)) for _ in range(degree + 1)]
+             for _ in range(2)]
+    return "|".join(",".join(side) for side in sides)
+
+
+@pytest.mark.parametrize("degree", [128, 255])
+def test_dense_entry_is_reduced_then_refused(tmp_path, capsys, degree):
+    """A dense coprime entry is reduced by the primitive remainder sequence
+    in well under a second (Euclid on fractions took over a minute at
+    degree 128), and its path then passes the packing limit: exit 4."""
+    Rt = RationalFunctionField(QQ, "t")
+    num, den = Rt.parse_pair(dense_entry(degree))
+    assert poly_gcd(num, den).degree == 0
+    text = with_first_entry((GOLDEN / "certificate.cert").read_text(encoding="utf-8"),
+                            dense_entry(degree))
+    assert main(["check-cert", write(tmp_path, "c.cert", text), "--format", "machine"]) == 4
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out and "exceeds packing limit 255" in err
 
 
 def test_machine_report_byte_identical(tmp_path, capsys):

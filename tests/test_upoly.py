@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from operator import add, mul, sub, truediv
 
 import pytest
@@ -16,7 +17,7 @@ from albert.upoly import (
     poly_lcm,
 )
 
-from conftest import ref_ratfunc, ref_ratfunc_op
+from conftest import RefUPoly, ref_poly_gcd, ref_ratfunc, ref_ratfunc_coeffs, ref_ratfunc_op
 
 
 def up(*coeffs):
@@ -69,6 +70,8 @@ def test_ratfunc_field_ops():
         assert (a + b) - b == a
         if b:
             assert (a / b) * b == a
+    # the constants are built once per field
+    assert Rt.zero() is Rt.zero() and Rt.one() is Rt.one()
     # denominator stays monic
     r = Rt.one() / (t * 2 - 4)
     assert r.den.is_monic()
@@ -171,9 +174,68 @@ def test_ratfunc_ops_match_naive_fraction(example):
     got = OPS[op](a, b)
     assert isinstance(got, RatFunc)
     assert _canonical(got) == _canonical(ref_ratfunc_op(op, ra, rb))
+    assert _canonical(got) == ref_ratfunc_coeffs(op, ra, rb)
     assert poly_gcd(got.num, got.den).degree == 0 if got.num else got.den.degree == 0
     assert got.den.is_monic()
     if case == "to_zero":
         assert not got
     if case == "to_poly":
         assert got.den.degree == 0
+
+
+# ---- the integer-coded UPoly against the Fraction-coefficient reference --------
+
+@st.composite
+def poly_cases(draw):
+    """(base, a, b, point): coefficient lists over one base field, and half
+    the time a common factor drawn into both, so that the gcd is not 1."""
+    base, coeff = draw(st.sampled_from(BASES))
+    a = draw(st.lists(coeff, max_size=6))
+    b = draw(st.lists(coeff, max_size=5))
+    if draw(st.booleans()):
+        g = RefUPoly(draw(st.lists(coeff, min_size=1, max_size=3)), base)
+        a, b = (RefUPoly(a, base) * g).coeffs, (RefUPoly(b, base) * g).coeffs
+    return base, a, b, draw(coeff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_cases())
+def test_coded_upoly_matches_reference(case):
+    base, ca, cb, point = case
+    a, b = UPoly(ca, base), UPoly(cb, base)
+    ra, rb = RefUPoly(ca, base), RefUPoly(cb, base)
+    assert a.coeffs == ra.coeffs and a.degree == ra.degree
+    pairs = [(a + b, ra + rb), (a - b, ra - rb), (b - a, rb - ra), (a * b, ra * rb),
+             (-a, -ra), (a + 2, ra + 2), (3 - a, 3 - ra), (a * 2, ra * 2),
+             (a.scale(point), ra.scale(point)), (a.monic(), ra.monic()),
+             (a.derivative(), ra.derivative()), (poly_gcd(a, b), ref_poly_gcd(ra, rb))]
+    if b:
+        q, r = divmod(a, b)
+        rq, rr = divmod(ra, rb)
+        pairs += [(q, rq), (r, rr)]
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        if base == QQ and got:
+            assert got.den > 0 and gcd(got.den, *got.coded) == 1
+    assert a(point) == ra(point)
+    assert a(2) == ra(2)
+    same = UPoly(ra.coeffs, base)
+    assert a == same and hash(a) == hash(same)
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    assert a.is_monic() == (bool(ra) and ra.lead() == base.one())
+
+
+def test_dense_gcd_matches_euclid():
+    """Degree-30 pairs over Q with a degree-8 common factor: the primitive
+    remainder sequence gives Euclid's monic gcd, and coprime cofactors give 1."""
+    rng = random.Random(3)
+
+    def dense(degree):
+        return [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)] + [F(1)]
+
+    g = RefUPoly(dense(8), QQ)
+    for _ in range(3):
+        ra, rb = RefUPoly(dense(22), QQ) * g, RefUPoly(dense(22), QQ) * g
+        a, b = UPoly(ra.coeffs, QQ), UPoly(rb.coeffs, QQ)
+        assert poly_gcd(a, b).coeffs == ref_poly_gcd(ra, rb).coeffs
+        assert poly_gcd(a.exact_div(poly_gcd(a, b)), b.exact_div(poly_gcd(a, b))).degree == 0
