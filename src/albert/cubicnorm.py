@@ -176,10 +176,12 @@ class CubicJordan:
     def u_matrix(self, x, S=None):
         """Matrix of U_x acting on column coordinate vectors.
 
-        Entry (i, j) is T(x, e_j) x_i - (x^# X e_j)_i.  The Gram matrix is
-        symmetric, so the traces T(x, e_j) are the entries of G x.  Since #
-        is quadratic, x^# X y is the part linear in y of (x^# + y)^#, so one
-        evaluation at x^# + Y, Y generic, gives every cross product.
+        Row i is the part linear in Y of T(x, Y) x_i - ((x^# + Y)^#)_i for
+        generic Y: since # is quadratic, x^# X Y is the part linear in Y of
+        (x^# + Y)^#, so one evaluation gives every cross product x^# X e_j.
+        The Gram matrix is symmetric, so T(x, Y) is the linear form with
+        the coefficients G x.  Each row is assembled in the polynomial ring
+        and read once.
         """
         S = S or self.field
         n = self.dim
@@ -187,9 +189,8 @@ class CubicJordan:
         xsharp = self.sharp_program(S, x)
         value = self.sharp_program(ring, [ring.from_base(a) + y
                                           for a, y in zip(xsharp, ring.gens())])
-        traces = linalg.mat_vec(self.gram(), x, S, self.field)
-        return [[t * xi - c for t, c in zip(traces, _part(v, n, 1))]
-                for xi, v in zip(x, value)]
+        traces = ring.linear_form([[t] for t in linalg.mat_vec(self.gram(), x, S, self.field)])
+        return [_part(traces.scale(xi) - v, n, 1) for xi, v in zip(x, value)]
 
     # -- axiom verification --------------------------------------------------
 

@@ -30,6 +30,11 @@ the principal minors, the determinant and each coordinate of a ``CubicEtale``
 product is one :func:`multipoly.dot`: over Q and F_p it builds one
 canonical value, not one per product and per sum.
 
+The per-algebra tables come from one evaluation at a generic pair X, Y
+whose coordinates are variables over the bottom field, not from loops over
+basis pairs: the trace Gram matrix is read off T(XY), and an involution is
+checked on X and XY.
+
 Two membership predicates serve the second-construction maps:
 :func:`is_unitary` (g sigma(g) = 1) and :func:`similitude_multiplier`
 (the bottom-field lambda with g sigma(g) = lambda 1, or None).
@@ -49,7 +54,7 @@ from .errors import (
     NotInvertible,
     ParentMismatch,
 )
-from .multipoly import dot
+from .multipoly import PolyRing, dot
 from .scalars import QuadraticEtale, SplitQuadratic, lift
 from .upoly import UPoly, is_separable
 from . import linalg
@@ -148,16 +153,36 @@ class Deg3Algebra:
             self._trace_form_cache = cached
         return cached
 
+    def _generic_pair(self):
+        """(S, X, Y): two generic elements over S = ``extend_ring`` of a
+        polynomial ring in 2*dim variables over the bottom field k (the
+        base of a quadratic centre, else the base ring); X has the first
+        dim variables as coordinates and Y the rest."""
+        K = self.base_ring
+        R = PolyRing(K.base if isinstance(K, QuadraticEtale) else K, 2 * self.dim)
+        S = self.extend_ring(R)
+        gens = [lift(S, R, g) for g in R.gens()]
+        return S, tuple(gens[:self.dim]), tuple(gens[self.dim:])
+
     def trace_gram(self):
-        """dim x dim matrix of T(e_i e_j) over the base ring, cached."""
+        """dim x dim matrix of T(e_i e_j) over the base ring, cached.
+
+        T(XY) is k-bilinear, so one evaluation at the generic pair holds
+        every T(e_i e_j) as its x_i y_j coefficient; over a quadratic
+        centre each component of the value gives one component of G."""
         cached = getattr(self, "_trace_gram_cache", None)
         if cached is None:
-            base = self.base_ring
-            basis = [e.coords for e in self.basis()]
-            cached = [
-                [self.trace(base, self.mul(base, ei, ej)) for ej in basis]
-                for ei in basis
-            ]
+            K, n = self.base_ring, self.dim
+            S, X, Y = self._generic_pair()
+            value = self.trace(S, self.mul(S, X, Y))
+            quadratic = isinstance(K, QuadraticEtale)
+            tables = []
+            for part in S.components(value) if quadratic else (value,):
+                table = [[part.ring.field.zero()] * n for _ in range(n)]
+                for (i, j), c in part.part(2).items():
+                    table[i][j - n] = c
+                tables.append(table)
+            cached = [list(map(K.make, *rows)) for rows in zip(*tables)] if quadratic else tables[0]
             self._trace_gram_cache = cached
         return cached
 
@@ -371,6 +396,18 @@ class CubicEtale(Deg3Algebra):
         self._x3 = (-f0, -f1, -f2)
         x4 = vadd(vscale(-f2, self._x3), (field.zero(), -f0, -f1))
         self._x4 = x4
+        self._lifted = {}
+
+    def _reductions(self, S):
+        """x^3 and x^4 mod f lifted into S.  The lifts are kept per ring,
+        so an equal ring built afresh finds them; past eight rings the
+        store starts over."""
+        got = self._lifted.get(S)
+        if got is None:
+            if len(self._lifted) >= 8:
+                self._lifted.clear()
+            got = self._lifted[S] = (self.lift_coords(S, self._x3), self.lift_coords(S, self._x4))
+        return got
 
     def one_coords(self, S):
         return (S.one(), S.zero(), S.zero())
@@ -382,8 +419,7 @@ class CubicEtale(Deg3Algebra):
         b0, b1, b2 = b
         c3 = dot([(a1, b2), (a2, b1)])
         c4 = a2 * b2
-        x3 = self.lift_coords(S, self._x3)
-        x4 = self.lift_coords(S, self._x4)
+        x3, x4 = self._reductions(S)
         low = ([(a0, b0)], [(a0, b1), (a1, b0)], [(a0, b2), (a1, b1), (a2, b0)])
         return tuple(dot(pairs + [(c3, r3), (c4, r4)]) for pairs, r3, r4 in zip(low, x3, x4))
 
@@ -676,17 +712,18 @@ class Involution:
     kind = "?"
 
     def validate(self, algebra):
-        """Structural checks: involutive anti-homomorphism on the basis."""
-        base = algebra.base_ring
-        basis = algebra.basis()
-        images = [Element(algebra, base, self.apply(algebra, base, e.coords)) for e in basis]
-        for e, se in zip(basis, images):
-            if self.apply(algebra, base, se.coords) != e.coords:
-                raise ConstraintError(f"{self.kind} is not involutive")
-        for e, se in zip(basis, images):
-            for f, sf in zip(basis, images):
-                if self.apply(algebra, base, (e * f).coords) != (sf * se).coords:
-                    raise ConstraintError(f"{self.kind} is not an anti-homomorphism")
+        """Structural checks on the generic pair X, Y of the algebra, whose
+        coordinates are bottom-field variables: first sigma(sigma(X)) = X,
+        then sigma(XY) = sigma(Y) sigma(X).  For a k-linear program each
+        holds exactly when it holds on every basis element, or every pair
+        of basis elements."""
+        S, X, Y = algebra._generic_pair()
+        sx = self.apply(algebra, S, X)
+        if self.apply(algebra, S, sx) != X:
+            raise ConstraintError(f"{self.kind} is not involutive")
+        sy = self.apply(algebra, S, Y)
+        if self.apply(algebra, S, algebra.mul(S, X, Y)) != algebra.mul(S, sy, sx):
+            raise ConstraintError(f"{self.kind} is not an anti-homomorphism")
 
     def apply(self, algebra, S, a):
         raise NotImplementedError

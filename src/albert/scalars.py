@@ -37,11 +37,15 @@ quadratic or split centre K along an extension S of its base, componentwise.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 from .errors import AlbertError, DivisionByZero, ParentMismatch
 
+
+#: the literals ``RationalField.parse`` reads without ``Fraction(text)``
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 #: prime field moduli must lie below this bound: Miller-Rabin with the
 #: prime bases 2..37 decides primality exactly there
@@ -176,7 +180,14 @@ class RationalField(Ring):
         return Fraction(num, den)
 
     def parse(self, text):
+        """A ``Fraction`` literal.  A plain ASCII integer or n/d with d not
+        zero is read by ``int``; every other text goes to ``Fraction``,
+        which keeps its syntax and its error."""
         try:
+            plain = _PLAIN_RATIONAL.fullmatch(text)
+            if plain:
+                num, den = plain.groups()
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise AlbertError(f"bad rational literal {text!r}") from exc

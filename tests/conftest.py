@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.errors import AlbertError
+from albert.errors import AlbertError, ConstraintError
 from albert.multipoly import MPoly
 from albert.scalars import QQ, QuadraticExtension, Ring, lift
 from albert.cubicnorm import CubicJordan
@@ -333,6 +333,34 @@ class MockCubicJordan(CubicJordan):
         super().__init__(field, dim, unit, label)
         self.norm_program = norm_fn
         self.sharp_program = sharp_fn
+
+
+# ---- references for the structure tables ---------------------------------------
+#
+# The basis loops that one evaluation at the generic pair replaced.
+
+
+def ref_trace_gram(alg):
+    """T(e_i e_j) over the base ring, one basis product at a time."""
+    base = alg.base_ring
+    basis = [e.coords for e in alg.basis()]
+    return [[alg.trace(base, alg.mul(base, ei, ej)) for ej in basis] for ei in basis]
+
+
+def ref_validate(involution, alg):
+    """The involution's structural checks on the basis: sigma(sigma(e)) = e
+    for every basis element, then sigma(e f) = sigma(f) sigma(e) for every
+    pair, raising ``ConstraintError`` with the same messages."""
+    base = alg.base_ring
+    basis = alg.basis()
+    images = [alg.element(involution.apply(alg, base, e.coords)) for e in basis]
+    for e, se in zip(basis, images):
+        if involution.apply(alg, base, se.coords) != e.coords:
+            raise ConstraintError(f"{involution.kind} is not involutive")
+    for e, se in zip(basis, images):
+        for f, sf in zip(basis, images):
+            if involution.apply(alg, base, (e * f).coords) != (sf * se).coords:
+                raise ConstraintError(f"{involution.kind} is not an anti-homomorphism")
 
 
 # ---- references for the k(t) kernel and the elimination -----------------------

@@ -295,6 +295,29 @@ def test_utwist_checks_its_inner_involution(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+UTWIST_SCEN = """K = Q[s]/(s^2-(-1))
+B = matrix3(K)
+J = second_tits(B, utwist(u={u}), u=[1,0,0,0,1,0,0,0,1], mu=1)
+run axioms(J, samples=2, seed=1)
+"""
+
+
+@pytest.mark.parametrize("u, message", [
+    ("[1,0,0,0,0,0,0,0,0]", "utwist element must be invertible"),
+    ("[1,(0;1),0,0,1,0,0,0,1]", "utwist element must be sigma-hermitian"),
+    ("[[1,0,0],[0,2,0],[0,0,3]]", None),
+], ids=["not-invertible", "not-hermitian", "hermitian"])
+def test_utwist_validation_exit_status(tmp_path, capsys, u, message):
+    status = main(["check-axioms", write(tmp_path, "s.txt", UTWIST_SCEN.format(u=u)),
+                   "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if message is None:
+        assert status == 0 and out.endswith("RESULT PASS\n")
+    else:
+        assert status == 4 and message in err
+
+
 # wrong arity, unknown keywords and wrong argument kinds are parse errors
 @pytest.mark.parametrize("body", [
     "X = first_tits(D, 2, 3)",

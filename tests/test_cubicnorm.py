@@ -7,7 +7,8 @@ import pytest
 from albert import linalg
 from albert.errors import NotInvertible
 from albert.scalars import QQ, PrimeField, QuadraticExtension
-from albert.deg3 import ConjugateTranspose, CubicEtale, Matrix3, vadd, vscale
+from albert.deg3 import (ConjugateTranspose, CubicEtale, Cyclic, Matrix3, ProductWithOpposite,
+                         Switch, vadd, vscale)
 from albert.cubicnorm import AXIOM_IDS, DPlus
 from albert.tits import FirstTits, SecondTits
 from conftest import (MockCubicJordan, matrix_unit, sample_invertible_vec, trace_bilinear,
@@ -130,12 +131,25 @@ def _second_conjtrans():
     return SecondTits(B, B.one(), Qi.one())
 
 
-F7 = PrimeField(7)
+def _second_switch():
+    """The split second construction: prodop(matrix3(Q)) with the switch
+    involution, u = 1 and mu = (2; 1/2), of norm one."""
+    P = ProductWithOpposite(M3).attach_involution(Switch())
+    K = P.base_ring
+    return SecondTits(P, P.one(), K.make(F(2), F(1, 2)))
+
+
+F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
+CYCLIC_L = CubicEtale(QQ, [F(-1), F(-3), F(0), F(1)])
 U_MATRIX_CASES = {
     "first_M3_Q": lambda: FirstTits(M3, F(2)),
-    "first_etale_Q": lambda: FirstTits(CubicEtale(QQ, [F(-1), F(-3), F(0), F(1)]), F(3)),
+    "first_etale_Q": lambda: FirstTits(CYCLIC_L, F(3)),
+    "first_M3_F2": lambda: FirstTits(Matrix3(F2), F2.one()),
+    "first_M3_F3": lambda: FirstTits(Matrix3(F3), F3.from_int(2)),
     "first_M3_F7": lambda: FirstTits(Matrix3(F7), F7.from_int(3)),
+    "first_cyclic_Q": lambda: FirstTits(Cyclic(CYCLIC_L, (F(2), F(0), F(-1)), F(2)), F(3)),
     "second_conjtrans_Qi": _second_conjtrans,
+    "second_switch_Q": _second_switch,
 }
 
 

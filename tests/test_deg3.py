@@ -20,8 +20,10 @@ from albert.deg3 import (
     is_unitary,
     similitude_multiplier,
     transvection_factorization,
+    vneg,
 )
-from conftest import matrix_unit, prodop_pair, random_norm_equal_pair, random_norm_one
+from conftest import (matrix_unit, prodop_pair, random_norm_equal_pair, random_norm_one,
+                      ref_trace_gram, ref_validate)
 
 M3 = Matrix3(QQ)
 
@@ -309,6 +311,74 @@ def test_involution_validate_refuses(involution, message):
     B = Matrix3(QuadraticExtension(QQ, F(-1)))
     with pytest.raises(ConstraintError, match=message):
         B.attach_involution(involution)
+
+
+class Identity(Involution):
+    kind = "identity"
+
+    def apply(self, algebra, S, a):
+        return tuple(a)
+
+
+class Negation(Involution):
+    kind = "negation"
+
+    def apply(self, algebra, S, a):
+        return vneg(a)
+
+
+class Transpose(Involution):
+    """The transpose of the 3x3 coordinate layout: an anti-automorphism of
+    matrix3, and of each component of prodop."""
+
+    kind = "transpose"
+
+    def apply(self, algebra, S, a):
+        return tuple(a[3 * j + i] for i in range(3) for j in range(3))
+
+
+def _qi_algebra():
+    K = QuadraticExtension(QQ, F(-1))
+    B = Matrix3(K)
+    u = B.diag([K.from_int(1), K.from_int(2), K.from_int(3)])
+    return B, [Transpose(), ConjugateTranspose(), EntrywiseConjugation(), TimesS(),
+               UTwist(ConjugateTranspose(), u)], {"transpose", "conjtrans", "utwist"}
+
+
+# each entry returns a fresh algebra, so its trace Gram matrix is not yet
+# cached, the involution programs tried on it besides identity and negation,
+# and the kinds of those that are involutions; the cyclic algebra has none
+TABLE_ALGEBRAS = {
+    "matrix3_Q": lambda: (Matrix3(QQ), [Transpose()], {"transpose"}),
+    "matrix3_F2": lambda: (Matrix3(PrimeField(2)), [Transpose()], {"transpose"}),
+    "matrix3_F3": lambda: (Matrix3(PrimeField(3)), [Transpose()], {"transpose"}),
+    "matrix3_Qi": _qi_algebra,
+    "cubic_etale_Q": lambda: (CubicEtale(QQ, CYCLIC_F), [], {"identity"}),
+    "cyclic_Q": lambda: (Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)), [], set()),
+    "prodop_Q": lambda: (ProductWithOpposite(Matrix3(QQ)), [Transpose(), Switch()],
+                         {"transpose", "switch"}),
+}
+
+
+def _verdict(check, alg):
+    try:
+        check(alg)
+    except ConstraintError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_structure_tables_match_basis_loops(name):
+    """The trace Gram matrix and the involution checks from the generic
+    pair agree with the basis loops they replaced."""
+    alg, programs, involutions = TABLE_ALGEBRAS[name]()
+    assert alg.trace_gram() == ref_trace_gram(alg)
+    for inv in [Identity(), Negation(), *programs]:
+        # the generic check runs first: it sets what utwist's apply needs
+        got = _verdict(inv.validate, alg)
+        assert got == _verdict(lambda a: ref_validate(inv, a), alg), inv.kind
+        assert (got is None) == (inv.kind in involutions), inv.kind
 
 
 def test_no_involution_error():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from albert.errors import AlbertError, DivisionByZero, ParentMismatch
 from albert.scalars import (
@@ -156,6 +156,35 @@ def test_scalar_format_parse_round_trip():
         for _ in range(25):
             v = field.sample(rng)
             assert field.parse(field.format(v)) == v
+
+
+LITERALS = st.one_of(
+    st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True),
+    st.from_regex(r"[-+ ]?[0-9_]{0,3}[./eE]?[-0-9_]{0,3}[ \n]?", fullmatch=True),
+    st.text(alphabet="0123456789-+/_. e\n\u0663\u00b2", max_size=10),
+    st.text(max_size=6),
+)
+
+
+def _read(parse, text, refusals):
+    try:
+        return parse(text)
+    except refusals:
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=LITERALS)
+@example(text="1" * 5000)
+@example(text="7/0")
+@example(text="-0/0003")
+@example(text="\u0663/4")
+def test_rational_parse_agrees_with_fraction(text):
+    """The integer fast path of ``QQ.parse`` reads what ``Fraction`` reads
+    and refuses what it refuses, non-ASCII digits and digit limits too."""
+    got = _read(QQ.parse, text, AlbertError)
+    assert got == _read(F, text, (ValueError, ZeroDivisionError))
+    assert got == "refused" or type(got) is F
 
 
 def test_dual_numbers_derivative():
