@@ -28,7 +28,12 @@ components.  Prime characteristics 2 and 3 work unchanged.
 Each entry of a ``Matrix3`` product, each minor of the adjugate, the sum of
 the principal minors, the determinant and each coordinate of a ``CubicEtale``
 product is one :func:`multipoly.dot`: over Q and F_p it builds one
-canonical value, not one per product and per sum.
+canonical value, not one per product and per sum.  The norm and the trace
+of a product are also given as pairs, so that a sum of them is one
+:func:`multipoly.dot`: ``norm_pairs`` are the first-row cofactor pairs of
+the characteristic matrix (the one pair (1, N(a)) for ``Cyclic`` and
+``ProductWithOpposite``), and ``trace_pairs`` the pairs (a_i, (G b)_i)
+against the trace Gram matrix G.
 
 The per-algebra tables come from one evaluation at a generic pair X, Y
 whose coordinates are variables over the bottom field, not from loops over
@@ -137,6 +142,12 @@ class Deg3Algebra:
     def norm(self, S, a):
         return self._scalar(S, _det3(self.char_matrix(S, a)))
 
+    def norm_pairs(self, S, a):
+        """Pairs over S whose sum of products is N(a): the first-row
+        cofactor pairs of the characteristic matrix, so a sum of norms is
+        one :func:`dot` that never forms them one by one."""
+        return _cofactor_pairs(self.char_matrix(S, a))
+
     def trace(self, S, a):
         """Reduced trace as a linear form; coefficients cached on the basis."""
         return linalg.mat_vec([self._trace_form()], a, S, self.base_ring)[0]
@@ -186,11 +197,17 @@ class Deg3Algebra:
             self._trace_gram_cache = cached
         return cached
 
-    def trace_of_product(self, S, a, b):
-        """T(a*b) as sum_i a_i (G b)_i against the cached trace Gram matrix G;
-        avoids forming the product for large symbolic operands."""
+    def trace_pairs(self, S, a, b):
+        """The pairs (a_i, (G b)_i) against the cached trace Gram matrix G,
+        zeros skipped: their sum of products is T(a*b), without forming
+        the product for large symbolic operands."""
         gb = linalg.mat_vec(self.trace_gram(), b, S, self.base_ring)
-        return linalg.mat_vec([a], gb, S)[0]
+        return [(u, v) for u, v in zip(a, gb) if u and v]
+
+    def trace_of_product(self, S, a, b):
+        """T(a*b) as one :func:`dot` of ``trace_pairs``."""
+        pairs = self.trace_pairs(S, a, b)
+        return dot(pairs) if pairs else S.zero()
 
     def sharp(self, S, a):
         """Adjoint: a^2 - T(a) a + S(a) 1; satisfies a a^# = N(a) 1 exactly."""
@@ -447,15 +464,25 @@ class CubicEtale(Deg3Algebra):
         return hash(("cubic-etale", self.base_ring, self.f))
 
 
-def _det3(m):
-    """det m by cofactors along the first row: three two-pair minors and
-    one three-pair :func:`dot`."""
+def _cofactor_pairs(m):
+    """The pairs (m[0][j], cofactor j) of the expansion of det m along the
+    first row, each cofactor a two-pair minor :func:`dot`; a zero entry or
+    a zero minor gives no pair."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    return dot([
-        (a, dot([(e, i), (-f, h)])),
-        (b, dot([(f, g), (-d, i)])),
-        (c, dot([(d, h), (-e, g)])),
-    ])
+    pairs = []
+    for r, p, q, s, t in ((a, e, i, f, h), (b, f, g, d, i), (c, d, h, e, g)):
+        if r:
+            minor = dot([(p, q), (-s, t)])
+            if minor:
+                pairs.append((r, minor))
+    return pairs
+
+
+def _det3(m):
+    """det m as one :func:`dot` of its cofactor pairs; with no pair, the
+    zero of the entries' ring."""
+    pairs = _cofactor_pairs(m)
+    return dot(pairs) if pairs else m[0][0] - m[0][0]
 
 
 def _trace_s3(m):
@@ -627,6 +654,11 @@ class Cyclic(Deg3Algebra):
             raise AlbertError("characteristic data did not land in the base field")
         return c0
 
+    def norm_pairs(self, S, a):
+        """The one pair (1, N(a)): the characteristic matrix has entries in
+        L, and only its determinant lands in the base field."""
+        return [(S.one(), self.norm(S, a))]
+
     def descriptor_string(self):
         f = self.base_ring.format
         rho_col = [self._rho[i][1] for i in range(3)]
@@ -693,6 +725,10 @@ class ProductWithOpposite(Deg3Algebra):
     def norm(self, S, a):
         ax, ay = self._split(S, a)
         return S.make(self.inner.norm(S.base, ax), self.inner.norm(S.base, ay))
+
+    def norm_pairs(self, S, a):
+        """The one pair (1, N(a)), N(a) the two inner norms paired."""
+        return [(S.one(), self.norm(S, a))]
 
     def sharp(self, S, a):
         ax, ay = self._split(S, a)

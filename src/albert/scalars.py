@@ -180,15 +180,22 @@ class RationalField(Ring):
         return Fraction(num, den)
 
     def parse(self, text):
-        """A ``Fraction`` literal.  A plain ASCII integer or n/d with d not
-        zero is read by ``int``; every other text goes to ``Fraction``,
+        """A ``Fraction`` literal, read by :meth:`parse_ratio`."""
+        num, den = self.parse_ratio(text)
+        return Fraction(num, den) if den != 1 else Fraction(num)
+
+    @staticmethod
+    def parse_ratio(text):
+        """(n, d), d > 0, with n/d the value of a ``Fraction`` literal, not
+        necessarily in lowest terms.  A plain ASCII integer or n/d with d
+        not zero is read by ``int``; every other text goes to ``Fraction``,
         which keeps its syntax and its error."""
         try:
             plain = _PLAIN_RATIONAL.fullmatch(text)
             if plain:
                 num, den = plain.groups()
-                return Fraction(int(num), int(den)) if den else Fraction(int(num))
-            return Fraction(text)
+                return int(num), int(den) if den else 1
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise AlbertError(f"bad rational literal {text!r}") from exc
 

@@ -6,6 +6,13 @@ First construction J(D, lam): carrier D + D + D with
     (x,y,z)^#  = (x^# - yz, lam^{-1} z^# - xy, lam y^# - zx)
     1 = (1, 0, 0)
 
+The norm is one sum of products: the norm pairs of x, of y and of z
+(``Deg3Algebra.norm_pairs``) and the trace pairs of (xy, z), with lam,
+lam^-1 and -1 multiplied into the side of each pair with fewer terms, go to
+one :func:`multipoly.dot`, so over a polynomial ring none of the four
+values is formed as a normal form of its own.  Over any other ring each
+scaled group of pairs is summed first, so its scalar costs one product.
+
 Second construction J(B, sigma, u, mu) for an algebra B with involution of
 the second kind over a quadratic etale center K and an admissible pair
 (sigma(u) = u, N_B(u) = mu*conj(mu)): carrier Herm(B, sigma) + B with
@@ -28,11 +35,21 @@ that are accepted as caller-supplied metadata and recorded, never evaluated.
 from __future__ import annotations
 
 from .errors import AlbertError, ConstraintError
-from .multipoly import dot
+from .multipoly import MPoly, dot
 from .scalars import QuadraticEtale, lift
 from .deg3 import ProductWithOpposite, Switch, vscale, vsub
 from .cubicnorm import CubicJordan
 from . import linalg
+
+
+def _scaled(c, pairs):
+    """Pairs whose sum of products is c times that of ``pairs``.  Over a
+    polynomial ring c goes into the side of each pair with fewer terms, so
+    no sum is formed on its own; over any other ring the pairs are summed
+    first, so c costs one product."""
+    if pairs and type(pairs[0][0]) is MPoly:
+        return [(c * u, v) if len(u.terms) <= len(v.terms) else (u, c * v) for u, v in pairs]
+    return [(c, dot(pairs))] if pairs else []
 
 
 class FirstTits(CubicJordan):
@@ -71,16 +88,18 @@ class FirstTits(CubicJordan):
         return self.assemble(*parts)
 
     def norm_program(self, S, coords):
-        D = self.D
+        """One :func:`dot` over the norm pairs of x, of y scaled by lam and
+        of z scaled by lam^-1, and the negated trace pairs of (xy, z); over
+        a polynomial ring no norm and no trace is formed on its own."""
+        D, k = self.D, self.field
+        one = k.one()
         x, y, z = self.blocks(coords)
-        lam = lift(S, self.field, self.lam)
-        lam_inv = lift(S, self.field, self.lam_inv)
-        nx = D.norm(S, x)
-        ny = D.norm(S, y)
-        nz = D.norm(S, z)
-        txyz = D.trace_of_product(S, D.mul(S, x, y), z)
-        one = S.one()
-        return dot([(one, nx), (lam, ny), (lam_inv, nz), (-one, txyz)])
+        pairs = D.norm_pairs(S, x)
+        for c, block in ((self.lam, y), (self.lam_inv, z)):
+            block_pairs = D.norm_pairs(S, block)
+            pairs += block_pairs if c == one else _scaled(lift(S, k, c), block_pairs)
+        pairs += _scaled(lift(S, k, -one), D.trace_pairs(S, D.mul(S, x, y), z))
+        return dot(pairs) if pairs else S.zero()
 
     def sharp_program(self, S, coords):
         D = self.D

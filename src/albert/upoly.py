@@ -71,6 +71,13 @@ def _normal(k, c, den):
     return tuple(c), den
 
 
+def _from_ratios(k, pairs):
+    """The canonical (coded, den) of the coefficients n/d over (n, d) in
+    ``pairs``, d > 0 and n/d not necessarily in lowest terms."""
+    den = lcm(*(d for _, d in pairs))
+    return _normal(k, [n if d == den else n * (den // d) for n, d in pairs], den)
+
+
 def _raw(k, coded, den=1):
     f = object.__new__(UPoly)
     f.coded, f.den, f._k = coded, den, k
@@ -89,10 +96,7 @@ class UPoly:
 
     def __init__(self, coeffs, field):
         k = _coding(field)
-        pairs = [k.encode(x) for x in coeffs]
-        den = lcm(*(d for _, d in pairs))
-        self.coded, self.den = _normal(k, [n if d == den else n * (den // d)
-                                           for n, d in pairs], den)
+        self.coded, self.den = _from_ratios(k, [k.encode(x) for x in coeffs])
         self._k = k
 
     @classmethod
@@ -575,14 +579,17 @@ class RationalFunctionField(Ring):
 
     def parse_pair(self, text):
         """The numerator and denominator polynomials written in ``num|den``
-        (``|den`` may be left out), before any reduction."""
+        (``|den`` may be left out), before any reduction.  Over Q each
+        coefficient literal is read by ``QQ.parse_ratio`` straight into the
+        coded form; over any other field by ``base.parse``."""
         if "|" in text:
             ntext, dtext = text.split("|", 1)
         else:
             ntext, dtext = text, self.base.format(self.base.one())
-        num = UPoly([self.base.parse(c) for c in ntext.split(",")], self.base)
-        den = UPoly([self.base.parse(c) for c in dtext.split(",")], self.base)
-        return num, den
+        k = _coding(self.base)
+        read = self.base.parse_ratio if k.rational else lambda c: k.encode(self.base.parse(c))
+        return tuple(_raw(k, *_from_ratios(k, [read(c) for c in t.split(",")]))
+                     for t in (ntext, dtext))
 
     def spec_string(self):
         return f"{self.base.spec_string()}({self.var})"

@@ -201,6 +201,7 @@ def test_machine_report_byte_identical(tmp_path, capsys):
 # outputs captured from the command line; "{cert}" stands for the -o path
 GOLDEN_CASES = {
     "certificate.machine": ["check-axioms", str(ROOT / "scenarios/certificate.txt")],
+    "char_p.machine": ["check-axioms", str(ROOT / "scenarios/char_p.txt")],
     "second_construction.machine":
         ["check-axioms", str(ROOT / "scenarios/second_construction.txt")],
     "verify.machine": ["check-axioms", str(ROOT / "scenarios/verify.txt")],

@@ -13,7 +13,8 @@ The call sites of the fused sum of products (``deg3._det3``,
 ``FirstTits.norm_program``) equal the expressions they replaced, kept in
 ``conftest``, on generic coordinates over a polynomial ring and on scalars
 over Q, F_p, k(t) and the quadratic centres, where ``multipoly.dot`` runs each
-ring's own ``dot``.
+ring's own ``dot``.  ``Deg3Algebra.norm_pairs`` sums to the norm of every
+algebra kind, with part of the first row zero and for the zero element.
 """
 
 import random
@@ -25,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 from albert import deg3, linalg
 from albert.deg3 import (ConjugateTranspose, CubicEtale, Cyclic, Matrix3,
                          ProductWithOpposite, Switch)
-from albert.multipoly import PolyRing
-from albert.scalars import QQ, PrimeField, QuadraticExtension, SplitQuadratic, lift
+from albert.multipoly import PolyRing, dot
+from albert.scalars import QQ, PrimeField, QuadraticEtale, QuadraticExtension, SplitQuadratic, lift
 from albert.tits import FirstTits, SecondTits
 from albert.upoly import RationalFunctionField, UPoly
 from conftest import (BiDualElement, BiDualRing, old_adjugate3, old_cubic_etale_mul, old_det3,
@@ -234,12 +235,22 @@ def test_cubic_etale_mul_matches_the_vector_updates(field):
         assert E3.mul(field, a, b) == old_cubic_etale_mul(E3, field, a, b)
 
 
+F3, F5 = PrimeField(3), PrimeField(5)
+
+
+def _etale(k, coeffs):
+    return CubicEtale(k, [k.from_int(c) for c in coeffs])
+
+
 @pytest.mark.parametrize("build", [
     lambda: FirstTits(E, F(1, 2)),
-    lambda: FirstTits(CubicEtale(F2, [F2.one(), F2.one(), F2.zero(), F2.one()]), F2.one()),
+    lambda: FirstTits(_etale(F2, (1, 1, 0, 1)), F2.one()),
+    lambda: FirstTits(_etale(F3, (1, -1, 0, 1)), F3.from_int(2)),
+    lambda: FirstTits(_etale(F5, (-2, 0, 0, 1)), F5.from_int(3)),
     lambda: FirstTits(Matrix3(F7), F7.from_int(3)),
     lambda: FirstTits(Matrix3(QQ), F(2)),
-], ids=["E_Q", "E_F2", "matrix3_F7", "matrix3_Q"])
+    lambda: FirstTits(ALGEBRAS["cyclic"], F(3)),
+], ids=["E_Q", "E_F2", "E_F3", "E_F5", "matrix3_F7", "matrix3_Q", "cyclic_Q"])
 def test_first_tits_norm_matches_the_accumulated_expression(build):
     J = build()
     ring, X = J.generic_vectors(1)
@@ -248,9 +259,49 @@ def test_first_tits_norm_matches_the_accumulated_expression(build):
     for _ in range(5):
         x = J.sample_vec(rng, 5)
         assert J.norm_program(J.field, x) == old_first_tits_norm(J, J.field, x)
+    # one or two blocks of zeros, or all three: the pair list is partly or
+    # wholly empty
+    m = J.D.dim
+    for zero in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+        for S, v in ((ring, X), (J.field, x)):
+            w = tuple(S.zero() if i // m in zero else c for i, c in enumerate(v))
+            _identical(J.norm_program(S, w), old_first_tits_norm(J, S, w))
     if J.field is QQ:
         # coordinates over Q(t): a + b t with one coordinate over 1 + t
         xt = [Qt.from_poly(UPoly([QQ.sample(rng, 5), QQ.sample(rng, 5)], QQ))
               for _ in range(J.dim)]
         xt[0] = xt[0] / Qt.from_poly(UPoly([F(1), F(1)], QQ))
         assert J.norm_program(Qt, xt) == old_first_tits_norm(J, Qt, xt)
+
+
+def _old_norm(alg, S, a):
+    """N(a) by :func:`conftest.old_det3`, the inner norms paired for prodop."""
+    if isinstance(alg, ProductWithOpposite):
+        xs, ys = alg._split(S, a)
+        return S.make(_old_norm(alg.inner, S.base, xs), _old_norm(alg.inner, S.base, ys))
+    return alg._scalar(S, old_det3(alg.char_matrix(S, a)))
+
+
+NORM_ALGEBRAS = dict(ALGEBRAS, cubic_etale_F2=_etale(F2, (1, 1, 0, 1)), matrix3_F7=Matrix3(F7),
+                     prodop_E=ProductWithOpposite(E))
+
+
+@pytest.mark.parametrize("name", sorted(NORM_ALGEBRAS))
+def test_norm_pairs_sum_to_the_norm(name):
+    # zeroing coordinate 1, or 1 and 2, or the second L-part of a cyclic
+    # element, zeroes part of the characteristic matrix's first row
+    alg = NORM_ALGEBRAS[name]
+    K, n = alg.base_ring, alg.dim
+    if isinstance(K, QuadraticEtale):
+        P = PolyRing(K.base, 4 * n)
+        S = alg.extend_ring(P)
+    else:
+        S = P = PolyRing(K, 2 * n)
+    rng = random.Random(5)
+    cases = [(S, _generic(alg, S, P)[0])] + [(K, alg.sample(rng, 5).coords) for _ in range(3)]
+    for T, a in cases:
+        for zero in [(), (1,), (1, 2), (3, 4, 5), tuple(range(1, n)), tuple(range(n))]:
+            b = tuple(T.zero() if i in zero else c for i, c in enumerate(a))
+            pairs = alg.norm_pairs(T, b)
+            got = dot(pairs) if pairs else T.zero()
+            assert got == alg.norm(T, b) == _old_norm(alg, T, b)

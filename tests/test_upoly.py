@@ -85,6 +85,63 @@ def test_ratfunc_format_parse():
     assert Rt.parse(Rt.format(r)) == r
 
 
+# ---- path entries read straight into the coded form ----------------------------
+
+ODD_LITERALS = ["0", "-0", "00", "0/7", "2/4", "-3/6", "6/3", "12/0004", "+1", " 1", "1 ",
+                "1_0", "1e2", "1.5", "-.5", "7/0", "1/-2", "", "-", "/", "\u0663", "1" * 5000]
+COEFF_LITERAL = st.one_of(
+    st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True),
+    st.sampled_from(ODD_LITERALS),
+    st.text(alphabet="0123456789-+/_. e", max_size=6),
+)
+COEFF_LIST = st.lists(COEFF_LITERAL, min_size=1, max_size=4).map(",".join)
+
+
+def _read_pair(read, Rt, text):
+    """(num, den) as (coded, den) pairs by ``read``, or its refusal text."""
+    try:
+        return tuple((f.coded, f.den) for f in read(Rt, text))
+    except AlbertError as exc:
+        return "refused", str(exc)
+
+
+def _literal(base, text):
+    """A coefficient literal read by ``Fraction`` over Q, refused with the
+    message of ``QQ.parse``; by ``base.parse`` over any other field."""
+    if base is not QQ:
+        return base.parse(text)
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        raise AlbertError(f"bad rational literal {text!r}") from None
+
+
+def _old_parse_pair(Rt, text):
+    """Each coefficient literal read on its own, then ``UPoly``."""
+    ntext, dtext = text.split("|", 1) if "|" in text else (text, "1")
+    return tuple(UPoly([_literal(Rt.base, c) for c in t.split(",")], Rt.base)
+                 for t in (ntext, dtext))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([QQ, PrimeField(5)]), num=COEFF_LIST,
+       den=st.one_of(st.none(), COEFF_LIST))
+def test_parse_pair_matches_the_literal_route(base, num, den):
+    Rt = RationalFunctionField(base, "t")
+    text = num if den is None else f"{num}|{den}"
+    got = _read_pair(RationalFunctionField.parse_pair, Rt, text)
+    assert got == _read_pair(_old_parse_pair, Rt, text)
+
+
+def test_parse_pair_matches_the_literal_route_on_odd_literals():
+    Rt = RationalFunctionField(QQ, "t")
+    for a in ODD_LITERALS:
+        for b in ["2/4", "-1"]:
+            for text in (a, f"{a},{b}", f"{b},{a}", f"{b}|{a}", f"{a}|{b},{a}"):
+                got = _read_pair(RationalFunctionField.parse_pair, Rt, text)
+                assert got == _read_pair(_old_parse_pair, Rt, text)
+
+
 # ---- Henrici's rules against the naive fraction -------------------------------
 
 def _prime_base(p):
