@@ -11,9 +11,11 @@ vector entry is zero and computes each output entry as one
 :func:`multipoly.dot`, so over a polynomial ring a row's products accumulate
 into one dict; it is behind :func:`mat_mul`.  Over Q the contraction is
 integer-coded instead (:func:`_mat_mul_qq`): each row of A and each column
-of B is cleared once to ``int`` numerators over one denominator, the sums
-run on ``int``s and each output entry is one ``Fraction``; ``mat_vec`` over
-Q is its one-column case.
+of B is put once over one denominator by the Q coding of
+:mod:`albert.multipoly`, the one :class:`~albert.multipoly.Coding` that
+``PolyRing`` and ``UPoly`` over Q use too; the sums run on ``int``s and
+each output entry is one ``Fraction``; ``mat_vec`` over Q is its
+one-column case.
 
 Two pieces carry constant data over a field k to coordinates over an
 extension ring S (a polynomial ring, k(t) or the base change of a quadratic
@@ -26,12 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from operator import mul
 
 from .errors import AlbertError, NotInvertible
-from .multipoly import dot
-from .scalars import RationalField, lift
+from .multipoly import coding, dot
+from .scalars import QQ, RationalField, lift
 
 
 def identity(field, n):
@@ -74,21 +75,16 @@ def mat_vec(A, v, S=None, k=None):
 
 def _mat_mul_qq(A, cols):
     """A times the vectors ``cols`` over Q, as rows of A's length.  Each row
-    of A and each column is cleared once to ``int`` numerators over one
-    denominator; the sums run on ``int``s and each entry is one
+    of A and each column is put once over one denominator by the Q
+    coding's ``common``; the sums run on ``int``s and each entry is one
     ``Fraction``."""
-    cleared = [_clear(col) for col in cols]
+    qq = coding(QQ)
+    cleared = [qq.common(list(map(qq.encode, col))) for col in cols]
     out = []
     for row in A:
-        dr, r = _clear(row)
-        out.append([Fraction(sum(map(mul, r, w)), dr * dw) for dw, w in cleared])
+        r, dr = qq.common(list(map(qq.encode, row)))
+        out.append([Fraction(sum(map(mul, r, w)), dr * dw) for w, dw in cleared])
     return out
-
-
-def _clear(xs):
-    """(d, [x * d for x in xs]) with d the lcm of the denominators."""
-    d = lcm(*[x.denominator for x in xs])
-    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def mat_sub(A, B):

@@ -17,16 +17,18 @@ multiply and merge loops run on plain Python ``int``s where they can:
 * over any other field the coefficients are the field's own payloads and
   ``den`` stays 1.
 
-Each :class:`PolyRing` picks one codec for its field when it is built:
-``encode(payload) -> (int, den)``, ``decode(int, den) -> payload`` and
-``normalize(dict, den, changed) -> (terms, den)``, which reduces mod p or
-divides out the gcd, and drops zeros.  There is one pair loop,
-:meth:`PolyRing.dot`, the sum of products sum a_i*b_i: every product
-accumulates into one unreduced dict over one common denominator, normalized
-once, so a sum of products costs no intermediate normal forms and no copies
-of a growing accumulator.  ``MPoly.__mul__`` is its one-pair case.  The
-module-level :func:`dot` is the one entry point for sums of products over
-every ring, and only dispatches: polynomial pairs go to
+There is one :class:`Coding` per field, built by :func:`coding` and shared
+by :class:`PolyRing`, :class:`~albert.upoly.UPoly` and the Q contraction of
+:mod:`albert.linalg`: ``encode(payload) -> (int, den)``, ``decode(int,
+den) -> payload``, ``normalize(dict, den, changed) -> (terms, den)``, which
+reduces mod p or divides out the gcd, and drops zeros, and ``common``, the
+one step that puts coded values over their lcm denominator.  There is one
+pair loop, :meth:`PolyRing.dot`, the sum of products sum a_i*b_i: every
+product accumulates into one unreduced dict over one common denominator,
+normalized once, so a sum of products costs no intermediate normal forms
+and no copies of a growing accumulator.  ``MPoly.__mul__`` is its one-pair
+case.  The module-level :func:`dot` is the one entry point for sums of
+products over every ring, and only dispatches: polynomial pairs go to
 :meth:`PolyRing.dot`, scalars to their ring's ``dot`` in
 :mod:`albert.scalars` (integer-coded over Q and F_p, base-ring dots over a
 quadratic or split centre, the plain ``acc + a*b`` loop otherwise).  The
@@ -47,7 +49,9 @@ through ``unpack``, :meth:`MPoly.coefficient` and :meth:`MPoly.part`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import LimitExceeded, ParentMismatch
 from .scalars import FpElement, PrimeField, QuadElement, RationalField, Ring, SplitElement
@@ -94,10 +98,10 @@ class MPoly:
             a, b = b, a
         out = dict(a) if fa == 1 else {k: c * fa for k, c in a.items()}
         get = out.get
-        zero = self.ring._zero
+        zero = self.ring.coding.zero
         for k, c in b.items():
             out[k] = get(k, zero) + c * fb
-        terms, den = self.ring._normalize(out, den, b)
+        terms, den = self.ring.coding.normalize(out, den, b)
         return MPoly(terms, den, self.ring, max(self.degbound, o.degbound))
 
     def __add__(self, other):
@@ -121,7 +125,7 @@ class MPoly:
         return o - self
 
     def __neg__(self):
-        terms, den = self.ring._normalize({k: -c for k, c in self.terms.items()}, self.den)
+        terms, den = self.ring.coding.normalize({k: -c for k, c in self.terms.items()}, self.den)
         return MPoly(terms, den, self.ring, self.degbound)
 
     def __mul__(self, other):
@@ -134,10 +138,10 @@ class MPoly:
 
     def scale(self, c):
         ring = self.ring
-        n, d = ring._encode(c)
+        n, d = ring.coding.encode(c)
         if not n:
             return ring.zero()
-        terms, den = ring._normalize({k: v * n for k, v in self.terms.items()}, self.den * d)
+        terms, den = ring.coding.normalize({k: v * n for k, v in self.terms.items()}, self.den * d)
         return MPoly(terms, den, ring, self.degbound)
 
     def __truediv__(self, other):
@@ -164,13 +168,13 @@ class MPoly:
     def coefficient(self, exponents):
         ring = self.ring
         c = self.terms.get(ring.pack(exponents))
-        return ring.field.zero() if c is None else ring._decode(c, self.den)
+        return ring.field.zero() if c is None else ring.coding.decode(c, self.den)
 
     def part(self, degree):
         """The terms of total degree ``degree`` as {monomial: coefficient};
         a monomial is the ascending tuple of its variable indices with
         multiplicity, x0^2*x3 as (0, 0, 3)."""
-        decode, den = self.ring._decode, self.den
+        decode, den = self.ring.coding.decode, self.den
         out = {}
         for key, c in self.terms.items():
             idx = []
@@ -188,7 +192,7 @@ class MPoly:
         ring = self.ring
         parts = []
         for k in sorted(self.terms):
-            c = ring._decode(self.terms[k], self.den)
+            c = ring.coding.decode(self.terms[k], self.den)
             exps = ring.unpack(k)
             mono = "*".join(
                 f"{ring.names[i]}" + (f"^{e}" if e > 1 else "")
@@ -200,73 +204,95 @@ class MPoly:
         return " + ".join(parts)
 
 
-def _codec(field):
-    """(encode, decode, normalize, zero) for the coefficients over ``field``.
+class Coding:
+    """How the coefficients over one field are coded (see the module
+    docstring); :func:`coding` gives the one instance per field.
 
-    ``zero`` is the encoded zero the loops accumulate from.  ``normalize``
-    rebuilds the whole dict, or, given ``changed``, works in place on the
-    dict on the promise that only the keys of ``changed`` may hold unreduced
-    or zero values.
+    The closures are specialized to the field: ``int`` numerators over a
+    denominator over Q, residues over F_p (a value of another prime field
+    is refused), the field's own payloads over denominator 1 elsewhere.
+    ``normalize`` rebuilds the whole dict, or, given ``changed``, works in
+    place on the promise that only the keys of ``changed`` may hold
+    unreduced or zero values.  ``zero`` and ``one`` are coded, ``p`` is the
+    modulus over F_p (else 0) and ``rational`` tells Q.
     """
-    if isinstance(field, RationalField):
-        def encode(c):
-            return c.numerator, c.denominator
 
-        def normalize(terms, den, changed=None):
-            if changed is not None:
+    __slots__ = ("field", "encode", "decode", "normalize", "zero", "one", "p", "rational")
+
+    def __init__(self, field):
+        self.field = field
+        self.p = p = field.p if isinstance(field, PrimeField) else 0
+        self.rational = isinstance(field, RationalField)
+        self.zero = 0
+        if self.rational:
+            encode = attrgetter("numerator", "denominator")
+
+            def normalize(terms, den, changed=None):
+                if changed is not None:
+                    for k in changed:
+                        if not terms[k]:
+                            del terms[k]
+                elif 0 in terms.values():
+                    terms = {k: v for k, v in terms.items() if v}
+                if not terms:
+                    return terms, 1
+                if den != 1:
+                    g = gcd(den, *terms.values())
+                    if g != 1:
+                        terms = {k: v // g for k, v in terms.items()}
+                        den //= g
+                return terms, den
+
+            decode = Fraction
+        elif p:
+            def encode(c):
+                if c.p != p:
+                    raise ParentMismatch("mixed prime fields")
+                return c.val, 1
+
+            def decode(n, den):
+                return FpElement(n if den == 1 else n * pow(den, -1, p), p)
+
+            def normalize(terms, den, changed=None):
+                if changed is None:
+                    return {k: r for k, v in terms.items() if (r := v % p)}, 1
+                for k in changed:
+                    r = terms[k] % p
+                    if r:
+                        terms[k] = r
+                    else:
+                        del terms[k]
+                return terms, 1
+        else:
+            def encode(c):
+                return c, 1
+
+            def decode(n, den):
+                return n if den == 1 else n / den
+
+            def normalize(terms, den, changed=None):
+                if changed is None:
+                    return {k: v for k, v in terms.items() if v}, 1
                 for k in changed:
                     if not terms[k]:
                         del terms[k]
-            elif 0 in terms.values():
-                terms = {k: v for k, v in terms.items() if v}
-            if not terms:
                 return terms, 1
-            if den != 1:
-                g = gcd(den, *terms.values())
-                if g != 1:
-                    terms = {k: v // g for k, v in terms.items()}
-                    den //= g
-            return terms, den
 
-        return encode, Fraction, normalize, 0
+            self.zero = field.zero()
+        self.encode, self.decode, self.normalize = encode, decode, normalize
+        self.one = encode(field.one())[0]
 
-    if isinstance(field, PrimeField):
-        p = field.p
+    @staticmethod
+    def common(ratios):
+        """(codes, den) for the values n/d over (n, d) in the sequence
+        ``ratios``, d > 0: den is the lcm of the d and each code n*(den/d);
+        nothing is reduced."""
+        den = lcm(*[d for _, d in ratios])
+        return [n if d == den else n * (den // d) for n, d in ratios], den
 
-        def encode(c):
-            return c.val, 1
 
-        def decode(n, den):
-            return FpElement(n if den == 1 else n * pow(den, -1, p), p)
-
-        def normalize(terms, den, changed=None):
-            if changed is None:
-                return {k: r for k, v in terms.items() if (r := v % p)}, 1
-            for k in changed:
-                r = terms[k] % p
-                if r:
-                    terms[k] = r
-                else:
-                    del terms[k]
-            return terms, 1
-
-        return encode, decode, normalize, 0
-
-    def encode(c):
-        return c, 1
-
-    def decode(n, den):
-        return n if den == 1 else n / den
-
-    def normalize(terms, den, changed=None):
-        if changed is None:
-            return {k: v for k, v in terms.items() if v}, 1
-        for k in changed:
-            if not terms[k]:
-                del terms[k]
-        return terms, 1
-
-    return encode, decode, normalize, field.zero()
+#: the one :class:`Coding` of each field, shared by every ring over it
+coding = cache(Coding)
 
 
 class PolyRing(Ring):
@@ -279,7 +305,7 @@ class PolyRing(Ring):
         self.base = field
         self.names = list(names)
         self.nvars = len(self.names)
-        self._encode, self._decode, self._normalize, self._zero = _codec(field)
+        self.coding = coding(field)
 
     def pack(self, exponents):
         key = 0
@@ -299,14 +325,14 @@ class PolyRing(Ring):
 
     def _make(self, payloads, degbound):
         """sum_k payloads[k] times the monomial k, over one common denominator."""
-        encode = self._encode
-        return self._make_coded([(k, *encode(c)) for k, c in payloads.items()], degbound)
+        encode = self.coding.encode
+        return self._make_coded(payloads, [encode(c) for c in payloads.values()], degbound)
 
-    def _make_coded(self, coded, degbound):
-        """sum n/d times the monomial k over (k, n, d) in ``coded``."""
-        den = lcm(*(d for _, _, d in coded))
-        terms = {k: n if d == den else n * (den // d) for k, n, d in coded}
-        terms, den = self._normalize(terms, den)
+    def _make_coded(self, keys, ratios, degbound):
+        """sum n/d times the monomial k over k in ``keys`` and the (n, d) at
+        the same place in ``ratios``."""
+        codes, den = self.coding.common(ratios)
+        terms, den = self.coding.normalize(dict(zip(keys, codes)), den)
         return MPoly(terms, den, self, degbound)
 
     def dot(self, pairs):
@@ -315,7 +341,7 @@ class PolyRing(Ring):
         Pairs with a zero side are skipped.  The sum has one denominator,
         the lcm of the a.den * b.den, and each pair's smaller side is scaled
         to it; every product accumulates into one unreduced dict, which the
-        codec normalizes once.  A pair whose degree bound passes the packing
+        coding normalizes once.  A pair whose degree bound passes the packing
         limit is refused.
         """
         jobs = []
@@ -339,7 +365,7 @@ class PolyRing(Ring):
             jobs.append((ta, tb, d) if len(ta) >= len(tb) else (tb, ta, d))
         out = {}
         get = out.get
-        zero = self._zero
+        zero = self.coding.zero
         for ta, tb, d in jobs:
             if d != den:
                 f = den // d
@@ -348,7 +374,7 @@ class PolyRing(Ring):
                 for ka, ca in ta.items():
                     k = ka + kb
                     out[k] = get(k, zero) + ca * cb
-        terms, den = self._normalize(out, den)
+        terms, den = self.coding.normalize(out, den)
         return MPoly(terms, den, self, bound)
 
     def _own(self, p):
@@ -396,23 +422,25 @@ class PolyRing(Ring):
         ``coeffs[j]`` lists the coefficients of p_j in ascending powers of
         x_0, which is a parameter when ``first`` > 0.  Constant p_j give the
         plain linear form sum_j c_j x_{first+j}.  Given ``dens``, the
-        coefficients of p_j come coded as this ring's codec codes them (the
-        form ``UPoly.coded`` keeps), over the denominator ``dens[j]``.
+        coefficients of p_j come coded as this ring's :class:`Coding` codes
+        them (the form ``UPoly.coded`` keeps), over the denominator
+        ``dens[j]``.
         """
-        is_zero, encode = self.field.is_zero, self._encode
-        coded = []
+        is_zero, encode = self.field.is_zero, self.coding.encode
+        keys, ratios = [], []
         deg = 0
         for j, poly in enumerate(coeffs):
             var = 1 << (_BITS * (first + j))
             den = None if dens is None else dens[j]
             for d, c in enumerate(poly):
                 if not is_zero(c):
-                    coded.append((var + d, c, den) if den else (var + d, *encode(c)))
+                    keys.append(var + d)
+                    ratios.append((c, den) if den else encode(c))
                     if d > deg:
                         deg = d
         if deg >= _MAXDEG:
             raise LimitExceeded(f"linear form degree {deg + 1} exceeds packing limit {_MAXDEG}")
-        return self._make_coded(coded, deg + 1)
+        return self._make_coded(keys, ratios, deg + 1)
 
     def characteristic(self):
         return self.field.characteristic()
@@ -461,13 +489,13 @@ def proportionality(p, q):
         return None
     qc = q.terms[key]
     get = p.terms.get
-    zero = ring._zero
-    cross = {k: get(k, zero) * qc - c * pc for k, c in q.terms.items()}
-    if ring._normalize(cross, 1)[0]:
+    coding = ring.coding
+    cross = {k: get(k, coding.zero) * qc - c * pc for k, c in q.terms.items()}
+    if coding.normalize(cross, 1)[0]:
         return None
     if p.den != q.den:
         pc, qc = pc * q.den, qc * p.den
-    return ring._decode(pc, qc)
+    return coding.decode(pc, qc)
 
 
 def dot(pairs):

@@ -1,16 +1,19 @@
 """Univariate polynomials and rational function fields.
 
 ``UPoly`` is a dense polynomial over any field of the scalar tower, coded by
-the :mod:`albert.multipoly` codec: ``coded`` is the ascending tuple of coded
-coefficients, no trailing zero, over the denominator ``den``.  Over Q they
-are ``int`` numerators over one positive ``den`` with gcd 1 (den = 1 for
-zero), over F_p ``int``s in [0, p), over any other field its payloads with
-``den`` = 1.  Every loop runs on the coded values, evaluation at a point of
-the base field included; ``coeffs``, ``lead`` and ``format`` decode.  Over Q
-``divmod`` is a pseudo-division and :func:`poly_gcd` a primitive remainder
-sequence on the numerators (Geddes, Czapor and Labahn, *Algorithms for
-Computer Algebra*, ch. 7): each pseudo-remainder is divided by its content,
-so coefficients do not grow from step to step.  Over every other field the
+the field's one :class:`~albert.multipoly.Coding`, which ``PolyRing`` and
+the Q contraction of :mod:`albert.linalg` share: ``coded`` is the ascending
+tuple of coded coefficients, no trailing zero, over the denominator
+``den``.  Over Q they are ``int`` numerators over one positive ``den`` with
+gcd 1 (den = 1 for zero), over F_p ``int``s in [0, p), over any other field
+its payloads with ``den`` = 1.  Every loop runs on the coded values;
+``coeffs``, ``lead`` and ``format`` decode.  A polynomial is evaluated only
+at an ``int`` or a value of its base field, by one Horner loop on the
+coded coefficients.  Over Q ``divmod`` is a pseudo-division and
+:func:`poly_gcd` a primitive remainder sequence on the numerators (Geddes,
+Czapor and Labahn, *Algorithms for Computer Algebra*, ch. 7): each
+pseudo-remainder is divided by its content, so coefficients do not grow
+from step to step.  Over every other field the
 gcd is Euclid on the coded values.
 
 ``RationalFunctionField(base, var)`` has ``RatFunc`` elements kept in
@@ -28,30 +31,11 @@ constructor computes one gcd, unless a side is constant.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .errors import AlbertError, DivisionByZero, ParentMismatch
-from .multipoly import _codec
-from .scalars import FpElement, PrimeField, RationalField, Ring
-
-
-class _Coding:
-    """How one field's coefficients are coded: the ``multipoly`` codec's
-    encode, decode and coded zero, the coded one, the modulus p over F_p
-    (else 0), and whether they are numerators over a denominator (over Q)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.encode, self.decode, _, self.zero = _codec(field)
-        self.one = self.encode(field.one())[0]
-        self.p = field.p if isinstance(field, PrimeField) else 0
-        self.rational = isinstance(field, RationalField)
-
-
-#: one coding per field, so that operands of one field share it
-_coding = cache(_Coding)
+from .multipoly import coding
+from .scalars import Ring
 
 
 def _normal(k, c, den):
@@ -71,13 +55,6 @@ def _normal(k, c, den):
     return tuple(c), den
 
 
-def _from_ratios(k, pairs):
-    """The canonical (coded, den) of the coefficients n/d over (n, d) in
-    ``pairs``, d > 0 and n/d not necessarily in lowest terms."""
-    den = lcm(*(d for _, d in pairs))
-    return _normal(k, [n if d == den else n * (den // d) for n, d in pairs], den)
-
-
 def _raw(k, coded, den=1):
     f = object.__new__(UPoly)
     f.coded, f.den, f._k = coded, den, k
@@ -95,8 +72,8 @@ class UPoly:
     __slots__ = ("coded", "den", "_k")
 
     def __init__(self, coeffs, field):
-        k = _coding(field)
-        self.coded, self.den = _from_ratios(k, [k.encode(x) for x in coeffs])
+        k = coding(field)
+        self.coded, self.den = _normal(k, *k.common([k.encode(x) for x in coeffs]))
         self._k = k
 
     @classmethod
@@ -245,33 +222,19 @@ class UPoly:
         return self.scale(k.field.inv(self.lead()))
 
     def derivative(self):
-        k = self._k
-        if k.p or k.rational:
-            return _make(k, [i * x for i, x in enumerate(self.coded)][1:], self.den)
-        from_int = k.field.from_int
-        return _make(k, [from_int(i) * x for i, x in enumerate(self.coded)][1:])
+        return _make(self._k, [i * x for i, x in enumerate(self.coded)][1:], self.den)
 
     def __call__(self, point):
-        """Evaluate by Horner: on the coded coefficients at a point of the
-        base field (an int included), otherwise on the decoded ones, since
-        ``point`` may live in any extension ring."""
-        k, c = self._k, self.coded
-        kind = Fraction if k.rational else FpElement if k.p else None
-        if kind and (type(point) is int or type(point) is kind and
-                     getattr(point, "p", 0) == k.p):
-            # sum x_i (n/d)^i = (sum x_i n^i d^(K-i)) / d^K for K = deg
-            n, d = (point, 1) if type(point) is int else k.encode(point)
-            acc, dk = 0, 1
-            for x in reversed(c):
-                acc = acc * n + x * dk
-                dk *= d
-            return k.decode(acc * d, self.den * dk)
-        if not c:
-            return point - point if not isinstance(point, int) else self.field.zero()
-        acc = None
-        for x in reversed(self.coeffs):
-            acc = x if acc is None else acc * point + x
-        return acc
+        """Evaluate by Horner on the coded coefficients at ``point``, an
+        ``int`` or a value of the base field."""
+        k = self._k
+        # sum x_i (n/d)^i = (sum x_i n^i d^(K-i)) / d^K for K = deg
+        n, d = (point, 1) if type(point) is int else k.encode(point)
+        acc, dk = k.zero, 1
+        for x in reversed(self.coded):
+            acc = acc * n + x * dk
+            dk *= d
+        return k.decode(acc * d, self.den * dk)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -586,9 +549,9 @@ class RationalFunctionField(Ring):
             ntext, dtext = text.split("|", 1)
         else:
             ntext, dtext = text, self.base.format(self.base.one())
-        k = _coding(self.base)
+        k = coding(self.base)
         read = self.base.parse_ratio if k.rational else lambda c: k.encode(self.base.parse(c))
-        return tuple(_raw(k, *_from_ratios(k, [read(c) for c in t.split(",")]))
+        return tuple(_make(k, *k.common([read(c) for c in t.split(",")]))
                      for t in (ntext, dtext))
 
     def spec_string(self):

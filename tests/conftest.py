@@ -126,12 +126,12 @@ def ref_poly_mul(a, b):
         ta, tb = tb, ta
     out = {}
     get = out.get
-    zero = ring._zero
+    zero = ring.coding.zero
     for kb, cb in tb.items():
         for ka, ca in ta.items():
             k = ka + kb
             out[k] = get(k, zero) + ca * cb
-    terms, den = ring._normalize(out, a.den * b.den)
+    terms, den = ring.coding.normalize(out, a.den * b.den)
     return MPoly(terms, den, ring, bound)
 
 

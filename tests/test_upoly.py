@@ -6,7 +6,8 @@ from operator import add, mul, sub, truediv
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from albert.errors import AlbertError, DivisionByZero
+from albert.errors import AlbertError, DivisionByZero, ParentMismatch
+from albert.multipoly import PolyRing
 from albert.scalars import QQ, PrimeField, QuadraticExtension
 from albert.upoly import (
     RatFunc,
@@ -296,3 +297,36 @@ def test_dense_gcd_matches_euclid():
         a, b = UPoly(ra.coeffs, QQ), UPoly(rb.coeffs, QQ)
         assert poly_gcd(a, b).coeffs == ref_poly_gcd(ra, rb).coeffs
         assert poly_gcd(a.exact_div(poly_gcd(a, b)), b.exact_div(poly_gcd(a, b))).degree == 0
+
+
+# ---- one coding per field, shared with PolyRing ------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([b for b in BASES if b[0] in (QQ, PrimeField(7), QS2)])
+       .flatmap(lambda b: st.tuples(st.just(b[0]), st.lists(b[1], max_size=6))))
+def test_upoly_and_univariate_mpoly_hold_the_same_codes(case):
+    """In one variable a monomial's key is its exponent, so ``UPoly`` and
+    ``PolyRing(F, 1).univariate`` of one list hold the same codes over the
+    same denominator, the zero codes that only the dense list keeps aside."""
+    base, cs = case
+    u, m = UPoly(cs, base), PolyRing(base, 1).univariate(cs)
+    assert u._k is m.ring.coding
+    assert {i: c for i, c in enumerate(u.coded) if c} == m.terms
+    assert u.den == m.den
+
+
+def test_a_value_of_another_prime_field_is_refused():
+    F5, F7 = PrimeField(5), PrimeField(7)
+    ring = PolyRing(F5, 1)
+    x = ring.gen(0)
+    u = UPoly([F5.one(), F5.one()], F5)
+    calls = [
+        lambda: ring.from_base(F7.from_int(6)),
+        lambda: x.scale(F7.from_int(3)),
+        lambda: UPoly([F7.from_int(6)], F5),
+        lambda: u.scale(F7.from_int(3)),
+        lambda: u(F7.from_int(3)),
+    ]
+    for call in calls:
+        with pytest.raises(ParentMismatch, match="mixed prime fields"):
+            call()
