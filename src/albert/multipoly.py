@@ -138,7 +138,10 @@ class MPoly:
 
     def scale(self, c):
         ring = self.ring
-        n, d = ring.coding.encode(c)
+        try:
+            n, d = ring.coding.encode(c)
+        except AttributeError:
+            raise foreign() from None
         if not n:
             return ring.zero()
         terms, den = ring.coding.normalize({k: v * n for k, v in self.terms.items()}, self.den * d)
@@ -211,6 +214,10 @@ class Coding:
     The closures are specialized to the field: ``int`` numerators over a
     denominator over Q, residues over F_p (a value of another prime field
     is refused), the field's own payloads over denominator 1 elsewhere.
+    A value of another kind of field lacks the attribute that ``encode``
+    reads, and the callers that encode a value given from outside turn
+    that ``AttributeError`` into :func:`foreign`; no closure wraps the Q
+    ``attrgetter`` for it.
     ``normalize`` rebuilds the whole dict, or, given ``changed``, works in
     place on the promise that only the keys of ``changed`` may hold
     unreduced or zero values.  ``zero`` and ``one`` are coded, ``p`` is the
@@ -295,6 +302,11 @@ class Coding:
 coding = cache(Coding)
 
 
+def foreign():
+    """The error for a value of another kind of field given to a coding."""
+    return ParentMismatch("value of another kind of field")
+
+
 class PolyRing(Ring):
     """Multivariate polynomial ring over a field of the scalar tower."""
 
@@ -325,8 +337,11 @@ class PolyRing(Ring):
 
     def _make(self, payloads, degbound):
         """sum_k payloads[k] times the monomial k, over one common denominator."""
-        encode = self.coding.encode
-        return self._make_coded(payloads, [encode(c) for c in payloads.values()], degbound)
+        try:
+            ratios = list(map(self.coding.encode, payloads.values()))
+        except AttributeError:
+            raise foreign() from None
+        return self._make_coded(payloads, ratios, degbound)
 
     def _make_coded(self, keys, ratios, degbound):
         """sum n/d times the monomial k over k in ``keys`` and the (n, d) at

@@ -4,8 +4,11 @@ certificates.
 An :class:`RPath` is an n x n matrix over k(t) that is a norm similarity at
 the generic fiber (N(f(X)) = nu(t) N(X) at the coefficient level in k(t)),
 with every entry and the multiplier regular and the multiplier nonvanishing
-at t = 0 and t = 1.  The two endpoint specializations are certified
-separately, from scratch, so a checker never trusts the builder.
+at t = 0 and t = 1.  Within one check, each distinct endpoint matrix is
+certified from scratch once: a path's endpoint that equals a map already
+certified in that check (the target, or the end of the previous path) reuses
+that map, and every other endpoint is certified anew, so a checker never
+trusts the builder.
 
 An :class:`RCertificate` chains paths from a target automorphism to the
 identity: the first path starts at the target, consecutive endpoints agree,
@@ -61,13 +64,15 @@ def _toward_one(Rt, a):
     return lifted.scale(Rt.one() - t) + D.one(Rt).scale(t)
 
 
-def path_certify(J, matrix):
+def path_certify(J, matrix, known=()):
     """Certify a matrix over k(t) as a one-parameter family of similarities.
 
     Denominators are cleared, the generic-fiber similarity identity is decided
     at the coefficient level in k[t, X], regularity and nonvanishing of the
     multiplier at 0 and 1 are checked syntactically on canonical forms, and
-    both endpoint specializations are certified independently.
+    both endpoint specializations are certified.  An endpoint whose matrix
+    equals that of a map of J in ``known`` (maps certified earlier by the
+    caller) is that map; every other endpoint is certified from scratch.
     """
     field = J.field
     n = J.dim
@@ -133,22 +138,33 @@ def path_certify(J, matrix):
     ends = []
     for qp, (point, _) in zip(q_at, endpoints):
         qinv = field.inv(qp)
-        ends.append(certify(J, [[p(point) * qinv if p else zero for p in row]
-                                for row in cleared]))
+        ends.append(_certify_known(J, [[p(point) * qinv if p else zero for p in row]
+                                       for row in cleared], known))
     start, end = ends
     if start.multiplier != nu_at[0] or end.multiplier != nu_at[1]:
         raise AlbertError("endpoint multipliers disagree with the family multiplier")
     return RPath(J, [list(r) for r in matrix], nu, start, end)
 
 
-def compose_path_with_map(path, simmap):
+def _certify_known(J, matrix, known):
+    """The map of J in ``known`` whose matrix is ``matrix``, else ``matrix``
+    certified from scratch."""
+    for f in known:
+        if f.parent is J and f.target is J and linalg.mat_eq(f.matrix, matrix):
+            return f
+    return certify(J, matrix)
+
+
+def compose_path_with_map(path, simmap, known=()):
     """The family t -> f(g(t)) for a constant certified f; used to shift a
-    contraction so it starts at a composite map."""
+    contraction so it starts at a composite map.  ``f`` itself is the end of
+    the family when g ends at the identity, so it is reused there, as is any
+    map in ``known`` (see :func:`path_certify`)."""
     J = path.parent
     Rt = path.matrix[0][0].ring
     lifted = [[Rt.from_base(v) for v in row] for row in simmap.matrix]
     product = linalg.mat_mul(lifted, path.matrix)
-    return path_certify(J, product)
+    return path_certify(J, product, (simmap, *known))
 
 
 def conj_path(J, a):
@@ -165,8 +181,8 @@ def conj_path(J, a):
     a_t = _toward_one(Rt, a)
     a_t_inv = a_t.inverse()
     conj = lambda e: a_t * e * a_t_inv
-    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt))
     expected0 = aut_conj_I(J, a)
+    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt), (expected0,))
     if not linalg.mat_eq(path.start.matrix, expected0.matrix):
         raise AlbertError("conjugation path start mismatch")
     if not path.end.is_identity():
@@ -213,8 +229,8 @@ def sl1_path_split(J, d):
     gamma = transvection_path(D, d)
     gamma_inv = gamma.inverse()
     images = [lambda e: e, lambda e: e * gamma, lambda e: gamma_inv * e]
-    path = path_certify(J, first_tits_map(J, images, gamma.ring))
     expected0 = aut_J(J, d, "B")
+    path = path_certify(J, first_tits_map(J, images, gamma.ring), (expected0,))
     if not linalg.mat_eq(path.start.matrix, expected0.matrix):
         raise AlbertError("SL1 path start mismatch")
     if not path.end.is_identity():
@@ -328,7 +344,8 @@ def cert_build_stab(J, a, b):
     The map factors through the J-map of a b^{-1} composed with conjugation by
     a; the conjugation factor is contracted by ``conj_path`` and the J-map
     factor by the elementary ``sl1_path_split`` family, giving a chain of
-    length two."""
+    length two.  The chain is checked as :func:`cert_check` checks it, on the
+    maps and paths certified here rather than a second time."""
     if not isinstance(J, FirstTits):
         raise AlbertError("certificates built here live on a first construction")
     a, b = J.D.element(a), J.D.element(b)
@@ -336,13 +353,11 @@ def cert_build_stab(J, a, b):
     p = a * b.inverse()
     jmap = aut_J(J, p, "B")
     theta = conj_path(J, a)
-    first = compose_path_with_map(theta, jmap)
+    first = compose_path_with_map(theta, jmap, (phi,))
     second = sl1_path_split(J, p)
-    cert = RCertificate(J, phi.matrix, [first.matrix, second.matrix])
-    report = cert_check(cert)
-    if not report.all_pass:
+    if not _check_chain(phi, [first, second]).all_pass:
         raise AlbertError("freshly built certificate failed its own check")
-    return cert
+    return RCertificate(J, phi.matrix, [first.matrix, second.matrix])
 
 
 def cert_check(cert):
@@ -350,51 +365,66 @@ def cert_check(cert):
 
     Re-certifies the target, re-certifies every path from its raw matrix,
     and verifies the endpoint chain from the target to the identity.  Nothing
-    the builder computed is trusted; only matrices are read.  A stated limit
-    reached on the way (``LimitExceeded``) is raised, not recorded: it says
-    nothing about the certificate."""
-    report = Report()
+    the builder computed is trusted; only matrices are read, and each
+    distinct endpoint matrix is certified once (see :func:`path_certify`).
+    A stated limit reached on the way (``LimitExceeded``) is raised, not
+    recorded: it says nothing about the certificate."""
     J = cert.parent
     try:
         target = certify(J, cert.target_matrix)
-        report.record("target-certified", True)
-        if not target.is_automorphism:
-            report.record("target-automorphism", False, "multiplier or base point off")
-        else:
-            report.record("target-automorphism", True)
     except LimitExceeded:
         raise
     except AlbertError as exc:
+        report = Report()
         report.record("target-certified", False, str(exc))
         return report
-    paths = []
-    for idx, matrix in enumerate(cert.path_matrices):
-        try:
-            fresh = path_certify(J, matrix)
-            paths.append(fresh)
-            report.record(f"path-{idx+1}-certified", True)
+
+    def paths():
+        known = (target,)
+        for matrix in cert.path_matrices:
+            path = path_certify(J, matrix, known)
+            known = (path.end,)
+            yield path
+
+    return _check_chain(target, paths())
+
+
+def _check_chain(target, paths):
+    """The report of :func:`cert_check` on a certified target map and the
+    certified paths that the iterable ``paths`` yields, first to last.  An
+    ``AlbertError`` raised while drawing path k fails path k and ends the
+    report; ``LimitExceeded`` is raised."""
+    report = Report()
+    report.record("target-certified", True)
+    if not target.is_automorphism:
+        report.record("target-automorphism", False, "multiplier or base point off")
+    else:
+        report.record("target-automorphism", True)
+    chain = []
+    try:
+        for path in paths:
+            chain.append(path)
+            report.record(f"path-{len(chain)}-certified", True)
             if target.is_automorphism:
-                report.record(
-                    f"path-{idx+1}-multiplier-one",
-                    fresh.is_automorphism_family(),
-                    "" if fresh.is_automorphism_family() else "multiplier varies",
-                )
-        except LimitExceeded:
-            raise
-        except AlbertError as exc:
-            report.record(f"path-{idx+1}-certified", False, f"{exc.code}: {exc}")
-            return report
-    if not paths:
+                one = path.is_automorphism_family()
+                report.record(f"path-{len(chain)}-multiplier-one", one,
+                              "" if one else "multiplier varies")
+    except LimitExceeded:
+        raise
+    except AlbertError as exc:
+        report.record(f"path-{len(chain)+1}-certified", False, f"{exc.code}: {exc}")
+        return report
+    if not chain:
         report.record("chain-nonempty", False, "certificate has no paths")
         return report
     report.record(
         "chain-start-matches-target",
-        linalg.mat_eq(paths[0].start.matrix, cert.target_matrix),
+        linalg.mat_eq(chain[0].start.matrix, target.matrix),
     )
-    for idx in range(len(paths) - 1):
+    for idx in range(len(chain) - 1):
         report.record(
             f"chain-link-{idx+1}",
-            linalg.mat_eq(paths[idx].end.matrix, paths[idx + 1].start.matrix),
+            linalg.mat_eq(chain[idx].end.matrix, chain[idx + 1].start.matrix),
         )
-    report.record("chain-ends-at-identity", paths[-1].end.is_identity())
+    report.record("chain-ends-at-identity", chain[-1].end.is_identity())
     return report

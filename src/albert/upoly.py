@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import AlbertError, DivisionByZero, ParentMismatch
-from .multipoly import coding
+from .multipoly import coding, foreign
 from .scalars import Ring
 
 
@@ -73,7 +73,11 @@ class UPoly:
 
     def __init__(self, coeffs, field):
         k = coding(field)
-        self.coded, self.den = _normal(k, *k.common([k.encode(x) for x in coeffs]))
+        try:
+            ratios = list(map(k.encode, coeffs))
+        except AttributeError:
+            raise foreign() from None
+        self.coded, self.den = _normal(k, *k.common(ratios))
         self._k = k
 
     @classmethod
@@ -170,7 +174,10 @@ class UPoly:
 
     def scale(self, c):
         k = self._k
-        n, d = k.encode(c)
+        try:
+            n, d = k.encode(c)
+        except AttributeError:
+            raise foreign() from None
         if not n:
             return _raw(k, ())
         return _make(k, [x * n for x in self.coded], self.den * d)
@@ -229,7 +236,10 @@ class UPoly:
         ``int`` or a value of the base field."""
         k = self._k
         # sum x_i (n/d)^i = (sum x_i n^i d^(K-i)) / d^K for K = deg
-        n, d = (point, 1) if type(point) is int else k.encode(point)
+        try:
+            n, d = (point, 1) if type(point) is int else k.encode(point)
+        except AttributeError:
+            raise foreign() from None
         acc, dk = k.zero, 1
         for x in reversed(self.coded):
             acc = acc * n + x * dk

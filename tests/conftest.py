@@ -4,8 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert.errors import AlbertError, ConstraintError
+from albert import linalg
+from albert.errors import AlbertError, ConstraintError, LimitExceeded
+from albert.maps import certify
 from albert.multipoly import MPoly
+from albert.report import Report
+from albert.rpaths import path_certify
 from albert.scalars import QQ, QuadraticExtension, Ring, lift
 from albert.cubicnorm import CubicJordan
 from albert.deg3 import ConjugateTranspose, Matrix3, vadd, vscale, vsub
@@ -565,3 +569,58 @@ def ref_ratfunc_coeffs(op, a, b):
         den = RefUPoly((base.one(),), base)
     lead_inv = base.inv(den.lead())
     return num.scale(lead_inv).coeffs, den.scale(lead_inv).coeffs
+
+
+# ---- reference certificate check -----------------------------------------------
+#
+# ``rpaths.cert_check`` as it was before a check reused certified maps: every
+# path endpoint is certified from scratch, the target included.
+
+
+def ref_cert_check(cert):
+    """Report of a certificate check that certifies every matrix anew."""
+    report = Report()
+    J = cert.parent
+    try:
+        target = certify(J, cert.target_matrix)
+        report.record("target-certified", True)
+        if not target.is_automorphism:
+            report.record("target-automorphism", False, "multiplier or base point off")
+        else:
+            report.record("target-automorphism", True)
+    except LimitExceeded:
+        raise
+    except AlbertError as exc:
+        report.record("target-certified", False, str(exc))
+        return report
+    paths = []
+    for idx, matrix in enumerate(cert.path_matrices):
+        try:
+            fresh = path_certify(J, matrix)
+            paths.append(fresh)
+            report.record(f"path-{idx+1}-certified", True)
+            if target.is_automorphism:
+                report.record(
+                    f"path-{idx+1}-multiplier-one",
+                    fresh.is_automorphism_family(),
+                    "" if fresh.is_automorphism_family() else "multiplier varies",
+                )
+        except LimitExceeded:
+            raise
+        except AlbertError as exc:
+            report.record(f"path-{idx+1}-certified", False, f"{exc.code}: {exc}")
+            return report
+    if not paths:
+        report.record("chain-nonempty", False, "certificate has no paths")
+        return report
+    report.record(
+        "chain-start-matches-target",
+        linalg.mat_eq(paths[0].start.matrix, cert.target_matrix),
+    )
+    for idx in range(len(paths) - 1):
+        report.record(
+            f"chain-link-{idx+1}",
+            linalg.mat_eq(paths[idx].end.matrix, paths[idx + 1].start.matrix),
+        )
+    report.record("chain-ends-at-identity", paths[-1].end.is_identity())
+    return report

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from albert import linalg, maps
+from albert import linalg, maps, rpaths
 from albert.errors import ConstraintError, NotInvertible, PathError
 from albert.scalars import QQ
 from albert.upoly import UPoly, poly_gcd
@@ -22,7 +22,13 @@ from albert.rpaths import (
     str_path,
     transvection_path,
 )
-from conftest import matrix_unit, random_norm_equal_pair, ratfunc_at
+from conftest import (
+    matrix_unit,
+    random_norm_equal_pair,
+    random_norm_one,
+    ratfunc_at,
+    ref_cert_check,
+)
 
 M3 = Matrix3(QQ)
 
@@ -305,3 +311,132 @@ def test_cert_random_pairs(J27):
         g, h = random_norm_equal_pair(M3, rng, bound=3)
         cert = cert_build_stab(J27, g, h)
         assert cert_check(cert).all_pass
+
+
+# ---- certified maps reused within one build or check ------------------------------
+
+
+def _dense_pair(lam, seed):
+    """(lambda, a, b) with a dense and a b^-1 a dense norm-one product."""
+    a = M3.element([F(v) for v in (2, 1, 1, 1, 3, -1, 0, 1, 1)])
+    d = random_norm_one(M3, random.Random(seed), nfactors=4, bound=3)
+    return lam, a, d.inverse() * a
+
+
+PAIRS = {
+    "diag-2": (F(2), M3.diag([F(1), F(2), F(3)]), M3.diag([F(6), F(1), F(1)])),
+    "diag-1/2": (F(1, 2), M3.diag([F(2), F(-1), F(3)]), M3.diag([F(-3), F(1), F(2)])),
+    "dense--1": _dense_pair(F(-1), 56),
+    "dense-3": _dense_pair(F(3), 57),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PAIRS))
+def built(request):
+    lam, a, b = PAIRS[request.param]
+    J = FirstTits(M3, lam)
+    return J, cert_build_stab(J, a, b)
+
+
+def _shifted(m, i, j, delta):
+    out = [row[:] for row in m]
+    out[i][j] = out[i][j] + delta
+    return out
+
+
+def _tampered(cert):
+    J, target, (first, second) = cert.parent, cert.target_matrix, cert.path_matrices
+    Rt = function_field(J)
+    identity = linalg.identity(J.field, J.dim)
+    return {
+        "genuine": (target, [first, second]),
+        "path-1-shifted": (target, [_shifted(first, 3, 5, Rt.one()), second]),
+        "path-2-shifted": (target, [first, _shifted(second, 12, 0, Rt.from_int(-2))]),
+        "paths-swapped": (target, [second, first]),
+        "identity-target": (identity, [first, second]),
+        "target-shifted": (_shifted(target, 0, 0, F(1)), [first, second]),
+        "last-path-not-to-identity": (target, [first]),
+        "no-paths": (target, []),
+    }
+
+
+def test_cert_check_matches_reference(built):
+    J, cert = built
+    verdicts = {}
+    for name, (target, paths) in _tampered(cert).items():
+        copy = RCertificate(J, target, paths)
+        got = cert_check(copy)
+        assert got.items == ref_cert_check(copy).items, name
+        verdicts[name] = got.all_pass
+    assert verdicts.pop("genuine") and not any(verdicts.values())
+
+
+def test_path_certify_with_known_maps_matches_fresh(built):
+    J, cert = built
+    target = maps.certify(J, cert.target_matrix)
+    for matrix in cert.path_matrices:
+        fresh = path_certify(J, matrix)
+        known = (target, path_certify(J, matrix).end)
+        reused = path_certify(J, matrix, known)
+        assert reused.multiplier == fresh.multiplier
+        assert reused.end is known[1]
+        if matrix is cert.path_matrices[0]:
+            assert reused.start is target
+        for got, want in ((reused.start, fresh.start), (reused.end, fresh.end)):
+            assert linalg.mat_eq(got.matrix, want.matrix)
+            assert got.multiplier == want.multiplier
+            assert got.is_automorphism == want.is_automorphism
+
+
+def test_known_map_of_another_structure_or_matrix_is_not_reused(J27):
+    other = FirstTits(M3, F(3))
+    Rt = function_field(J27)
+    identity = linalg.identity(QQ, J27.dim)
+    foreign = maps.certify(other, identity)
+    moved = maps.aut_conj_I(J27, M3.diag([F(1), F(2), F(3)]))
+    p = path_certify(J27, rt_identity(J27, Rt), (foreign, moved))
+    for end in (p.start, p.end):
+        assert end is not foreign and end is not moved
+        assert end.parent is J27 and end.is_identity() and end.is_automorphism
+    own = maps.certify(J27, identity)
+    q = path_certify(J27, rt_identity(J27, Rt), (foreign, own))
+    assert q.start is own and q.end is own
+
+
+def _counting(monkeypatch):
+    calls = {"certify_between": [], "path_certify": []}
+
+    def wrap(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    wrap(maps, "certify_between")
+    wrap(rpaths, "path_certify")
+    return calls
+
+
+def test_cert_check_certifies_each_distinct_matrix_once(J27, monkeypatch):
+    a = M3.diag([F(1), F(2), F(3)])
+    cert = cert_build_stab(J27, a, M3.diag([F(6), F(1), F(1)]))
+    calls = _counting(monkeypatch)
+    assert cert_check(cert).all_pass
+    # the target, the end of path 1 (the start of path 2) and the identity
+    assert len(calls["certify_between"]) == 3
+    assert len(calls["path_certify"]) == 2
+
+
+def test_cert_build_certifies_each_path_once(J27, monkeypatch):
+    _, a, b = _dense_pair(F(2), 58)
+    calls = _counting(monkeypatch)
+    cert = cert_build_stab(J27, a, b)
+    for matrix in cert.path_matrices:
+        assert sum(linalg.mat_eq(args[1], matrix)
+                   for args in calls["path_certify"]) == 1
+    # the target, the J-map, and the two ends of each of the two contractions;
+    # the shifted contraction reuses the target and the J-map as its ends
+    assert len(calls["certify_between"]) == 6

@@ -330,3 +330,23 @@ def test_a_value_of_another_prime_field_is_refused():
     for call in calls:
         with pytest.raises(ParentMismatch, match="mixed prime fields"):
             call()
+
+
+@pytest.mark.parametrize("field, value", [
+    (PrimeField(5), F(1, 2)),
+    (QQ, PrimeField(5).one()),
+])
+def test_a_value_of_another_kind_of_field_is_refused(field, value):
+    ring = PolyRing(field, 1)
+    x = ring.gen(0)
+    u = UPoly([field.one(), field.one()], field)
+    calls = [
+        lambda: ring.from_base(value),
+        lambda: x.scale(value),
+        lambda: UPoly([value], field),
+        lambda: u.scale(value),
+        lambda: u(value),
+    ]
+    for call in calls:
+        with pytest.raises(ParentMismatch, match="value of another kind of field"):
+            call()
