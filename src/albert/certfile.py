@@ -20,7 +20,7 @@ verdicts are reproducible bit for bit:
 
 from __future__ import annotations
 
-from .errors import AlbertError, CertificateError
+from .errors import AlbertError, CertificateError, read_text
 from .deg3 import Deg3Algebra
 from .upoly import RatFunc, RationalFunctionField
 from .tits import FirstTits
@@ -177,5 +177,4 @@ def parse_certificate(text):
 
 
 def load_certificate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_certificate(fh.read())
+    return parse_certificate(read_text(path, CertificateError))

@@ -22,6 +22,7 @@ from .errors import (
     CertificateError,
     ScenarioParseError,
     UnresolvedReference,
+    read_text,
 )
 
 EXIT_CHECKS_FAILED = 1
@@ -58,9 +59,7 @@ def build_parser():
 def _run_scenario(args):
     from . import scenario as scen
 
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = scen.parse_scenario(text)
+    parsed = scen.parse_scenario(read_text(args.scenario, ScenarioParseError))
     return scen.execute(parsed, seed_override=args.seed, samples_override=args.samples)
 
 

@@ -75,3 +75,15 @@ class ScenarioParseError(AlbertError):
 
 class UnresolvedReference(AlbertError):
     code = "unresolved-reference"
+
+
+def read_text(path, error):
+    """The text of the UTF-8 file at ``path``; a byte that does not decode
+    raises ``error`` naming its offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start} "
+                    f"does not decode") from None

@@ -176,7 +176,8 @@ class Parser:
             if self.peek() is not None and self.peek().text != ")":
                 while True:
                     if (
-                        self.peek().kind == "name"
+                        self.peek() is not None
+                        and self.peek().kind == "name"
                         and self.peek(1) is not None
                         and self.peek(1).text == "="
                     ):
@@ -277,6 +278,7 @@ class Parser:
                 continue
             coef = Fraction(1)
             power = 0
+            start = self.i
             if tok.text == "(":
                 self.next()
                 coef = self.parse_number()
@@ -303,6 +305,8 @@ class Parser:
                             raise ScenarioParseError(
                                 "quadratic extension must be given as s^2 - d", self.line)
                         raise ConstraintError("minimal polynomial must be a monic cubic")
+            if self.i == start:
+                self.error(f"unexpected token {tok.text!r} in polynomial")
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
             sign = Fraction(1)
         if not coeffs:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import eq, mul
 
 from .errors import AlbertError, NotInvertible
 from .multipoly import coding, dot
@@ -92,7 +92,9 @@ def mat_sub(A, B):
 
 
 def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+    """Whether A and B have the same shape and equal entries."""
+    return len(A) == len(B) and all(
+        len(ra) == len(rb) and all(map(eq, ra, rb)) for ra, rb in zip(A, B))
 
 
 def transpose(A):

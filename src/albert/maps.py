@@ -15,6 +15,9 @@ never repaired.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 from .errors import (
     AlbertError,
     ConstraintError,
@@ -89,9 +92,31 @@ def certify_between(target, source, matrix):
     return SimilarityMap(source, target, [list(r) for r in matrix], nu, is_auto)
 
 
+_scope = ContextVar("the maps certified in the open certification scope", default=None)
+
+
+@contextmanager
+def certifying():
+    """A certification scope, also usable as a decorator: inside it,
+    :func:`certify` certifies each distinct matrix of a structure once.  A
+    scope opened inside another joins it; each thread has its own."""
+    token = _scope.set([] if _scope.get() is None else _scope.get())
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+
+
 def certify(J, matrix):
-    """Certify an endomorphism matrix of J as a norm similarity."""
-    return certify_between(J, J, matrix)
+    """Certify an endomorphism matrix of J as a norm similarity, once per scope."""
+    scope = _scope.get()
+    for f in scope or ():
+        if f.parent is J and linalg.mat_eq(f.matrix, matrix):
+            return f
+    f = certify_between(J, J, matrix)
+    if scope is not None:
+        scope.append(f)
+    return f
 
 
 def u_similarity(J, a):

@@ -4,11 +4,9 @@ certificates.
 An :class:`RPath` is an n x n matrix over k(t) that is a norm similarity at
 the generic fiber (N(f(X)) = nu(t) N(X) at the coefficient level in k(t)),
 with every entry and the multiplier regular and the multiplier nonvanishing
-at t = 0 and t = 1.  Within one check, each distinct endpoint matrix is
-certified from scratch once: a path's endpoint that equals a map already
-certified in that check (the target, or the end of the previous path) reuses
-that map, and every other endpoint is certified anew, so a checker never
-trusts the builder.
+at t = 0 and t = 1.  A build and a check each run in their own certification
+scope (:func:`albert.maps.certifying`), so each certifies every distinct
+matrix from scratch once, and a check shares nothing with the builder.
 
 An :class:`RCertificate` chains paths from a target automorphism to the
 identity: the first path starts at the target, consecutive endpoints agree,
@@ -26,7 +24,7 @@ from .upoly import UPoly, RatFunc, RationalFunctionField, poly_lcm
 from .multipoly import PolyRing
 from .deg3 import CubicEtale, Matrix3, transvection_factorization
 from .tits import FirstTits
-from .maps import aut_conj_I, aut_ext_D, aut_J, certify, first_tits_map
+from .maps import aut_conj_I, aut_ext_D, aut_J, certify, certifying, first_tits_map
 from .report import Report
 from . import linalg
 
@@ -64,15 +62,13 @@ def _toward_one(Rt, a):
     return lifted.scale(Rt.one() - t) + D.one(Rt).scale(t)
 
 
-def path_certify(J, matrix, known=()):
+def path_certify(J, matrix):
     """Certify a matrix over k(t) as a one-parameter family of similarities.
 
     Denominators are cleared, the generic-fiber similarity identity is decided
     at the coefficient level in k[t, X], regularity and nonvanishing of the
     multiplier at 0 and 1 are checked syntactically on canonical forms, and
-    both endpoint specializations are certified.  An endpoint whose matrix
-    equals that of a map of J in ``known`` (maps certified earlier by the
-    caller) is that map; every other endpoint is certified from scratch.
+    both endpoint specializations are certified.
     """
     field = J.field
     n = J.dim
@@ -138,35 +134,25 @@ def path_certify(J, matrix, known=()):
     ends = []
     for qp, (point, _) in zip(q_at, endpoints):
         qinv = field.inv(qp)
-        ends.append(_certify_known(J, [[p(point) * qinv if p else zero for p in row]
-                                       for row in cleared], known))
+        ends.append(certify(J, [[p(point) * qinv if p else zero for p in row]
+                                for row in cleared]))
     start, end = ends
     if start.multiplier != nu_at[0] or end.multiplier != nu_at[1]:
         raise AlbertError("endpoint multipliers disagree with the family multiplier")
     return RPath(J, [list(r) for r in matrix], nu, start, end)
 
 
-def _certify_known(J, matrix, known):
-    """The map of J in ``known`` whose matrix is ``matrix``, else ``matrix``
-    certified from scratch."""
-    for f in known:
-        if f.parent is J and f.target is J and linalg.mat_eq(f.matrix, matrix):
-            return f
-    return certify(J, matrix)
-
-
-def compose_path_with_map(path, simmap, known=()):
+def compose_path_with_map(path, simmap):
     """The family t -> f(g(t)) for a constant certified f; used to shift a
-    contraction so it starts at a composite map.  ``f`` itself is the end of
-    the family when g ends at the identity, so it is reused there, as is any
-    map in ``known`` (see :func:`path_certify`)."""
+    contraction so it starts at a composite map."""
     J = path.parent
     Rt = path.matrix[0][0].ring
     lifted = [[Rt.from_base(v) for v in row] for row in simmap.matrix]
     product = linalg.mat_mul(lifted, path.matrix)
-    return path_certify(J, product, (simmap, *known))
+    return path_certify(J, product)
 
 
+@certifying()
 def conj_path(J, a):
     """The contraction of coordinatewise conjugation: conjugate every block by
     a_t = (1-t) a + t.  Starts at the conjugation map of a, ends at the
@@ -181,9 +167,8 @@ def conj_path(J, a):
     a_t = _toward_one(Rt, a)
     a_t_inv = a_t.inverse()
     conj = lambda e: a_t * e * a_t_inv
-    expected0 = aut_conj_I(J, a)
-    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt), (expected0,))
-    if not linalg.mat_eq(path.start.matrix, expected0.matrix):
+    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt))
+    if path.start is not aut_conj_I(J, a):
         raise AlbertError("conjugation path start mismatch")
     if not path.end.is_identity():
         raise AlbertError("conjugation path end is not the identity")
@@ -205,6 +190,7 @@ def transvection_path(alg, d):
     return acc
 
 
+@certifying()
 def sl1_path_split(J, d):
     """The J-map family of a norm-one d over split coordinates:
     (x, y, z) -> (x, y gamma(t), gamma(t)^{-1} z), which starts at variant
@@ -229,9 +215,8 @@ def sl1_path_split(J, d):
     gamma = transvection_path(D, d)
     gamma_inv = gamma.inverse()
     images = [lambda e: e, lambda e: e * gamma, lambda e: gamma_inv * e]
-    expected0 = aut_J(J, d, "B")
-    path = path_certify(J, first_tits_map(J, images, gamma.ring), (expected0,))
-    if not linalg.mat_eq(path.start.matrix, expected0.matrix):
+    path = path_certify(J, first_tits_map(J, images, gamma.ring))
+    if path.start is not aut_J(J, d, "B"):
         raise AlbertError("SL1 path start mismatch")
     if not path.end.is_identity():
         raise AlbertError("SL1 path end is not the identity")
@@ -337,6 +322,7 @@ class RCertificate:
         return f"<RCertificate on {self.parent.label}, {len(self.path_matrices)} paths>"
 
 
+@certifying()
 def cert_build_stab(J, a, b):
     """Certificate contracting the stabilizer automorphism of the pair (a, b)
     with N(a) = N(b) on a split first construction.
@@ -350,23 +336,22 @@ def cert_build_stab(J, a, b):
         raise AlbertError("certificates built here live on a first construction")
     a, b = J.D.element(a), J.D.element(b)
     phi = aut_ext_D(J, a, b)
-    p = a * b.inverse()
-    jmap = aut_J(J, p, "B")
     theta = conj_path(J, a)
-    first = compose_path_with_map(theta, jmap, (phi,))
-    second = sl1_path_split(J, p)
+    second = sl1_path_split(J, a * b.inverse())
+    first = compose_path_with_map(theta, second.start)
     if not _check_chain(phi, [first, second]).all_pass:
         raise AlbertError("freshly built certificate failed its own check")
     return RCertificate(J, phi.matrix, [first.matrix, second.matrix])
 
 
+@certifying()
 def cert_check(cert):
     """Independent validation of a certificate.
 
     Re-certifies the target, re-certifies every path from its raw matrix,
     and verifies the endpoint chain from the target to the identity.  Nothing
     the builder computed is trusted; only matrices are read, and each
-    distinct endpoint matrix is certified once (see :func:`path_certify`).
+    distinct matrix is certified once.
     A stated limit reached on the way (``LimitExceeded``) is raised, not
     recorded: it says nothing about the certificate."""
     J = cert.parent
@@ -378,15 +363,7 @@ def cert_check(cert):
         report = Report()
         report.record("target-certified", False, str(exc))
         return report
-
-    def paths():
-        known = (target,)
-        for matrix in cert.path_matrices:
-            path = path_certify(J, matrix, known)
-            known = (path.end,)
-            yield path
-
-    return _check_chain(target, paths())
+    return _check_chain(target, (path_certify(J, m) for m in cert.path_matrices))
 
 
 def _check_chain(target, paths):

@@ -33,6 +33,15 @@ def test_round_trip(cert, tmp_path):
     assert cert_check(loaded).all_pass
 
 
+def test_undecodable_file_is_a_certificate_error(cert, tmp_path):
+    path = tmp_path / "cert.txt"
+    data = render_certificate(cert).encode()
+    offset = data.index(b"target")
+    path.write_bytes(data[:offset] + b"\xc3(" + data[offset:])
+    with pytest.raises(CertificateError, match=f"byte 0xc3 at offset {offset} does not"):
+        load_certificate(path)
+
+
 def test_render_is_deterministic(cert):
     assert render_certificate(cert) == render_certificate(cert)
 

@@ -74,6 +74,25 @@ def test_io_exit_code():
     assert main(["check-axioms", "/nonexistent/path.txt"]) == 5
 
 
+def test_undecodable_certificate_exits_parse_error(tmp_path, capsys):
+    path = tmp_path / "c.cert"
+    path.write_bytes(b"\x00\xff\xfe")
+    assert main(["check-cert", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "certificate error: not UTF-8: byte 0xff at offset 1 does not decode\n")
+
+
+def test_undecodable_scenario_exits_parse_error(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_bytes(AXIOM_SCEN.encode() + "# caf\u00e9\n".encode("latin-1"))
+    offset = len(AXIOM_SCEN.encode()) + len("# caf")
+    for command in (["check-axioms"], ["verify-map"], ["build-cert", "-o", str(tmp_path / "c")]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: not UTF-8: byte 0xe9 at offset {offset} does not decode\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_build_and_check_cert(tmp_path, capsys):
     scen = write(tmp_path, "c.txt", CERT_SCEN)
     out_path = str(tmp_path / "cert.out")
@@ -266,6 +285,18 @@ def _status(tmp_path, capsys, body):
 ])
 def test_former_traceback_exits_parse_error(tmp_path, capsys, body):
     assert _status(tmp_path, capsys, body)[0] == 2
+
+
+# cut off after a comma, an argument list ended in a traceback; a polynomial
+# term that opens with neither a coefficient nor the variable looped forever
+@pytest.mark.parametrize("body, message", [
+    ("X = aut_ext_D(J,", "empty expression (line 5)"),
+    ("X = F2[x]/(^3+x+1)", "unexpected token '^' in polynomial (line 5, col 8)"),
+    ("X = Q[x]/(x^3,x)", "unexpected token ',' in polynomial (line 5, col 10)"),
+])
+def test_byte_mutant_exits_parse_error(tmp_path, capsys, body, message):
+    assert main(["check-axioms", write(tmp_path, "s.txt", PRELUDE + body + "\n")]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 # an over-long number ended in a traceback; a modulus beyond 2^64 ran trial

@@ -6,10 +6,13 @@ status.  A certificate with one token replaced by a malformed literal exits
 with the parse-error status 2; one with a target or path entry replaced by a
 valid literal of another value at t = 0 fails its check with status 1, and
 one with a path entry of t-degree above 255 is refused with status 2 before
-any gcd is taken.
+any gcd is taken.  Byte-level copies of the golden certificate and of the
+scenario files, with bytes flipped, inserted, deleted or cut off, exit with a
+documented status and never raise, and status 1 comes with a FAIL line.
 """
 
 import io
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -220,3 +223,47 @@ def test_run_directives_exit_with_documented_status(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert main(["check-axioms", str(path)]) in (0, 1, 2, 3, 4, 5)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BYTE_SOURCES = {
+    path.relative_to(ROOT).as_posix(): path.read_bytes()
+    for path in [ROOT / "tests" / "golden" / "certificate.cert",
+                 *sorted((ROOT / "scenarios").glob("*.txt"))]
+}
+
+
+@st.composite
+def byte_mutants(draw):
+    """(source name, its bytes after one to three flips, insertions, deletions
+    or truncations)."""
+    name = draw(st.sampled_from(sorted(BYTE_SOURCES)))
+    data = bytearray(BYTE_SOURCES[name])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        if kind == "flip" and at < len(data):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "insert":
+            data[at:at] = bytes([draw(st.integers(0, 255))])
+        elif kind == "delete":
+            del data[at:at + 1]
+        elif kind == "truncate":
+            del data[at:]
+    return name, bytes(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutant=byte_mutants())
+def test_byte_mutants_exit_with_documented_status(tmp_path_factory, mutant):
+    name, data = mutant
+    path = tmp_path_factory.mktemp("bytes") / Path(name).name
+    path.write_bytes(data)
+    command = "check-cert" if name.endswith(".cert") else "check-axioms"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main([command, str(path), "--format", "machine", *(
+            ["--samples", "1"] if command == "check-axioms" else [])])
+    assert status in range(6)
+    if status == 1:
+        assert re.search(r"^CHECK \S+ FAIL", out.getvalue(), re.M)

@@ -31,6 +31,16 @@ def test_inverse_round_trip():
             assert linalg.mat_eq(linalg.mat_mul(m, inv), linalg.identity(field, 4))
 
 
+def test_mat_eq_compares_shapes():
+    assert linalg.mat_eq([[F(1), F(2)]], [[F(1), F(2)]])
+    assert not linalg.mat_eq([[F(1)]], [[F(1), F(2)]])
+    assert not linalg.mat_eq([[F(1), F(2)]], [[F(1)]])
+    assert not linalg.mat_eq([[F(1)]], [[F(1)], [F(0)]])
+    assert not linalg.mat_eq([[F(1)], [F(0)]], [[F(1)]])
+    assert not linalg.mat_eq([[F(1), F(2)]], [[F(1), F(3)]])
+    assert linalg.mat_eq([], [])
+
+
 def test_kernel_and_rank():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     ker = linalg.kernel(QQ, m)

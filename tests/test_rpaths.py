@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -371,36 +372,57 @@ def test_cert_check_matches_reference(built):
     assert verdicts.pop("genuine") and not any(verdicts.values())
 
 
-def test_path_certify_with_known_maps_matches_fresh(built):
+def test_path_certified_in_scope_reuses_target_and_previous_end(built):
     J, cert = built
-    target = maps.certify(J, cert.target_matrix)
-    for matrix in cert.path_matrices:
-        fresh = path_certify(J, matrix)
-        known = (target, path_certify(J, matrix).end)
-        reused = path_certify(J, matrix, known)
-        assert reused.multiplier == fresh.multiplier
-        assert reused.end is known[1]
-        if matrix is cert.path_matrices[0]:
-            assert reused.start is target
-        for got, want in ((reused.start, fresh.start), (reused.end, fresh.end)):
+    fresh = [path_certify(J, m) for m in cert.path_matrices]
+    with maps.certifying():
+        target = maps.certify(J, cert.target_matrix)
+        scoped = [path_certify(J, m) for m in cert.path_matrices]
+    assert scoped[0].start is target
+    assert scoped[1].start is scoped[0].end
+    assert maps.certify(J, cert.target_matrix) is not target  # the scope has ended
+    for got_path, want_path in zip(scoped, fresh):
+        assert got_path.multiplier == want_path.multiplier
+        for got, want in ((got_path.start, want_path.start),
+                          (got_path.end, want_path.end)):
             assert linalg.mat_eq(got.matrix, want.matrix)
             assert got.multiplier == want.multiplier
             assert got.is_automorphism == want.is_automorphism
 
 
-def test_known_map_of_another_structure_or_matrix_is_not_reused(J27):
+def test_map_of_another_structure_or_matrix_is_not_reused(J27):
     other = FirstTits(M3, F(3))
     Rt = function_field(J27)
     identity = linalg.identity(QQ, J27.dim)
-    foreign = maps.certify(other, identity)
-    moved = maps.aut_conj_I(J27, M3.diag([F(1), F(2), F(3)]))
-    p = path_certify(J27, rt_identity(J27, Rt), (foreign, moved))
+    with maps.certifying():
+        foreign = maps.certify(other, identity)
+        moved = maps.aut_conj_I(J27, M3.diag([F(1), F(2), F(3)]))
+        p = path_certify(J27, rt_identity(J27, Rt))
+        own = maps.certify(J27, identity)
     for end in (p.start, p.end):
         assert end is not foreign and end is not moved
         assert end.parent is J27 and end.is_identity() and end.is_automorphism
-    own = maps.certify(J27, identity)
-    q = path_certify(J27, rt_identity(J27, Rt), (foreign, own))
-    assert q.start is own and q.end is own
+    assert p.start is own and p.end is own
+
+
+def test_nested_scope_joins_the_outer_one(J27):
+    identity = linalg.identity(QQ, J27.dim)
+    with maps.certifying():
+        outer = maps.certify(J27, identity)
+        with maps.certifying():
+            assert maps.certify(J27, identity) is outer
+        assert maps.certify(J27, identity) is outer
+        # another thread is outside this scope
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(maps.certify(J27, identity)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and seen[0] is not outer
+    with pytest.raises(PathError):
+        with maps.certifying():
+            inner = maps.certify(J27, identity)
+            raise PathError("leaves the scope")
+    assert maps.certify(J27, identity) is not inner
 
 
 def _counting(monkeypatch):
@@ -437,6 +459,12 @@ def test_cert_build_certifies_each_path_once(J27, monkeypatch):
     for matrix in cert.path_matrices:
         assert sum(linalg.mat_eq(args[1], matrix)
                    for args in calls["path_certify"]) == 1
-    # the target, the J-map, and the two ends of each of the two contractions;
-    # the shifted contraction reuses the target and the J-map as its ends
-    assert len(calls["certify_between"]) == 6
+    # the target, the J-map, conjugation by a and the identity
+    assert len(calls["certify_between"]) == 4
+
+
+def test_conj_path_certifies_each_matrix_once(J27, monkeypatch):
+    calls = _counting(monkeypatch)
+    conj_path(J27, M3.element([F(v) for v in (2, 1, 1, 1, 3, -1, 0, 1, 1)]))
+    # the conjugation (the start, reused by the start check) and the identity
+    assert len(calls["certify_between"]) == 2
