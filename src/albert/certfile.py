@@ -65,10 +65,11 @@ def render_certificate(cert):
     ]
     for row in cert.target_matrix:
         lines.append(" ".join(field.format(v) for v in row))
+    zero = Rt.format(Rt.zero())
     for matrix in cert.path_matrices:
         lines.append("path")
         for row in matrix:
-            lines.append(" ".join(Rt.format(v) for v in row))
+            lines.append(" ".join(Rt.format(v) if v else zero for v in row))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -158,6 +159,15 @@ def parse_certificate(text):
             raise AlbertError(f"t-degree {degree} exceeds the limit {MAX_PATH_DEGREE}")
         return RatFunc(num, den, Rt)
 
+    # ``RatFunc`` values are immutable, so each distinct token is read once
+    entries = {}
+
+    def entry(text, where):
+        value = entries.get(text)
+        if value is None:
+            value = entries[text] = parse(read_entry, text, where)
+        return value
+
     paths = []
     while True:
         marker = next_line().strip()
@@ -170,8 +180,8 @@ def parse_certificate(text):
             row = next_line().split()
             if len(row) != dim:
                 raise CertificateError("path row has wrong length")
-            matrix.append([parse(read_entry, v, f"bad entry of path {len(paths) + 1}")
-                           for v in row])
+            where = f"bad entry of path {len(paths) + 1}"
+            matrix.append([entry(v, where) for v in row])
         paths.append(matrix)
     return RCertificate(J, target, paths)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import eq, mul
+from operator import mul
 
 from .errors import AlbertError, NotInvertible
 from .multipoly import coding, dot
@@ -93,8 +93,7 @@ def mat_sub(A, B):
 
 def mat_eq(A, B):
     """Whether A and B have the same shape and equal entries."""
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all(map(eq, ra, rb)) for ra, rb in zip(A, B))
+    return len(A) == len(B) and all(list(ra) == list(rb) for ra, rb in zip(A, B))
 
 
 def transpose(A):

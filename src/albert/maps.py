@@ -5,7 +5,10 @@ base field of a cubic norm structure, it expands N(f(X)) and N(X) as sparse
 normal forms in generic coordinates and succeeds exactly when the first is a
 nonzero scalar multiple nu of the second.  That comparison is coefficient
 level, hence rigorous in every characteristic.  A map is an automorphism
-exactly when nu = 1 and it fixes the base point.
+exactly when nu = 1 and it fixes the base point.  The one map admitted
+without that expansion is one whose multiplier its caller has already decided
+at the coefficient level: an endpoint of a path, read off the path's identity
+over k[t, X] (see :func:`albert.rpaths.path_certify`).
 
 Every explicit constructor in this module builds its matrix from the defining
 formula and then runs certify on the result; constructors never self-certify
@@ -71,22 +74,30 @@ def certify_between(target, source, matrix):
     """Certify a linear map from ``source`` to ``target`` coordinates as a
     norm similarity: N_target(M X) = nu N_source(X) at the coefficient level.
     """
-    field = source.field
-    if target.field != field:
+    if target.field != source.field:
         raise ParentMismatch("source and target over different fields")
     n = source.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise AlbertError("matrix has wrong shape")
+    return _similarity(target, source, matrix)
+
+
+def _similarity(target, source, matrix, nu=None):
+    """The map of a square ``matrix``: its rank is checked first, then, unless
+    the caller gives a multiplier ``nu`` it has proved, N_target(M X) =
+    nu N_source(X) is decided by expanding both norms."""
+    field = source.field
+    n = source.dim
     if linalg.rank(field, matrix) != n:
         raise SimilarityError("matrix is singular", code="singular-matrix")
-    ring = PolyRing(field, n)
-    gens = ring.gens()
-    fX = [ring.linear_form([(c,) for c in row]) for row in matrix]
-    composed = target.norm_program(ring, fX)
-    plain = source.norm_program(ring, gens)
-    nu = proportionality(composed, plain)
-    if nu is None or field.is_zero(nu):
-        raise SimilarityError("norm forms are not proportional")
+    if nu is None:
+        ring = PolyRing(field, n)
+        fX = [ring.linear_form([(c,) for c in row]) for row in matrix]
+        composed = target.norm_program(ring, fX)
+        plain = source.norm_program(ring, ring.gens())
+        nu = proportionality(composed, plain)
+        if nu is None or field.is_zero(nu):
+            raise SimilarityError("norm forms are not proportional")
     img_unit = linalg.mat_vec(matrix, list(source.unit))
     is_auto = nu == field.one() and tuple(img_unit) == tuple(target.unit)
     return SimilarityMap(source, target, [list(r) for r in matrix], nu, is_auto)
@@ -107,13 +118,22 @@ def certifying():
         _scope.reset(token)
 
 
-def certify(J, matrix):
-    """Certify an endomorphism matrix of J as a norm similarity, once per scope."""
+def certify(J, matrix, multiplier=None):
+    """Certify an endomorphism matrix of J as a norm similarity, once per scope.
+
+    A ``multiplier`` is a nonzero nu for which the caller has already decided
+    N(M X) = nu N(X) at the coefficient level, as
+    :func:`albert.rpaths.path_certify` has for the endpoints of a path; the
+    norm is then not expanded again.  The map already in the scope for an
+    equal matrix is returned as it is."""
     scope = _scope.get()
     for f in scope or ():
         if f.parent is J and linalg.mat_eq(f.matrix, matrix):
             return f
-    f = certify_between(J, J, matrix)
+    if multiplier is None:
+        f = certify_between(J, J, matrix)
+    else:
+        f = _similarity(J, J, matrix, multiplier)
     if scope is not None:
         scope.append(f)
     return f

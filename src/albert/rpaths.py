@@ -4,9 +4,14 @@ certificates.
 An :class:`RPath` is an n x n matrix over k(t) that is a norm similarity at
 the generic fiber (N(f(X)) = nu(t) N(X) at the coefficient level in k(t)),
 with every entry and the multiplier regular and the multiplier nonvanishing
-at t = 0 and t = 1.  A build and a check each run in their own certification
-scope (:func:`albert.maps.certifying`), so each certifies every distinct
-matrix from scratch once, and a check shares nothing with the builder.
+at t = 0 and t = 1.  Its endpoints are read off that identity: specializing
+t -> p is a ring map k[t, X] -> k[X], so each endpoint is a similarity with
+the family's multiplier at p; only its rank and base point are checked.  A
+build and a check each run in their own certification scope
+(:func:`albert.maps.certifying`), so each certifies every distinct matrix
+once, and a check shares nothing with the builder.  The one norm expansion
+over k[X] is the target's: a check makes it for the stored target and a
+build for the automorphism it contracts.
 
 An :class:`RCertificate` chains paths from a target automorphism to the
 identity: the first path starts at the target, consecutive endpoints agree,
@@ -65,10 +70,15 @@ def _toward_one(Rt, a):
 def path_certify(J, matrix):
     """Certify a matrix over k(t) as a one-parameter family of similarities.
 
-    Denominators are cleared, the generic-fiber similarity identity is decided
-    at the coefficient level in k[t, X], regularity and nonvanishing of the
-    multiplier at 0 and 1 are checked syntactically on canonical forms, and
-    both endpoint specializations are certified.
+    Denominators are cleared, the generic-fiber similarity identity
+    N(q g(t) X) = w(t) N(X) is decided at the coefficient level in k[t, X],
+    and regularity and nonvanishing of the multiplier at 0 and 1 are checked
+    syntactically on canonical forms (q(p) and w(p) nonzero).  Each endpoint
+    g(p) is then the specialization t -> p of that identity, so it is a
+    similarity with multiplier w(p) q(p)^-3: it is admitted with that
+    multiplier after a rank check, with no second norm expansion, unless the
+    certification scope already holds it, in which case the two multipliers
+    must agree.
     """
     field = J.field
     n = J.dim
@@ -90,8 +100,11 @@ def path_certify(J, matrix):
                 f"matrix entry has a pole at t = {name}",
                 code="pole-at-endpoint",
             )
-    cofactor = {den: q.exact_div(den) for den in dens}
-    cleared = [[v.num * cofactor[v.den] for v in row] for row in matrix]
+    # a zero entry stays the zero numerator, and an entry over q itself is
+    # not multiplied
+    cofactor = {den: q.exact_div(den) for den in dens if den != q}
+    cleared = [[v.num * cofactor[v.den] if v and v.den in cofactor else v.num
+                for v in row] for row in matrix]
     # generic fiber check in k[t, X1..Xn]: variable 0 is t
     ring = PolyRing(field, ["t"] + [f"x{i+1}" for i in range(n)])
     fX = [ring.linear_form([p.coded for p in row], first=1, dens=[p.den for p in row])
@@ -129,13 +142,15 @@ def path_certify(J, matrix):
                 code="multiplier-vanishes-at-endpoint",
             )
         nu_at.append(wp * field.inv(qp * qp * qp))
-    # each endpoint matrix is the cleared numerators at p times q(p)^-1
+    # each endpoint matrix g(p) is the cleared numerators at p times q(p)^-1;
+    # t -> p is a ring map k[t, X] -> k[X], so the identity decided above
+    # gives N(g(p) X) = w(p) q(p)^-3 N(X) with no second expansion
     zero = field.zero()
     ends = []
-    for qp, (point, _) in zip(q_at, endpoints):
+    for qp, nup, (point, _) in zip(q_at, nu_at, endpoints):
         qinv = field.inv(qp)
         ends.append(certify(J, [[p(point) * qinv if p else zero for p in row]
-                                for row in cleared]))
+                                for row in cleared], nup))
     start, end = ends
     if start.multiplier != nu_at[0] or end.multiplier != nu_at[1]:
         raise AlbertError("endpoint multipliers disagree with the family multiplier")

@@ -6,6 +6,7 @@ import pytest
 from albert.errors import CertificateError
 from albert.scalars import QQ
 from albert.deg3 import Matrix3
+from albert.upoly import RationalFunctionField
 from albert.certfile import (
     load_certificate,
     parse_certificate,
@@ -112,3 +113,32 @@ def test_rejects_malformed_body(old, new, line):
     assert old in text
     with pytest.raises(CertificateError, match=rf"\(line {line}\)"):
         parse_certificate(text.replace(old, new, 1))
+
+
+def test_memoized_path_entries_equal_a_parse_per_entry():
+    text = GOLDEN_CERT.read_text(encoding="utf-8")
+    cert = parse_certificate(text)
+    Rt = RationalFunctionField(cert.parent.field, "t")
+    lines = text.splitlines()
+    starts = [i + 1 for i, line in enumerate(lines) if line == "path"]
+    assert len(starts) == len(cert.path_matrices)
+    seen = {}
+    for start, matrix in zip(starts, cert.path_matrices):
+        for line, row in zip(lines[start:start + cert.parent.dim], matrix):
+            tokens = line.split()
+            assert row == [Rt.parse(token) for token in tokens]
+            for token, value in zip(tokens, row):
+                assert seen.setdefault(token, value) is value
+    assert len(seen) < sum(len(m) * len(m[0]) for m in cert.path_matrices)
+
+
+def test_repeated_malformed_path_entry_is_reported_at_its_first_line():
+    lines = GOLDEN_CERT.read_text(encoding="utf-8").splitlines()
+    rows = [i for i, line in enumerate(lines) if line == "path"]
+    first, later = rows[0] + 3, rows[-1] + 1
+    for i in (later, first):
+        tokens = lines[i].split()
+        tokens[2] = "1|x"
+        lines[i] = " ".join(tokens)
+    with pytest.raises(CertificateError, match=rf"bad entry of path 1 '1\|x' \(line {first + 1}\)"):
+        parse_certificate("\n".join(lines) + "\n")

@@ -41,6 +41,12 @@ def test_mat_eq_compares_shapes():
     assert linalg.mat_eq([], [])
 
 
+def test_mat_eq_accepts_tuple_rows():
+    assert linalg.mat_eq([(F(1), F(2))], [[F(1), F(2)]])
+    assert linalg.mat_eq([[F(1), F(2)]], ((F(1), F(2)),))
+    assert not linalg.mat_eq([(F(1), F(2))], [(F(1),)])
+
+
 def test_kernel_and_rank():
     m = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     ker = linalg.kernel(QQ, m)

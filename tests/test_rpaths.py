@@ -1,10 +1,13 @@
 import random
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from albert import linalg, maps, rpaths
+from albert.certfile import load_certificate
 from albert.errors import ConstraintError, NotInvertible, PathError
 from albert.scalars import QQ
 from albert.upoly import UPoly, poly_gcd
@@ -425,6 +428,47 @@ def test_nested_scope_joins_the_outer_one(J27):
     assert maps.certify(J27, identity) is not inner
 
 
+# ---- endpoints read off the path identity --------------------------------------
+
+
+GOLDEN_CERT = load_certificate(Path(__file__).resolve().parent / "golden" / "certificate.cert")
+
+
+@pytest.mark.parametrize("source", ["golden", "dense-3", "str-path"])
+def test_path_endpoints_match_certify_between(J27, source):
+    if source == "golden":
+        J, matrices = GOLDEN_CERT.parent, GOLDEN_CERT.path_matrices
+    elif source == "dense-3":
+        lam, a, b = PAIRS[source]
+        J = FirstTits(M3, lam)
+        matrices = cert_build_stab(J, a, b).path_matrices
+    else:
+        # a similarity family: its start has a multiplier other than 1
+        J = J27
+        matrices = [str_path(J, M3.diag([F(1), F(2), F(3)]), M3.diag([F(2), F(1), F(1)]),
+                             M3.one()).matrix]
+    for matrix in matrices:
+        path = path_certify(J, matrix)
+        for end in (path.start, path.end):
+            reference = maps.certify_between(J, J, end.matrix)
+            assert end.multiplier == reference.multiplier
+            assert end.is_automorphism == reference.is_automorphism
+    if source == "str-path":
+        assert path.start.multiplier != J.field.one() and not path.start.is_automorphism
+
+
+@settings(max_examples=100, deadline=None)
+@given(path_index=st.integers(0, len(GOLDEN_CERT.path_matrices) - 1),
+       i=st.integers(0, 26), j=st.integers(0, 26),
+       delta=st.fractions(-3, 3, max_denominator=3).filter(bool))
+def test_golden_certificate_with_one_entry_shifted_fails(path_index, i, j, delta):
+    Rt = function_field(GOLDEN_CERT.parent)
+    paths = list(GOLDEN_CERT.path_matrices)
+    paths[path_index] = _shifted(paths[path_index], i, j, Rt.from_base(delta))
+    tampered = RCertificate(GOLDEN_CERT.parent, GOLDEN_CERT.target_matrix, paths)
+    assert not cert_check(tampered).all_pass
+
+
 def _counting(monkeypatch):
     calls = {"certify_between": [], "path_certify": []}
 
@@ -447,8 +491,8 @@ def test_cert_check_certifies_each_distinct_matrix_once(J27, monkeypatch):
     cert = cert_build_stab(J27, a, M3.diag([F(6), F(1), F(1)]))
     calls = _counting(monkeypatch)
     assert cert_check(cert).all_pass
-    # the target, the end of path 1 (the start of path 2) and the identity
-    assert len(calls["certify_between"]) == 3
+    # the target; every path endpoint is read off its path's identity
+    assert len(calls["certify_between"]) == 1
     assert len(calls["path_certify"]) == 2
 
 
@@ -459,12 +503,12 @@ def test_cert_build_certifies_each_path_once(J27, monkeypatch):
     for matrix in cert.path_matrices:
         assert sum(linalg.mat_eq(args[1], matrix)
                    for args in calls["path_certify"]) == 1
-    # the target, the J-map, conjugation by a and the identity
-    assert len(calls["certify_between"]) == 4
+    # the target; the J-map, conjugation by a and the identity are path ends
+    assert len(calls["certify_between"]) == 1
 
 
 def test_conj_path_certifies_each_matrix_once(J27, monkeypatch):
     calls = _counting(monkeypatch)
     conj_path(J27, M3.element([F(v) for v in (2, 1, 1, 1, 3, -1, 0, 1, 1)]))
-    # the conjugation (the start, reused by the start check) and the identity
-    assert len(calls["certify_between"]) == 2
+    # both ends are read off the path; the start check reuses the start
+    assert len(calls["certify_between"]) == 0
