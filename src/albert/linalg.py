@@ -14,8 +14,9 @@ integer-coded instead (:func:`_mat_mul_qq`): each row of A and each column
 of B is put once over one denominator by the Q coding of
 :mod:`albert.multipoly`, the one :class:`~albert.multipoly.Coding` that
 ``PolyRing`` and ``UPoly`` over Q use too; the sums run on ``int``s and
-each output entry is one ``Fraction``; ``mat_vec`` over Q is its
-one-column case.
+each output entry is one ``Fraction``.  ``mat_vec`` over Q is the
+generic loop, which skips zero pairs and reaches the integer-coded
+``RationalField.dot``.
 
 Two pieces carry constant data over a field k to coordinates over an
 extension ring S (a polynomial ring, k(t) or the base change of a quadratic
@@ -32,7 +33,7 @@ from operator import mul
 
 from .errors import AlbertError, NotInvertible
 from .multipoly import coding, dot
-from .scalars import QQ, RationalField, lift
+from .scalars import QQ, lift
 
 
 def identity(field, n):
@@ -54,14 +55,11 @@ def mat_vec(A, v, S=None, k=None):
 
     A pair with a zero entry of A or of v is skipped; the other entries of
     A are lifted into S when S is not k.  ``k`` defaults to ``S``; without rings A and v share one ring.
-    Each entry is one :func:`multipoly.dot` of a row with v.  Over Q, told
-    by the ring or else by the type of v's payloads, the product is the
-    one-column case of :func:`_mat_mul_qq`.
+    Each entry is one :func:`multipoly.dot` of a row with v; over Q that is
+    the integer-coded ``RationalField.dot``.
     """
     if k is None:
         k = S
-    if isinstance(S, RationalField) if S is not None else v and type(v[0]) is Fraction:
-        return [row[0] for row in _mat_mul_qq(A, [v])]
     lifted = S != k
     out = []
     for row in A:

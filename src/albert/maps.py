@@ -8,7 +8,10 @@ level, hence rigorous in every characteristic.  A map is an automorphism
 exactly when nu = 1 and it fixes the base point.  The one map admitted
 without that expansion is one whose multiplier its caller has already decided
 at the coefficient level: an endpoint of a path, read off the path's identity
-over k[t, X] (see :func:`albert.rpaths.path_certify`).
+over k[t, X] (see :func:`albert.rpaths.path_certify`).  Inside a
+certification scope (:func:`certifying`) certify returns one map per
+distinct matrix, so its lookup is the one place where matrices of certified
+maps are compared; callers compare the maps themselves.
 
 Every explicit constructor in this module builds its matrix from the defining
 formula and then runs certify on the result; constructors never self-certify
@@ -53,14 +56,11 @@ class SimilarityMap:
     def apply(self, vec):
         return tuple(linalg.mat_vec(self.matrix, list(vec)))
 
-    def __eq__(self, other):
-        if not isinstance(other, SimilarityMap):
-            return NotImplemented
-        return self.parent is other.parent and linalg.mat_eq(self.matrix, other.matrix)
-
     def is_identity(self):
-        field = self.parent.field
-        return linalg.mat_eq(self.matrix, linalg.identity(field, self.parent.dim))
+        """Whether every diagonal entry is 1 and every other entry is 0."""
+        one = self.parent.field.one()
+        return all(x == one if i == j else not x
+                   for i, row in enumerate(self.matrix) for j, x in enumerate(row))
 
     def __repr__(self):
         kind = "automorphism" if self.is_automorphism else "similarity"
@@ -125,10 +125,14 @@ def certify(J, matrix, multiplier=None):
     N(M X) = nu N(X) at the coefficient level, as
     :func:`albert.rpaths.path_certify` has for the endpoints of a path; the
     norm is then not expanded again.  The map already in the scope for an
-    equal matrix is returned as it is."""
+    equal matrix is returned as it is, after a given ``multiplier`` is
+    checked against its own."""
     scope = _scope.get()
     for f in scope or ():
         if f.parent is J and linalg.mat_eq(f.matrix, matrix):
+            if multiplier is not None and multiplier != f.multiplier:
+                raise AlbertError(
+                    "endpoint multipliers disagree with the family multiplier")
             return f
     if multiplier is None:
         f = certify_between(J, J, matrix)

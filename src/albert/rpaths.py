@@ -15,7 +15,9 @@ build for the automorphism it contracts.
 
 An :class:`RCertificate` chains paths from a target automorphism to the
 identity: the first path starts at the target, consecutive endpoints agree,
-and the last path ends at the identity map.  Certificates are built here for
+and the last path ends at the identity map.  Inside the scope equal matrices
+are one map, so the start and each link compare certified maps with ``is``
+and this module compares no matrix itself.  Certificates are built here for
 the explicitly parameterized stabilizer maps of a split first construction;
 paths are stored as plain matrices over k(t), never as symbolic compositions,
 precisely so the independent checker re-derives everything from the stored
@@ -77,8 +79,8 @@ def path_certify(J, matrix):
     g(p) is then the specialization t -> p of that identity, so it is a
     similarity with multiplier w(p) q(p)^-3: it is admitted with that
     multiplier after a rank check, with no second norm expansion, unless the
-    certification scope already holds it, in which case the two multipliers
-    must agree.
+    certification scope already holds it, in which case :func:`maps.certify`
+    checks that the two multipliers agree.
     """
     field = J.field
     n = J.dim
@@ -151,10 +153,7 @@ def path_certify(J, matrix):
         qinv = field.inv(qp)
         ends.append(certify(J, [[p(point) * qinv if p else zero for p in row]
                                 for row in cleared], nup))
-    start, end = ends
-    if start.multiplier != nu_at[0] or end.multiplier != nu_at[1]:
-        raise AlbertError("endpoint multipliers disagree with the family multiplier")
-    return RPath(J, [list(r) for r in matrix], nu, start, end)
+    return RPath(J, [list(r) for r in matrix], nu, *ends)
 
 
 def compose_path_with_map(path, simmap):
@@ -385,7 +384,9 @@ def _check_chain(target, paths):
     """The report of :func:`cert_check` on a certified target map and the
     certified paths that the iterable ``paths`` yields, first to last.  An
     ``AlbertError`` raised while drawing path k fails path k and ends the
-    report; ``LimitExceeded`` is raised."""
+    report; ``LimitExceeded`` is raised.  The target and the paths come from
+    the caller's certification scope, where equal matrices are one map, so
+    the chain start and each link compare maps with ``is``."""
     report = Report()
     report.record("target-certified", True)
     if not target.is_automorphism:
@@ -409,14 +410,8 @@ def _check_chain(target, paths):
     if not chain:
         report.record("chain-nonempty", False, "certificate has no paths")
         return report
-    report.record(
-        "chain-start-matches-target",
-        linalg.mat_eq(chain[0].start.matrix, target.matrix),
-    )
+    report.record("chain-start-matches-target", chain[0].start is target)
     for idx in range(len(chain) - 1):
-        report.record(
-            f"chain-link-{idx+1}",
-            linalg.mat_eq(chain[idx].end.matrix, chain[idx + 1].start.matrix),
-        )
+        report.record(f"chain-link-{idx+1}", chain[idx].end is chain[idx + 1].start)
     report.record("chain-ends-at-identity", chain[-1].end.is_identity())
     return report

@@ -529,10 +529,9 @@ def _split_identity(report, prefix, D, mu):
     fmap = split_identify(D, mu)
     report.record(f"{prefix}:identification-certified", True,
                   f"lambda {D.base_ring.format(fmap.target.lam)}")
-    report.record(f"{prefix}:multiplier-one",
-                  fmap.multiplier == D.base_ring.one())
-    img = fmap.apply(fmap.parent.unit)
-    report.record(f"{prefix}:unit-preserved", tuple(img) == tuple(fmap.target.unit))
+    # both decided by certify: an automorphism has multiplier 1 and fixes the unit
+    report.record(f"{prefix}:multiplier-one", fmap.multiplier == D.base_ring.one())
+    report.record(f"{prefix}:unit-preserved", fmap.is_automorphism)
 
 
 SUITES = {

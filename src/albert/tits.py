@@ -274,15 +274,10 @@ def split_identify(D, mu):
         cols.append(col_b)
     matrix = linalg.transpose(cols)
     fmap = certify_between(J1, J2, matrix)
-    if fmap.multiplier != field.one():
+    if not fmap.is_automorphism:
         raise AlbertError(
-            "split identification oracle failed: multiplier is not 1",
-            code="identification-failed",
-        )
-    img_unit = linalg.mat_vec(matrix, list(J2.unit))
-    if tuple(img_unit) != tuple(J1.unit):
-        raise AlbertError(
-            "split identification oracle failed: unit not preserved",
+            "split identification oracle failed: multiplier is not 1 "
+            "or unit not preserved",
             code="identification-failed",
         )
     return fmap

@@ -574,7 +574,9 @@ def ref_ratfunc_coeffs(op, a, b):
 # ---- reference certificate check -----------------------------------------------
 #
 # ``rpaths.cert_check`` as it was before a check reused certified maps: every
-# path endpoint is certified from scratch, the target included.
+# path endpoint is certified from scratch, the target included, and the chain
+# start, the links and the identity end compare raw matrices with
+# ``linalg.mat_eq``.
 
 
 def ref_cert_check(cert):
@@ -622,5 +624,8 @@ def ref_cert_check(cert):
             f"chain-link-{idx+1}",
             linalg.mat_eq(paths[idx].end.matrix, paths[idx + 1].start.matrix),
         )
-    report.record("chain-ends-at-identity", paths[-1].end.is_identity())
+    report.record(
+        "chain-ends-at-identity",
+        linalg.mat_eq(paths[-1].end.matrix, linalg.identity(J.field, J.dim)),
+    )
     return report

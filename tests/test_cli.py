@@ -118,6 +118,36 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert main(["check-cert", bad_path, "--format", "machine"]) == 1
 
 
+def swapped_paths(text):
+    """Certificate text with its two path blocks in the other order."""
+    lines = text.splitlines()
+    first, second = [i for i, line in enumerate(lines) if line == "path"]
+    end = lines.index("end")
+    lines[first:end] = lines[second:end] + lines[first:second]
+    return "\n".join(lines) + "\n"
+
+
+SWAPPED_REPORT = """\
+CHECK target-certified PASS
+CHECK target-automorphism PASS
+CHECK path-1-certified PASS
+CHECK path-1-multiplier-one PASS
+CHECK path-2-certified PASS
+CHECK path-2-multiplier-one PASS
+CHECK chain-start-matches-target FAIL
+CHECK chain-link-1 FAIL
+CHECK chain-ends-at-identity FAIL
+RESULT FAIL
+"""
+
+
+def test_swapped_paths_fail_every_chain_check(tmp_path, capsys):
+    # each path is valid on its own; only the chain checks see the order
+    text = swapped_paths((GOLDEN / "certificate.cert").read_text(encoding="utf-8"))
+    assert main(["check-cert", write(tmp_path, "s.cert", text), "--format", "machine"]) == 1
+    assert capsys.readouterr().out == SWAPPED_REPORT
+
+
 LONG = "1" * 5000  # beyond the interpreter's 4300-digit integer-string limit
 P127 = str(2 ** 127 - 1)
 

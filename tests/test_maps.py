@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from albert import linalg, maps
-from albert.errors import ConstraintError, NotInvertible, SimilarityError
-from albert.scalars import QQ
+from albert.errors import AlbertError, ConstraintError, NotInvertible, SimilarityError
+from albert.scalars import QQ, PrimeField
 from albert.deg3 import Matrix3
+from albert.tits import FirstTits
 from conftest import matrix_unit, random_norm_equal_pair, random_norm_one, sample_nonzero
 
 M3 = Matrix3(QQ)
@@ -45,6 +46,36 @@ def test_certify_rejects_singular(J27):
     with pytest.raises(SimilarityError) as err:
         maps.certify(J27, m)
     assert err.value.code == "singular-matrix"
+
+
+def test_certify_checks_a_given_multiplier_against_the_scope(J27):
+    m = homothety(J27, F(2))
+    with maps.certifying():
+        f = maps.certify(J27, m)
+        with pytest.raises(AlbertError, match="endpoint multipliers disagree"):
+            maps.certify(J27, m, F(3))
+        assert maps.certify(J27, m, F(8)) is f
+
+
+def _changed(field, n, change):
+    """The n x n identity over ``field`` with one change: "none", an
+    off-diagonal 1, a 2 on the diagonal, or every entry zero."""
+    m = linalg.identity(field, n)
+    if change == "off-diagonal":
+        m[0][1] = field.one()
+    elif change == "diagonal-2":
+        m[3][3] = field.one() + field.one()
+    elif change == "zero":
+        m = [[field.zero()] * n for _ in range(n)]
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("change", ["none", "off-diagonal", "diagonal-2", "zero"])
+def test_is_identity(field, change):
+    J = FirstTits(Matrix3(field), field.one())
+    f = maps.SimilarityMap(J, J, _changed(field, J.dim, change), field.one(), False)
+    assert f.is_identity() == (change == "none")
 
 
 # ---- U-operator similarity ---------------------------------------------------
@@ -241,15 +272,17 @@ def test_factor_diag_pair(J27):
     """aut_ext_D(a, b) is aut_J(a b^{-1}, "B") after aut_conj_I(a)."""
     a = M3.diag([F(1), F(2), F(3)])
     b = M3.diag([F(6), F(1), F(1)])
-    i_part = maps.aut_conj_I(J27, a)
-    j_part = maps.aut_J(J27, a * b.inverse(), "B")
-    assert compose(j_part, i_part) == maps.aut_ext_D(J27, a, b)
+    with maps.certifying():
+        i_part = maps.aut_conj_I(J27, a)
+        j_part = maps.aut_J(J27, a * b.inverse(), "B")
+        assert compose(j_part, i_part) is maps.aut_ext_D(J27, a, b)
 
 
 def test_factor_equal_pair_gives_trivial_jpart(J27):
     a = M3.diag([F(1), F(2), F(3)])
     assert maps.aut_J(J27, a * a.inverse(), "B").is_identity()
-    assert maps.aut_ext_D(J27, a, a) == maps.aut_conj_I(J27, a)
+    with maps.certifying():
+        assert maps.aut_ext_D(J27, a, a) is maps.aut_conj_I(J27, a)
 
 
 def test_compose_invert(J27):

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from fractions import Fraction as F
 from pathlib import Path
@@ -467,6 +468,21 @@ def test_golden_certificate_with_one_entry_shifted_fails(path_index, i, j, delta
     paths[path_index] = _shifted(paths[path_index], i, j, Rt.from_base(delta))
     tampered = RCertificate(GOLDEN_CERT.parent, GOLDEN_CERT.target_matrix, paths)
     assert not cert_check(tampered).all_pass
+
+
+def test_cert_check_compares_matrices_only_in_certify(monkeypatch):
+    callers = []
+    mat_eq = linalg.mat_eq
+
+    def recorded(A, B):
+        callers.append(sys._getframe(1).f_code)
+        return mat_eq(A, B)
+
+    monkeypatch.setattr(linalg, "mat_eq", recorded)
+    assert cert_check(GOLDEN_CERT).all_pass
+    # the scope lookup; the chain checks compare maps and is_identity reads
+    # entries
+    assert callers and set(callers) == {maps.certify.__code__}
 
 
 def _counting(monkeypatch):
