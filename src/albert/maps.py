@@ -13,10 +13,11 @@ certification scope (:func:`certifying`) certify returns one map per
 distinct matrix, so its lookup is the one place where matrices of certified
 maps are compared; callers compare the maps themselves.
 
-Every explicit constructor in this module builds its matrix from the defining
-formula and then runs certify on the result; constructors never self-certify
-by fiat.  Side conditions are checked up front and violations are rejected,
-never repaired.
+Every explicit constructor in this module gives the block images of its
+defining formula to the construction's ``map_matrix`` (the carrier layout is
+known to :mod:`albert.tits` alone) and then runs certify on the result;
+constructors never self-certify by fiat.  Side conditions are checked up
+front and violations are rejected, never repaired.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     SimilarityError,
 )
 from .multipoly import PolyRing, proportionality
-from .deg3 import Element, is_unitary, similitude_multiplier
+from .deg3 import is_unitary, similitude_multiplier
 from .tits import FirstTits, SecondTits
 from . import linalg
 
@@ -151,20 +152,6 @@ def u_similarity(J, a):
     return certify(J, J.u_matrix(a))
 
 
-def first_tits_map(J, images, ring):
-    """Matrix over ``ring`` of a block-wise map on the carrier D + D + D.
-
-    ``images`` holds three functions.  ``images[i]`` takes a basis element e
-    of D over ``ring`` and returns the image of e in block i as an element of
-    D over ``ring``; that image lands in block i again.  ``ring`` is the base
-    field for a single map and k(t) for a one-parameter family.
-    """
-    basis = J.D.basis(ring)
-    return linalg.transpose(
-        [J.embed(image(e), block) for block, image in enumerate(images) for e in basis]
-    )
-
-
 def aut_conj_I(J, d):
     """Coordinatewise conjugation (x,y,z) -> (d x d^{-1}, d y d^{-1}, d z d^{-1})."""
     if not isinstance(J, FirstTits):
@@ -174,7 +161,7 @@ def aut_conj_I(J, d):
         raise NotInvertible("conjugating element must be invertible")
     dinv = d.inverse()
     conj = lambda e: d * e * dinv
-    return certify(J, first_tits_map(J, [conj, conj, conj], J.field))
+    return certify(J, J.map_matrix([conj, conj, conj], J.field))
 
 
 def aut_J(J, c_elt, variant):
@@ -199,7 +186,7 @@ def aut_J(J, c_elt, variant):
     else:
         raise AlbertError(f"unknown J-map variant {variant!r}")
     images = [lambda e: e, lambda e: e * c_elt, third]
-    return certify(J, first_tits_map(J, images, J.field))
+    return certify(J, J.map_matrix(images, J.field))
 
 
 def jmap_disambiguation(J, c_elt):
@@ -228,7 +215,7 @@ def aut_ext_D(J, g, h):
         raise ConstraintError("requires N(g) = N(h)", code="norm-mismatch")
     ginv, hinv = g.inverse(), h.inverse()
     images = [lambda e: g * e * ginv, lambda e: g * e * hinv, lambda e: h * e * ginv]
-    return certify(J, first_tits_map(J, images, J.field))
+    return certify(J, J.map_matrix(images, J.field))
 
 
 def str_ext_D(J, gamma, a, b, c):
@@ -257,28 +244,7 @@ def str_ext_D(J, gamma, a, b, c):
         lambda e: (bsharp * e * c).scale(gamma),
         lambda e: (cinv * e * asharp).scale(gamma),
     ]
-    return certify(J, first_tits_map(J, images, J.field))
-
-
-def _second_tits_map(J, herm_image, free_image):
-    """Matrix of a map on a second construction given by an image function on
-    hermitian elements and one on the free block."""
-    B = J.B
-    K = J.K
-    m = B.dim
-    cols = []
-    for i in range(m):
-        b = Element(B, K, J._herm_K[i])
-        cols.append(list(J.embed_hermitian(herm_image(b))))
-    for i in range(m):
-        for comp in range(2):
-            coords = [K.zero()] * m
-            coords[i] = K.make(J.field.one(), J.field.zero()) if comp == 0 else \
-                K.make(J.field.zero(), J.field.one())
-            x = Element(B, K, tuple(coords))
-            img = free_image(x)
-            cols.append(list(J.embed_b(img)))
-    return linalg.transpose(cols)
+    return certify(J, J.map_matrix(images, J.field))
 
 
 def _unitary_twisted(J, q):
@@ -312,7 +278,7 @@ def aut_ext_second(J, g, q):
     lam_inv = K.from_base(J.field.inv(lam))
     herm_image = lambda b: g * b * ginv
     free_image = lambda x: (sg_sharp * x * q).scale(lam_inv)
-    return certify(J, _second_tits_map(J, herm_image, free_image))
+    return certify(J, J.map_matrix([herm_image, free_image]))
 
 
 def aut_stab_second(J, p, q):
@@ -332,7 +298,7 @@ def aut_stab_second(J, p, q):
     pinv = p.inverse()
     herm_image = lambda a: p * a * pinv
     free_image = lambda x: p * x * q
-    return certify(J, _second_tits_map(J, herm_image, free_image))
+    return certify(J, J.map_matrix([herm_image, free_image]))
 
 
 def str_ext_second(J, gamma, g, q):
@@ -358,5 +324,5 @@ def str_ext_second(J, gamma, g, q):
     gamma_K = K.from_base(gamma)
     herm_image = lambda b: (g * b * sg).scale(gamma_K)
     free_image = lambda x: (sg_sharp * x * q).scale(gamma_K)
-    return certify(J, _second_tits_map(J, herm_image, free_image))
+    return certify(J, J.map_matrix([herm_image, free_image]))
 

@@ -31,7 +31,7 @@ from .upoly import UPoly, RatFunc, RationalFunctionField, poly_lcm
 from .multipoly import PolyRing
 from .deg3 import CubicEtale, Matrix3, transvection_factorization
 from .tits import FirstTits
-from .maps import aut_conj_I, aut_ext_D, aut_J, certify, certifying, first_tits_map
+from .maps import aut_conj_I, aut_ext_D, aut_J, certify, certifying, str_ext_D
 from .report import Report
 from . import linalg
 
@@ -181,7 +181,7 @@ def conj_path(J, a):
     a_t = _toward_one(Rt, a)
     a_t_inv = a_t.inverse()
     conj = lambda e: a_t * e * a_t_inv
-    path = path_certify(J, first_tits_map(J, [conj, conj, conj], Rt))
+    path = path_certify(J, J.map_matrix([conj, conj, conj], Rt))
     if path.start is not aut_conj_I(J, a):
         raise AlbertError("conjugation path start mismatch")
     if not path.end.is_identity():
@@ -229,7 +229,7 @@ def sl1_path_split(J, d):
     gamma = transvection_path(D, d)
     gamma_inv = gamma.inverse()
     images = [lambda e: e, lambda e: e * gamma, lambda e: gamma_inv * e]
-    path = path_certify(J, first_tits_map(J, images, gamma.ring))
+    path = path_certify(J, J.map_matrix(images, gamma.ring))
     if path.start is not aut_J(J, d, "B"):
         raise AlbertError("SL1 path start mismatch")
     if not path.end.is_identity():
@@ -237,14 +237,16 @@ def sl1_path_split(J, d):
     return path
 
 
+@certifying()
 def str_path(J, a, b, d):
     """The contraction of a first-summand-stabilizing similarity:
 
         (x, y, z) -> (a_t x b_t, b_t^# y c_t, c_t^{-1} z a_t^#)
 
     with a_t = (1-t)a + t, b_t = (1-t)b + t, c_t = a_t b_t^{-1} gamma(t) and
-    gamma a norm-one family contracting d.  Ends at the identity; starts at
-    the similarity built from (a, b, a b^{-1} d)."""
+    gamma a norm-one family contracting d.  Starts at
+    :func:`albert.maps.str_ext_D` of (1, a, b, a b^{-1} d) and ends at the
+    identity; both ends are checked."""
     if not isinstance(J, FirstTits):
         raise AlbertError("structure paths live on a first construction")
     D = J.D
@@ -264,7 +266,9 @@ def str_path(J, a, b, d):
         lambda e: b_t_sharp * e * c_t,
         lambda e: c_t_inv * e * a_t_sharp,
     ]
-    path = path_certify(J, first_tits_map(J, images, Rt))
+    path = path_certify(J, J.map_matrix(images, Rt))
+    if path.start is not str_ext_D(J, J.field.one(), a, b, a * b.inverse() * d):
+        raise AlbertError("structure path start mismatch")
     if not path.end.is_identity():
         raise AlbertError("structure path end is not the identity")
     return path

@@ -23,10 +23,16 @@ the second kind over a quadratic etale center K and an admissible pair
 
 The second construction's carrier is over the bottom field k of K.  Its
 hermitian block holds coordinates in a k-basis of Herm(B, sigma), and its
-free block the k-components of B's coordinates, interleaved.  The programs
-run over the center base-changed along S (``Deg3Algebra.extend_ring``); one
+free block the k-components of B's coordinates, interleaved, which are the
+coordinates in one k-basis of B.  The programs run over the center
+base-changed along S (``Deg3Algebra.extend_ring``); one
 ``linalg.Subspace`` carries the hermitian block to interleaved k-coordinates
 and back, checking exactly that the adjoint lands in Herm(B, sigma).
+
+Only this module knows the carrier layout.  Each construction's
+``map_matrix`` builds the matrix of a block-wise map from its block images,
+and ``split_identify`` reads the identification's columns off elements of
+D x D^op; every other module hands over images and gets a matrix.
 
 Whether the result is a division algebra depends on norm-image conditions
 that are accepted as caller-supplied metadata and recorded, never evaluated.
@@ -37,7 +43,7 @@ from __future__ import annotations
 from .errors import AlbertError, ConstraintError
 from .multipoly import MPoly, dot
 from .scalars import QuadraticEtale, lift
-from .deg3 import ProductWithOpposite, Switch, vscale, vsub
+from .deg3 import ProductWithOpposite, Switch, vadd, vscale, vsub
 from .cubicnorm import CubicJordan
 from . import linalg
 
@@ -78,14 +84,25 @@ class FirstTits(CubicJordan):
         m = self.D.dim
         return tuple(coords[0:m]), tuple(coords[m:2 * m]), tuple(coords[2 * m:3 * m])
 
-    def assemble(self, x, y, z):
-        return tuple(x) + tuple(y) + tuple(z)
-
     def embed(self, elem, block=0):
         """Carrier vector with the element's coordinates in one block."""
         parts = [self.D.zero_coords(elem.ring)] * 3
         parts[block] = elem.coords
-        return self.assemble(*parts)
+        return sum(parts, ())
+
+    def map_matrix(self, images, ring):
+        """Matrix over ``ring`` of a block-wise map on D + D + D.
+
+        ``images`` holds three functions.  ``images[i]`` takes a basis
+        element e of D over ``ring`` and returns the image of e in block i as
+        an element of D over ``ring``; that image lands in block i again.
+        ``ring`` is the base field for a single map and k(t) for a
+        one-parameter family.
+        """
+        basis = self.D.basis(ring)
+        return linalg.transpose(
+            [self.embed(image(e), block) for block, image in enumerate(images) for e in basis]
+        )
 
     def norm_program(self, S, coords):
         """One :func:`dot` over the norm pairs of x, of y scaled by lam and
@@ -169,23 +186,18 @@ class SecondTits(CubicJordan):
     def _init_hermitian(self, field):
         B, K = self.B, self.K
         m = B.dim
-        sigma_cols = []
-        for j in range(2 * m):
-            kvec = [field.zero()] * (2 * m)
-            kvec[j] = field.one()
-            img = B.involution_apply(K, self._center_coords(K, kvec))
-            sigma_cols.append(self._k_coords(K, img))
+        # one k-basis of B, a unit k-coordinate each, in the free block's order
+        self._k_basis = [B.element(self._center_coords(K, kvec))
+                         for kvec in linalg.identity(field, 2 * m)]
+        sigma_cols = [self._k_coords(K, e.conj().coords) for e in self._k_basis]
         delta = linalg.mat_sub(linalg.transpose(sigma_cols), linalg.identity(field, 2 * m))
         herm_k = linalg.kernel(field, delta)
         if len(herm_k) != m:
             raise ConstraintError(
                 f"hermitian part has k-dimension {len(herm_k)}, expected {m}"
             )
-        self._herm_K = [self._center_coords(K, v) for v in herm_k]
+        self._herm_basis = [B.element(self._center_coords(K, v)) for v in herm_k]
         self._herm = linalg.Subspace(field, herm_k)
-
-    def _project_hermitian_base(self, coords_K):
-        return self._herm.coords(self.field, self._k_coords(self.K, coords_K))
 
     def parts(self, S, coords):
         """(KS, b, x): the hermitian block and the free block as B-coordinates
@@ -199,14 +211,25 @@ class SecondTits(CubicJordan):
         """Carrier vector of a hermitian element of B."""
         if b_elem.conj() != b_elem:
             raise ConstraintError("element is not hermitian")
-        m = self.B.dim
-        coords = self._project_hermitian_base(b_elem.coords)
-        return tuple(coords) + (self.field.zero(),) * (2 * m)
+        coords = self._herm.coords(self.field, self._k_coords(self.K, b_elem.coords))
+        return tuple(coords) + (self.field.zero(),) * (2 * self.B.dim)
 
     def embed_b(self, x_elem):
         """Carrier vector of an element of the free block."""
         m = self.B.dim
         return (self.field.zero(),) * m + tuple(self._k_coords(self.K, x_elem.coords))
+
+    def map_matrix(self, images):
+        """Matrix of a block-wise map on Herm(B, sigma) + B.
+
+        ``images`` holds two functions.  ``images[0]`` takes a hermitian
+        element of B to its image in Herm(B, sigma); ``images[1]`` takes an
+        element of B to its image in B, the free block again.
+        """
+        herm_image, free_image = images
+        cols = [self.embed_hermitian(herm_image(b)) for b in self._herm_basis]
+        cols += [self.embed_b(free_image(x)) for x in self._k_basis]
+        return linalg.transpose(cols)
 
     def norm_program(self, S, coords):
         B = self.B
@@ -249,7 +272,6 @@ def split_identify(D, mu):
     """
     from .maps import certify_between
 
-    field = D.base_ring
     prodop = ProductWithOpposite(D).attach_involution(Switch())
     K = prodop.base_ring
     if not isinstance(mu, type(K.zero())):
@@ -257,23 +279,15 @@ def split_identify(D, mu):
     J2 = SecondTits(prodop, prodop.one(), mu)
     lam = K.components(mu)[0]
     J1 = FirstTits(D, lam)
-    m = D.dim
-    n = 3 * m
-    z = field.zero()
-    cols = []
-    for i in range(m):
-        # hermitian basis vector -> its diagonal component in the first block
-        first = [K.components(v)[0] for v in J2._herm_K[i]]
-        cols.append(list(first) + [z] * (2 * m))
-    for i in range(m):
-        col_a = [z] * n
-        col_a[m + i] = field.one()
-        col_b = [z] * n
-        col_b[2 * m + i] = field.one()
-        cols.append(col_a)
-        cols.append(col_b)
-    matrix = linalg.transpose(cols)
-    fmap = certify_between(J1, J2, matrix)
+
+    def component(x, i):
+        return D.element([K.components(v)[i] for v in x.coords])
+
+    # a hermitian element is diagonal: its first component goes to block 0
+    cols = [J1.embed(component(b, 0)) for b in J2._herm_basis]
+    cols += [vadd(J1.embed(component(x, 0), 1), J1.embed(component(x, 1), 2))
+             for x in J2._k_basis]
+    fmap = certify_between(J1, J2, linalg.transpose(cols))
     if not fmap.is_automorphism:
         raise AlbertError(
             "split identification oracle failed: multiplier is not 1 "

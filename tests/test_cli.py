@@ -104,18 +104,18 @@ def test_build_and_check_cert(tmp_path, capsys):
 
 def test_check_cert_detects_tampering(tmp_path, capsys):
     scen = write(tmp_path, "c.txt", CERT_SCEN)
-    out_path = str(tmp_path / "cert.out")
-    assert main(["build-cert", scen, "-o", out_path]) == 0
-    lines = open(out_path).read().splitlines()
+    out_path = tmp_path / "cert.out"
+    assert main(["build-cert", scen, "-o", str(out_path)]) == 0
+    lines = out_path.read_text(encoding="utf-8").splitlines()
     for i, ln in enumerate(lines):
         if ln == "target":
             row = lines[i + 1].split()
             row[1] = "9"
             lines[i + 1] = " ".join(row)
             break
-    bad_path = str(tmp_path / "cert_bad.out")
-    open(bad_path, "w").write("\n".join(lines) + "\n")
-    assert main(["check-cert", bad_path, "--format", "machine"]) == 1
+    bad_path = tmp_path / "cert_bad.out"
+    bad_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["check-cert", str(bad_path), "--format", "machine"]) == 1
 
 
 def swapped_paths(text):

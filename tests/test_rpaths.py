@@ -211,6 +211,23 @@ def test_str_path_diag(J27):
     assert linalg.mat_eq(p.start.matrix, expected.matrix)
 
 
+def test_str_path_starts_at_its_similarity_without_expanding(J27, monkeypatch):
+    a, b, d = M3.diag([F(1), F(2), F(3)]), M3.diag([F(2), F(1), F(1)]), M3.transvection(1, 2, F(1))
+    calls = _counting(monkeypatch)
+    checked = []
+
+    def recorded(*args):
+        checked.append((args, maps.str_ext_D(*args)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(rpaths, "str_ext_D", recorded)
+    p = str_path(J27, a, b, d)
+    # both ends are read off the path; the start check reuses the start
+    assert len(calls["certify_between"]) == 0
+    [(args, start)] = checked
+    assert args == (J27, F(1), a, b, a * b.inverse() * d) and start is p.start
+
+
 def test_str_path_reduces_to_sl1(J27):
     d = M3.transvection(1, 2, F(3))
     p = str_path(J27, M3.one(), M3.one(), d)

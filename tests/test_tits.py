@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from albert import linalg
 from albert.errors import ConstraintError
 from albert.scalars import QQ
+from albert.upoly import RationalFunctionField
 from albert.deg3 import (
     CubicEtale,
     Cyclic,
@@ -69,8 +71,15 @@ def test_scale_change_isomorphism(J27):
             img = e if block == 0 else (e * d if block == 1 else dinv * e)
             cols.append(J27.embed(img, block))
     matrix = [[cols[j][i] for j in range(27)] for i in range(27)]
+    assert matrix == J27.map_matrix([lambda e: e, lambda e: e * d, lambda e: dinv * e], QQ)
     fmap = certify_between(J27, J_big, matrix)
     assert fmap.multiplier == F(1)
+
+
+def test_first_tits_map_matrix_of_identity_images(J27):
+    keep = lambda e: e
+    for ring in (QQ, RationalFunctionField(QQ, "t")):
+        assert J27.map_matrix([keep, keep, keep], ring) == linalg.identity(ring, 27)
 
 
 # ---- second construction -----------------------------------------------------
@@ -98,6 +107,11 @@ def test_second_tits_nonhermitian_u_rejected(B_conj, Qi):
     i = Qi.make(F(0), F(1))
     with pytest.raises(ConstraintError):
         SecondTits(B_conj, B_conj.one().scale(i), Qi.make(F(0), F(1)))
+
+
+def test_second_tits_map_matrix_of_identity_images(J_second):
+    keep = lambda b: b
+    assert J_second.map_matrix([keep, keep]) == linalg.identity(QQ, 27)
 
 
 def test_second_tits_first_summand_norm_restriction(J_second, B_conj, Qi):
@@ -173,6 +187,38 @@ def test_split_identify_first_summands_correspond():
     diag = prodop_pair(prodop, d, d)
     vec = J2.embed_hermitian(diag)
     assert fmap.apply(vec) == tuple(J1.embed(d, 0))
+
+
+def reference_split_identify_matrix(D, J2):
+    """The identification matrix from hand-placed columns: the first
+    components of the i-th hermitian basis element fill block 0, and the two
+    components of the i-th free coordinate are unit vectors at positions
+    m + i and 2m + i of J(D, lam)."""
+    field = D.base_ring
+    K = J2.B.base_ring
+    m = D.dim
+    n = 3 * m
+    z = field.zero()
+    cols = []
+    for i in range(m):
+        unit = [z] * n
+        unit[i] = field.one()
+        _, herm, _ = J2.parts(field, unit)
+        cols.append([K.components(v)[0] for v in herm] + [z] * (2 * m))
+    for i in range(m):
+        col_a = [z] * n
+        col_a[m + i] = field.one()
+        col_b = [z] * n
+        col_b[2 * m + i] = field.one()
+        cols.append(col_a)
+        cols.append(col_b)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("lam", [F(2), F(-3), F(5, 7)])
+def test_split_identify_matches_hand_placed_columns(lam):
+    fmap = split_identify(M3, (lam, 1 / lam))
+    assert fmap.matrix == reference_split_identify_matrix(M3, fmap.parent)
 
 
 def test_split_identify_respects_admissibility():
