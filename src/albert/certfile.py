@@ -20,7 +20,7 @@ verdicts are reproducible bit for bit:
 
 from __future__ import annotations
 
-from .errors import AlbertError, CertificateError, read_text
+from .errors import AlbertError, CertificateError, LimitExceeded, read_text
 from .deg3 import Deg3Algebra
 from .upoly import RatFunc, RationalFunctionField
 from .tits import FirstTits
@@ -53,7 +53,14 @@ def render_certificate(cert):
     J = cert.parent
     if not isinstance(J, FirstTits):
         raise CertificateError("only first-construction certificates are serialized")
-    field = J.field
+    field = ring = J.field
+    # a value over k(t) is written with the "|" and "," of a path entry
+    while ring is not None and not isinstance(ring, RationalFunctionField):
+        ring = ring.base
+    if ring is not None:
+        raise LimitExceeded(f"certificate files are limited to base fields without "
+                            f"rational functions: a path entry over {field.spec_string()} "
+                            f"would not read back")
     Rt = RationalFunctionField(field, "t")
     lines = [
         f"ALBERT-CERT {FORMAT_VERSION}",
@@ -75,8 +82,9 @@ def render_certificate(cert):
 
 
 def save_certificate(cert, path):
+    text = render_certificate(cert)  # before the file exists: a refusal leaves none
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_certificate(cert))
+        fh.write(text)
 
 
 def parse_certificate(text):

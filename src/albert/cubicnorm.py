@@ -21,7 +21,8 @@ every characteristic (including 2 and 3) is handled uniformly:
   polarized quadratic part of the same N(c + X); this closed form is the
   polynomial unfolding of the logarithmic second derivative, using N(c) = 1,
   and is validated against independent oracles in the test suite; the
-  bilinear trace contracts the Gram matrix with x and y;
+  bilinear trace contracts the Gram matrix with x and y; both tables are
+  one cached evaluation;
 * the cross product x X y = (x+y)^# - x^# - y^#;
 * the U-operators U_x(y) = T(x,y)x - x^# X y, whose matrix reads every
   x^# X e_j off the linear part of (x^# + Y)^# for generic Y.
@@ -29,6 +30,7 @@ every characteristic (including 2 and 3) is handled uniformly:
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import AlbertError
@@ -77,8 +79,6 @@ class CubicJordan:
         self.dim = dim
         self.unit = tuple(unit)
         self.label = label or self.kind
-        self._gram = None
-        self._trace_vec = None
 
     # -- the two primitive programs, provided by subclasses ---------------
 
@@ -114,19 +114,18 @@ class CubicJordan:
     def sharp(self, x, S=None):
         return self.sharp_program(S or self.field, x)
 
-    def _expand_at_unit(self):
-        """Fill the trace vector and Gram matrix caches from one generic
-        evaluation of N(c + X): T(e_i) is the x_i coefficient, the derivative
-        of N at c, and Gram entry (i, j) is T(e_i)T(e_j) minus entry (i, j)
-        of the mixed second derivative of N at c, the polarized quadratic
-        part."""
+    @functools.cached_property
+    def _unit_expansion(self):
+        """(trace vector, Gram matrix) from one generic evaluation of
+        N(c + X): T(e_i) is the x_i coefficient, the derivative of N at c,
+        and Gram entry (i, j) is T(e_i)T(e_j) minus entry (i, j) of the
+        mixed second derivative of N at c, the polarized quadratic part."""
         n = self.dim
         ring = PolyRing(self.field, n)
         value = self.norm_program(ring, vadd(self.unit_vec(ring), ring.gens()))
         tv = _part(value, n, 1)
         mixed = _part(value, n, 2)
-        self._trace_vec = tuple(tv)
-        self._gram = [[ti * tj - m for tj, m in zip(tv, row)] for ti, row in zip(tv, mixed)]
+        return tuple(tv), [[ti * tj - m for tj, m in zip(tv, row)] for ti, row in zip(tv, mixed)]
 
     def directional_norm_derivative(self, x, y, S=None):
         """The derivative of N at x in direction y: the e coefficient of
@@ -136,10 +135,8 @@ class CubicJordan:
         return _part(value, 1, 1)[0]
 
     def trace_vector(self):
-        """(T(e_1), ..., T(e_n)) over k, cached."""
-        if self._trace_vec is None:
-            self._expand_at_unit()
-        return self._trace_vec
+        """(T(e_1), ..., T(e_n)) over k, from the cached unit expansion."""
+        return self._unit_expansion[0]
 
     def trace_linear(self, x, S=None):
         """T(x) = sum_i T(e_i) x_i via the cached trace vector."""
@@ -147,10 +144,8 @@ class CubicJordan:
         return linalg.mat_vec([self.trace_vector()], x, S, self.field)[0]
 
     def gram(self):
-        """Gram matrix of the bilinear trace on the standard basis, cached."""
-        if self._gram is None:
-            self._expand_at_unit()
-        return self._gram
+        """Gram matrix of the bilinear trace, from the cached unit expansion."""
+        return self._unit_expansion[1]
 
     def nondegenerate(self):
         return linalg.rank(self.field, self.gram()) == self.dim

@@ -17,13 +17,14 @@ Characteristic data is one division-free program in ``Deg3Algebra``: each
 kind supplies ``char_matrix(S, a)``, a 3x3 matrix over a commutative ring
 whose characteristic polynomial is the reduced one of a (the regular
 representation of ``CubicEtale``, the matrix itself for ``Matrix3``, left
-multiplication on 1, z, z^2 over L for ``Cyclic``), and the trace, second
-coefficient and determinant are read from its minors.  ``_scalar`` brings a
-value of that matrix ring back to S; for ``Cyclic`` it checks that the value
-lies in the base field.  The adjoint is a^2 - T(a) a + S(a) 1, except for
-``Matrix3``, whose adjoint is the adjugate.  ``ProductWithOpposite`` pairs
-the inner algebra's characteristic data, norm and adjoint of its two
-components.  Prime characteristics 2 and 3 work unchanged.
+multiplication on 1, z, z^2 over L for ``Cyclic``), whose diagonal sum,
+principal minors and determinant are the trace, second coefficient and norm.
+``_scalar`` brings a value of that matrix ring back to S; for ``Cyclic`` it
+checks that the value lies in the base field.  The adjoint is
+a^2 - T(a) a + S(a) 1, except for ``Matrix3``, whose adjoint is the
+adjugate.  ``ProductWithOpposite`` pairs the inner algebra's characteristic
+data, trace, norm and adjoint of its two components.  Prime characteristics
+2 and 3 work unchanged.
 
 Each entry of a ``Matrix3`` product, each minor of the adjugate, the sum of
 the principal minors, the determinant and each coordinate of a ``CubicEtale``
@@ -51,6 +52,7 @@ syntax on top of the generic programs.
 from __future__ import annotations
 
 import copy
+import functools
 
 from .errors import (
     AlbertError,
@@ -149,20 +151,9 @@ class Deg3Algebra:
         return _cofactor_pairs(self.char_matrix(S, a))
 
     def trace(self, S, a):
-        """Reduced trace as a linear form; coefficients cached on the basis."""
-        return linalg.mat_vec([self._trace_form()], a, S, self.base_ring)[0]
-
-    def _trace_form(self):
-        cached = getattr(self, "_trace_form_cache", None)
-        if cached is None:
-            base = self.base_ring
-            cached = []
-            for i in range(self.dim):
-                coords = list(self.zero_coords(base))
-                coords[i] = base.one()
-                cached.append(self.char_data(base, tuple(coords))[0])
-            self._trace_form_cache = cached
-        return cached
+        """Reduced trace: the diagonal sum of the characteristic matrix."""
+        m = self.char_matrix(S, a)
+        return self._scalar(S, m[0][0] + m[1][1] + m[2][2])
 
     def _generic_pair(self):
         """(S, X, Y): two generic elements over S = ``extend_ring`` of a
@@ -175,33 +166,30 @@ class Deg3Algebra:
         gens = [lift(S, R, g) for g in R.gens()]
         return S, tuple(gens[:self.dim]), tuple(gens[self.dim:])
 
+    @functools.cached_property
     def trace_gram(self):
-        """dim x dim matrix of T(e_i e_j) over the base ring, cached.
+        """dim x dim matrix of T(e_i e_j) over the base ring.
 
         T(XY) is k-bilinear, so one evaluation at the generic pair holds
         every T(e_i e_j) as its x_i y_j coefficient; over a quadratic
         centre each component of the value gives one component of G."""
-        cached = getattr(self, "_trace_gram_cache", None)
-        if cached is None:
-            K, n = self.base_ring, self.dim
-            S, X, Y = self._generic_pair()
-            value = self.trace(S, self.mul(S, X, Y))
-            quadratic = isinstance(K, QuadraticEtale)
-            tables = []
-            for part in S.components(value) if quadratic else (value,):
-                table = [[part.ring.field.zero()] * n for _ in range(n)]
-                for (i, j), c in part.part(2).items():
-                    table[i][j - n] = c
-                tables.append(table)
-            cached = [list(map(K.make, *rows)) for rows in zip(*tables)] if quadratic else tables[0]
-            self._trace_gram_cache = cached
-        return cached
+        K, n = self.base_ring, self.dim
+        S, X, Y = self._generic_pair()
+        value = self.trace(S, self.mul(S, X, Y))
+        quadratic = isinstance(K, QuadraticEtale)
+        tables = []
+        for part in S.components(value) if quadratic else (value,):
+            table = [[part.ring.field.zero()] * n for _ in range(n)]
+            for (i, j), c in part.part(2).items():
+                table[i][j - n] = c
+            tables.append(table)
+        return [list(map(K.make, *rows)) for rows in zip(*tables)] if quadratic else tables[0]
 
     def trace_pairs(self, S, a, b):
         """The pairs (a_i, (G b)_i) against the cached trace Gram matrix G,
         zeros skipped: their sum of products is T(a*b), without forming
         the product for large symbolic operands."""
-        gb = linalg.mat_vec(self.trace_gram(), b, S, self.base_ring)
+        gb = linalg.mat_vec(self.trace_gram, b, S, self.base_ring)
         return [(u, v) for u, v in zip(a, gb) if u and v]
 
     def trace_of_product(self, S, a, b):
@@ -418,7 +406,8 @@ class CubicEtale(Deg3Algebra):
     def _reductions(self, S):
         """x^3 and x^4 mod f lifted into S.  The lifts are kept per ring,
         so an equal ring built afresh finds them; past eight rings the
-        store starts over."""
+        store starts over.  Without it a scenario's thousand or so ``mul``
+        calls each lift again: ``scenarios`` ran 11% fewer ops/s."""
         got = self._lifted.get(S)
         if got is None:
             if len(self._lifted) >= 8:
@@ -725,6 +714,10 @@ class ProductWithOpposite(Deg3Algebra):
     def norm(self, S, a):
         ax, ay = self._split(S, a)
         return S.make(self.inner.norm(S.base, ax), self.inner.norm(S.base, ay))
+
+    def trace(self, S, a):
+        ax, ay = self._split(S, a)
+        return S.make(self.inner.trace(S.base, ax), self.inner.trace(S.base, ay))
 
     def norm_pairs(self, S, a):
         """The one pair (1, N(a)), N(a) the two inner norms paired."""

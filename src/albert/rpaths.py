@@ -308,17 +308,18 @@ def chi_map(J, a, middle="element-scaled"):
     return certify(J, matrix)
 
 
+def chi_check(J, a, middle="element-scaled"):
+    """(chi, whether chi((a,0,0)) is the base point) for one middle operand."""
+    a = J.D.element(a)
+    f = chi_map(J, a, middle)
+    return f, tuple(f.apply(J.embed(a, 0))) == tuple(J.unit)
+
+
 def chi_unit_check(J, a):
     """Evaluate chi((a,0,0)) for both middle-operand choices.
 
     Returns {choice: (SimilarityMap, maps_to_unit: bool)}."""
-    a = J.D.element(a)
-    out = {}
-    for choice in ("unit-scaled", "element-scaled"):
-        f = chi_map(J, a, choice)
-        image = f.apply(J.embed(a, 0))
-        out[choice] = (f, tuple(image) == tuple(J.unit))
-    return out
+    return {choice: chi_check(J, a, choice) for choice in ("unit-scaled", "element-scaled")}
 
 
 class RCertificate:

@@ -506,7 +506,7 @@ def _chi_suite(report, prefix, J, a, trials, seed):
     failures = 0
     for _ in range(trials):
         cand = J.D.sample_invertible(rng, 4)
-        if not rpaths_mod.chi_unit_check(J, cand)["element-scaled"][1]:
+        if not rpaths_mod.chi_check(J, cand)[1]:
             failures += 1
     report.record(f"{prefix}:element-scaled-on-samples", failures == 0,
                   f"{trials} elements, {failures} failures")

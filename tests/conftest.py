@@ -204,7 +204,7 @@ def old_first_tits_norm(J, S, coords):
     nx, ny, nz = (D._scalar(S, old_det3(D.char_matrix(S, v))) for v in (x, y, z))
     xy = D.mul(S, x, y)
     txyz = S.zero()
-    for xi, row in zip(xy, D.trace_gram()):
+    for xi, row in zip(xy, D.trace_gram):
         for g, zj in zip(row, z):
             if g:
                 txyz = txyz + xi * lift(S, D.base_ring, g) * zj

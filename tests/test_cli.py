@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,19 @@ def test_check_cert_detects_tampering(tmp_path, capsys):
     assert main(["check-cert", str(bad_path), "--format", "machine"]) == 1
 
 
+@pytest.mark.parametrize("field", ["Q(t)", "F7(t)"])
+def test_certificate_over_rational_functions_is_refused(tmp_path, capsys, field):
+    """A path entry's coefficients over k(t) would be written with the
+    ``|`` and ``,`` that separate an entry: the build passes its own check,
+    then the write is refused with the limit stated, and no file is left."""
+    scen = write(tmp_path, "c.txt", CERT_SCEN.replace("matrix3(Q)", f"matrix3({field})"))
+    out_path = tmp_path / "cert.out"
+    assert main(["build-cert", scen, "-o", str(out_path)]) == 4
+    err = capsys.readouterr().err
+    assert "error (limit-exceeded)" in err and "without rational functions" in err
+    assert not out_path.exists()
+
+
 def swapped_paths(text):
     """Certificate text with its two path blocks in the other order."""
     lines = text.splitlines()
@@ -194,13 +208,28 @@ def with_first_entry(text, entry):
     return "\n".join(lines) + "\n"
 
 
+def shifted_entry(text, path, row, by):
+    """Certificate text with the first entry of ``row`` of path ``path``
+    (both 1-based) shifted by the constant ``by``."""
+    lines = text.splitlines()
+    i = [j for j, line in enumerate(lines) if line == "path"][path - 1] + row
+    tokens = lines[i].split()
+    sides = [[F(c) for c in side.split(",")] for side in tokens[0].split("|")]
+    width = max(map(len, sides))
+    num, den = (side + [F(0)] * (width - len(side)) for side in sides)
+    shifted = ",".join(str(n + by * d) for n, d in zip(num, den))
+    tokens[0] = shifted + "|" + tokens[0].split("|")[1]
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("k", [1, 12])
 def test_reparametrized_certificate_passes(tmp_path, capsys, k):
     text = reparametrized((GOLDEN / "certificate.cert").read_text(encoding="utf-8"), k)
     assert main(["check-cert", write(tmp_path, "c.cert", text), "--format", "machine"]) == 0
-    tampered = with_first_entry(text, "2|1")
-    assert main(["check-cert", write(tmp_path, "t.cert", tampered), "--format", "machine"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    for tampered in (with_first_entry(text, "2|1"), shifted_entry(text, 2, 13, -2)):
+        assert main(["check-cert", write(tmp_path, "t.cert", tampered), "--format", "machine"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_packing_limit_is_refused_not_failed(tmp_path, capsys):

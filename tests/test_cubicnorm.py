@@ -275,7 +275,10 @@ def test_gram_nondegenerate_27(J27):
 
 def test_degenerate_mock_structure():
     # N = first coordinate cubed on a 2-dimensional carrier
+    calls = []
+
     def norm_fn(S, c):
+        calls.append(S)
         return c[0] * c[0] * c[0]
 
     def sharp_fn(S, c):
@@ -283,6 +286,11 @@ def test_degenerate_mock_structure():
 
     mock = MockCubicJordan(QQ, 2, (F(1), F(0)), norm_fn, sharp_fn, "degenerate")
     assert not mock.nondegenerate()
+    # the trace vector and the Gram matrix come from one evaluation of N(c + X)
+    for _ in range(3):
+        assert mock.trace_vector() == (F(3), F(0))
+        assert mock.gram() == [[F(3), F(0)], [F(0), F(0)]]
+    assert len(calls) == 1
 
 
 # ---- degree identities -------------------------------------------------------

@@ -155,12 +155,20 @@ def test_prodop_norm_componentwise():
 
 
 F2 = PrimeField(2)
+F5 = PrimeField(5)
+# the worked cyclic example read mod 5, where x^3 - 3x - 1 is irreducible
+CYCLIC_F5 = Cyclic(CubicEtale(F5, [F5.from_int(int(c)) for c in CYCLIC_F]),
+                   tuple(F5.from_int(int(c)) for c in CYCLIC_RHO), F5.from_int(2))
 GENERIC_ALGEBRAS = {
     "cubic_etale_Q": CubicEtale(QQ, CYCLIC_F),
     "cubic_etale_F2": CubicEtale(F2, [F2.one(), F2.one(), F2.zero(), F2.one()]),
+    "cubic_etale_F5": CYCLIC_F5.L,
     "matrix3": M3,
+    "matrix3_F5": Matrix3(F5),
     "cyclic": Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)),
+    "cyclic_F5": CYCLIC_F5,
     "prodop_matrix3": ProductWithOpposite(M3),
+    "prodop_matrix3_F5": ProductWithOpposite(Matrix3(F5)),
     "prodop_cyclic": ProductWithOpposite(Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2))),
     "matrix3_Qi": Matrix3(QuadraticExtension(QQ, F(-1))),
 }
@@ -185,6 +193,18 @@ def test_char_data_identities_generic(name):
     assert a * a.sharp() == a.sharp() * a == one.scale(nn)
     assert nn == a.norm()
     assert t == a.trace()
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_trace_is_first_char_coefficient(name):
+    """The reduced trace, the diagonal sum of the characteristic matrix, is
+    T(a) of char_data, on seeded samples and on the generic element."""
+    alg = GENERIC_ALGEBRAS[name]
+    rng = random.Random(25)
+    generic_ring, X, _ = alg._generic_pair()
+    cases = [(alg.base_ring, alg.sample(rng, 4).coords) for _ in range(10)]
+    for S, a in cases + [(generic_ring, X)]:
+        assert alg.trace(S, a) == alg.char_data(S, a)[0]
 
 
 def test_cyclic_char_data_must_land_in_base_field():
@@ -373,7 +393,7 @@ def test_structure_tables_match_basis_loops(name):
     """The trace Gram matrix and the involution checks from the generic
     pair agree with the basis loops they replaced."""
     alg, programs, involutions = TABLE_ALGEBRAS[name]()
-    assert alg.trace_gram() == ref_trace_gram(alg)
+    assert alg.trace_gram == ref_trace_gram(alg)
     for inv in [Identity(), Negation(), *programs]:
         # the generic check runs first: it sets what utwist's apply needs
         got = _verdict(inv.validate, alg)
