@@ -16,6 +16,9 @@ verdicts are reproducible bit for bit:
     path
     ...
     end
+
+Nothing but blank lines may follow ``end``, so a concatenation of two
+certificate files is refused, not checked as its first.
 """
 
 from __future__ import annotations
@@ -191,6 +194,9 @@ def parse_certificate(text):
             where = f"bad entry of path {len(paths) + 1}"
             matrix.append([entry(v, where) for v in row])
         paths.append(matrix)
+    for n, ln in enumerate(lines[idx:], idx + 1):
+        if ln.strip():
+            raise CertificateError(f"content after end {_quote(ln)} (line {n})")
     return RCertificate(J, target, paths)
 
 

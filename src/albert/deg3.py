@@ -22,9 +22,9 @@ principal minors and determinant are the trace, second coefficient and norm.
 ``_scalar`` brings a value of that matrix ring back to S; for ``Cyclic`` it
 checks that the value lies in the base field.  The adjoint is
 a^2 - T(a) a + S(a) 1, except for ``Matrix3``, whose adjoint is the
-adjugate.  ``ProductWithOpposite`` pairs the inner algebra's characteristic
-data, trace, norm and adjoint of its two components.  Prime characteristics
-2 and 3 work unchanged.
+adjugate.  ``ProductWithOpposite`` runs the inner algebra's characteristic
+matrix and adjoint over its split centre, whose arithmetic is componentwise.
+Prime characteristics 2 and 3 work unchanged.
 
 Each entry of a ``Matrix3`` product, each minor of the adjugate, the sum of
 the principal minors, the determinant and each coordinate of a ``CubicEtale``
@@ -32,9 +32,8 @@ product is one :func:`multipoly.dot`: over Q and F_p it builds one
 canonical value, not one per product and per sum.  The norm and the trace
 of a product are also given as pairs, so that a sum of them is one
 :func:`multipoly.dot`: ``norm_pairs`` are the first-row cofactor pairs of
-the characteristic matrix (the one pair (1, N(a)) for ``Cyclic`` and
-``ProductWithOpposite``), and ``trace_pairs`` the pairs (a_i, (G b)_i)
-against the trace Gram matrix G.
+the characteristic matrix (the one pair (1, N(a)) for ``Cyclic``), and
+``trace_pairs`` the pairs (a_i, (G b)_i) against the trace Gram matrix G.
 
 The per-algebra tables come from one evaluation at a generic pair X, Y
 whose coordinates are variables over the bottom field, not from loops over
@@ -47,6 +46,10 @@ Two membership predicates serve the second-construction maps:
 
 Elements are thin immutable wrappers (algebra, ring, coords) with operator
 syntax on top of the generic programs.
+
+Two algebras are equal when they are of one type and print the same
+``descriptor_string()``, the text that rebuilds them; the hash is that
+string's.  An attached involution is not part of the descriptor.
 """
 
 from __future__ import annotations
@@ -276,6 +279,13 @@ class Deg3Algebra:
     def descriptor_string(self):
         raise NotImplementedError
 
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and other.descriptor_string() == self.descriptor_string())
+
+    def __hash__(self):
+        return hash(self.descriptor_string())
+
     def __repr__(self):
         return self.descriptor_string()
 
@@ -442,16 +452,6 @@ class CubicEtale(Deg3Algebra):
         coeffs = ",".join(self.base_ring.format(c) for c in self.f.coeffs)
         return f"cubic_etale({self.base_ring.spec_string()},f=[{coeffs}])"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CubicEtale)
-            and other.base_ring == self.base_ring
-            and other.f == self.f
-        )
-
-    def __hash__(self):
-        return hash(("cubic-etale", self.base_ring, self.f))
-
 
 def _cofactor_pairs(m):
     """The pairs (m[0][j], cofactor j) of the expansion of det m along the
@@ -536,12 +536,6 @@ class Matrix3(Deg3Algebra):
 
     def descriptor_string(self):
         return f"matrix3({self.base_ring.spec_string()})"
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix3) and other.base_ring == self.base_ring
-
-    def __hash__(self):
-        return hash(("matrix3", self.base_ring))
 
 
 class Cyclic(Deg3Algebra):
@@ -656,24 +650,16 @@ class Cyclic(Deg3Algebra):
             f"cyclic({self.L.descriptor_string()},rho=[{rho}],b={f(self.b)})"
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cyclic)
-            and other.L == self.L
-            and other.b == self.b
-            and linalg.mat_eq(other._rho, self._rho)
-        )
-
-    def __hash__(self):
-        return hash(("cyclic", self.L, self.b))
-
 
 class ProductWithOpposite(Deg3Algebra):
     """D x D^op as a 9-dimensional algebra over the split quadratic center.
 
     Coordinates are split pairs (first component from D, second from D^op) on
     the diagonal basis, so the exchange involution is coordinatewise
-    conjugation of the center.
+    conjugation of the center.  The characteristic matrix and the adjoint
+    are the inner algebra's programs run over the split center itself: its
+    arithmetic is componentwise, and D^op has D's norm, trace, second
+    coefficient and adjoint.  Only the product needs the split.
     """
 
     kind = "prodop"
@@ -686,8 +672,7 @@ class ProductWithOpposite(Deg3Algebra):
         self.dim = inner.dim
 
     def one_coords(self, S):
-        inner_one = self.inner.one_coords(S.base)
-        return tuple(S.make(c, c) for c in inner_one)
+        return self.inner.one_coords(S)
 
     def _split(self, S, a):
         xs = tuple(v.a for v in a)
@@ -698,6 +683,7 @@ class ProductWithOpposite(Deg3Algebra):
         return tuple(S.make(x, y) for x, y in zip(xs, ys))
 
     def mul(self, S, a, b):
+        """The inner products x1 x2 and y2 y1: D^op reverses the order."""
         Sb = S.base
         ax, ay = self._split(S, a)
         bx, by = self._split(S, b)
@@ -705,36 +691,17 @@ class ProductWithOpposite(Deg3Algebra):
         zy = self.inner.mul(Sb, by, ay)
         return self._join(S, zx, zy)
 
-    def char_data(self, S, a):
-        """The inner characteristic data of both components, paired: the
-        split centre's operations are componentwise."""
-        ax, ay = self._split(S, a)
-        return tuple(map(S.make, self.inner.char_data(S.base, ax), self.inner.char_data(S.base, ay)))
+    def char_matrix(self, S, a):
+        return self.inner.char_matrix(S, a)
 
-    def norm(self, S, a):
-        ax, ay = self._split(S, a)
-        return S.make(self.inner.norm(S.base, ax), self.inner.norm(S.base, ay))
-
-    def trace(self, S, a):
-        ax, ay = self._split(S, a)
-        return S.make(self.inner.trace(S.base, ax), self.inner.trace(S.base, ay))
-
-    def norm_pairs(self, S, a):
-        """The one pair (1, N(a)), N(a) the two inner norms paired."""
-        return [(S.one(), self.norm(S, a))]
+    def _scalar(self, S, v):
+        return self.inner._scalar(S, v)
 
     def sharp(self, S, a):
-        ax, ay = self._split(S, a)
-        return self._join(S, self.inner.sharp(S.base, ax), self.inner.sharp(S.base, ay))
+        return self.inner.sharp(S, a)
 
     def descriptor_string(self):
         return f"prodop({self.inner.descriptor_string()})"
-
-    def __eq__(self, other):
-        return isinstance(other, ProductWithOpposite) and other.inner == self.inner
-
-    def __hash__(self):
-        return hash(("prodop", self.inner))
 
 
 class Involution:

@@ -472,17 +472,7 @@ class PolyRing(Ring):
         return acc
 
     def spec_string(self):
-        return f"{self.field.spec_string()}[{','.join(self.names)}]"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and other.field == self.field
-            and other.names == self.names
-        )
-
-    def __hash__(self):
-        return hash(("mpoly", self.field, tuple(self.names)))
+        return f"{self.field!r}[{','.join(self.names)}]"
 
 
 def proportionality(p, q):

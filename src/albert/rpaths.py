@@ -303,8 +303,7 @@ def chi_map(J, a, middle="element-scaled"):
     w2 = J.embed(E.one(), 2)
     u1 = J.u_matrix(w1)
     u2 = J.u_matrix(w2)
-    hom = [[na if i == j else field.zero() for j in range(J.dim)] for i in range(J.dim)]
-    matrix = linalg.mat_mul(hom, linalg.mat_mul(u2, u1))
+    matrix = [[na * v for v in row] for row in linalg.mat_mul(u2, u1)]
     return certify(J, matrix)
 
 

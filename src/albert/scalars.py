@@ -16,6 +16,10 @@ formatting and characteristic data.  All values are immutable after
 construction and every representation is canonical, so ``==`` is mathematical
 equality.
 
+Two rings are equal when they are of one type and print the same
+``spec_string()``, the text that rebuilds them (a certificate header names
+its field by it); the hash is that string's.  A ring formats its spec once.
+
 The two quadratic etale centres share one base, ``QuadraticEtale``: their
 elements are ``PairElement`` pairs (a;b) that share every operator but the
 product, and ``QuadraticEtale.base_part`` reads the base component of a value
@@ -37,6 +41,7 @@ quadratic or split centre K along an extension S of its base, componentwise.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import lcm
@@ -130,8 +135,20 @@ class Ring:
     def spec_string(self):
         raise NotImplementedError
 
-    def __repr__(self):
+    @functools.cached_property
+    def _spec(self):
+        """``spec_string()``, formatted once: rings are immutable.  It is
+        also the repr, through which a ring's spec reads its base's."""
         return self.spec_string()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._spec == self._spec)
+
+    def __hash__(self):
+        return hash(self._spec)
+
+    def __repr__(self):
+        return self._spec
 
 
 class RationalField(Ring):
@@ -201,12 +218,6 @@ class RationalField(Ring):
 
     def spec_string(self):
         return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
 
 
 QQ = RationalField()
@@ -347,12 +358,6 @@ class PrimeField(Ring):
 
     def spec_string(self):
         return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 class PairElement:
@@ -575,17 +580,7 @@ class QuadraticExtension(QuadraticEtale):
         return QuadraticExtension(new_base, lift(new_base, self.base, self.d))
 
     def spec_string(self):
-        return f"{self.base.spec_string()}[s]/(s^2-({self.base.format(self.d)}))"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExtension)
-            and other.base == self.base
-            and other.d == self.d
-        )
-
-    def __hash__(self):
-        return hash(("quad", self.base, self.d))
+        return f"{self.base!r}[s]/(s^2-({self.base.format(self.d)}))"
 
 
 class SplitQuadratic(QuadraticEtale):
@@ -630,13 +625,7 @@ class SplitQuadratic(QuadraticEtale):
         return SplitQuadratic(new_base)
 
     def spec_string(self):
-        return f"{self.base.spec_string()}xx"
-
-    def __eq__(self, other):
-        return isinstance(other, SplitQuadratic) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("split", self.base))
+        return f"{self.base!r}xx"
 
 
 def lift(target, source, value):

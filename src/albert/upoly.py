@@ -565,14 +565,4 @@ class RationalFunctionField(Ring):
                      for t in (ntext, dtext))
 
     def spec_string(self):
-        return f"{self.base.spec_string()}({self.var})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionField)
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("ratfunc", self.base, self.var))
+        return f"{self.base!r}({self.var})"

@@ -291,6 +291,10 @@ class BiDualRing(Ring):
     def characteristic(self):
         return self.base.characteristic()
 
+    def format(self, v):
+        f = self.base.format
+        return f"({f(v.a)},{f(v.b1)},{f(v.b2)},{f(v.c)})"
+
     def spec_string(self):
         return f"{self.base.spec_string()}[e1,e2]"
 

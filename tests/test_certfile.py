@@ -107,6 +107,7 @@ def test_rejects_malformed_header(old, new):
     ("target\n1 0", "target\n1/0 0", 7),                         # zero denominator
     ("path\n1|1 0|1", "path\n1|0 0|1", 35),                      # path entry over 0
     ("algebra matrix3(Q)\n", "algebra matrix3(K)\n", 3),         # undefined name
+    ("end\n", "end\nend\n", 91),                                 # content after end
 ])
 def test_rejects_malformed_body(old, new, line):
     text = GOLDEN_CERT.read_text(encoding="utf-8")

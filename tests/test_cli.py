@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -256,13 +257,16 @@ def dense_entry(degree):
 def test_dense_entry_is_reduced_then_refused(tmp_path, capsys, degree):
     """A dense coprime entry is reduced by the primitive remainder sequence
     in well under a second (Euclid on fractions took over a minute at
-    degree 128), and its path then passes the packing limit: exit 4."""
+    degree 128), and its path then passes the packing limit: exit 4, well
+    within 20 s."""
     Rt = RationalFunctionField(QQ, "t")
     num, den = Rt.parse_pair(dense_entry(degree))
     assert poly_gcd(num, den).degree == 0
     text = with_first_entry((GOLDEN / "certificate.cert").read_text(encoding="utf-8"),
                             dense_entry(degree))
+    start = time.perf_counter()
     assert main(["check-cert", write(tmp_path, "c.cert", text), "--format", "machine"]) == 4
+    assert time.perf_counter() - start < 20
     out, err = capsys.readouterr()
     assert "FAIL" not in out and "exceeds packing limit 255" in err
 

@@ -7,6 +7,7 @@ import pytest
 from albert.errors import AlbertError, ConstraintError, NotInvertible, ParentMismatch
 from albert.multipoly import PolyRing
 from albert.scalars import QQ, PrimeField, QuadraticEtale, QuadraticExtension
+from albert.scenario import evaluate_descriptor
 from albert.deg3 import (
     ConjugateTranspose,
     CubicEtale,
@@ -144,11 +145,18 @@ def test_char_data_cubic_etale_generator():
 
 
 def test_prodop_norm_componentwise():
-    P = ProductWithOpposite(M3)
+    """The inner programs run over the split centre give, on each component,
+    the inner algebra's characteristic data, trace, norm and adjoint."""
     rng = random.Random(1)
-    x, y = M3.sample(rng), M3.sample(rng)
-    n = prodop_pair(P, x, y).norm()
-    assert P.base_ring.components(n) == (x.norm(), y.norm())
+    for name in ("prodop_cyclic", "prodop_matrix3", "prodop_matrix3_F5"):
+        P = GENERIC_ALGEBRAS[name]
+        K, D = P.base_ring, P.inner
+        x, y = D.sample(rng), D.sample(rng)
+        p = prodop_pair(P, x, y)
+        assert K.components(p.norm()) == (x.norm(), y.norm())
+        assert K.components(p.trace()) == (x.trace(), y.trace())
+        assert tuple(zip(*map(K.components, p.char_data()))) == (x.char_data(), y.char_data())
+        assert p.sharp() == prodop_pair(P, x.sharp(), y.sharp())
 
 
 # ---- adjoint and inverse ---------------------------------------------------
@@ -172,6 +180,23 @@ GENERIC_ALGEBRAS = {
     "prodop_cyclic": ProductWithOpposite(Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2))),
     "matrix3_Qi": Matrix3(QuadraticExtension(QQ, F(-1))),
 }
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
+def test_descriptor_rebuilds_an_equal_algebra(name):
+    alg = GENERIC_ALGEBRAS[name]
+    again = evaluate_descriptor(alg.descriptor_string())
+    assert again is not alg and again == alg and hash(again) == hash(alg)
+
+
+@pytest.mark.parametrize("a, b", [
+    (CubicEtale(QQ, CYCLIC_F), CubicEtale(QQ, [F(-1), F(-4), F(0), F(1)])),
+    (Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)),
+     Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(3))),
+    (ProductWithOpposite(M3), ProductWithOpposite(Cyclic(CubicEtale(QQ, CYCLIC_F), CYCLIC_RHO, F(2)))),
+], ids=["cubic_etale_f", "cyclic_b", "prodop_inner"])
+def test_algebras_of_other_data_are_unequal(a, b):
+    assert a != b and b != a
 
 
 @pytest.mark.parametrize("name", sorted(GENERIC_ALGEBRAS))
@@ -293,6 +318,9 @@ def test_involution_properties_sampled():
     K = QuadraticExtension(QQ, F(-1))
     B = Matrix3(K).attach_involution(ConjugateTranspose())
     P = ProductWithOpposite(M3).attach_involution(Switch())
+    # the involution is not part of the descriptor, so not of equality
+    assert B == Matrix3(K) and hash(B) == hash(Matrix3(K))
+    assert P == ProductWithOpposite(M3) and hash(P) == hash(ProductWithOpposite(M3))
     rng = random.Random(5)
     for alg in (B, P):
         ring = alg.base_ring

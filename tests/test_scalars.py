@@ -12,6 +12,7 @@ from albert.scalars import (
     SplitQuadratic,
     lift,
 )
+from albert.multipoly import PolyRing
 from albert.scenario import evaluate_descriptor
 from albert.upoly import RationalFunctionField
 from conftest import BiDualElement, BiDualRing, ratfunc_at
@@ -142,6 +143,33 @@ def test_field_spec_round_trip():
         field = evaluate_descriptor(spec)
         assert field.spec_string() == spec
         assert evaluate_descriptor(field.spec_string()) == field
+
+
+def some_rings():
+    """Rings of every kind, two of a kind differing in one datum, built
+    afresh on each call."""
+    F5, F7 = PrimeField(5), PrimeField(7)
+    P = PolyRing(QQ, ["x", "y"])
+    return [QQ, F5, F7,
+            QuadraticExtension(QQ, F(-1)), QuadraticExtension(QQ, F(-4)),
+            QuadraticExtension(F5, F5.from_int(2)),
+            SplitQuadratic(QQ), SplitQuadratic(F5),
+            RationalFunctionField(QQ, "t"), RationalFunctionField(QQ, "u"),
+            RationalFunctionField(F7, "t"),
+            P, PolyRing(QQ, ["x", "z"]),
+            QuadraticExtension(QQ, F(-1)).extend(P)]
+
+
+def test_rings_are_equal_when_their_spec_strings_are():
+    """Equal exactly when of one type with one spec string, and then with
+    one hash; each ring built twice, so the equal pairs are distinct
+    objects (the polynomial rings with equal names among them)."""
+    for i, a in enumerate(some_rings()):
+        for j, b in enumerate(some_rings()):
+            same = type(a) is type(b) and a.spec_string() == b.spec_string()
+            assert (a == b) == same == (i == j)
+            if same:
+                assert hash(a) == hash(b)
 
 
 def test_tower_depth_limit():

@@ -142,3 +142,13 @@ def test_readme_lists_every_signature():
     listed = dict(re.findall(r"^- `(\w+)\((.*)\)`", readme, flags=re.M))
     table = {name: sig.spec for name, sig in {**CONSTRUCTORS, **SUITES}.items()}
     assert listed == table
+
+
+def test_readme_quick_tour_runs():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no Library quick tour block"
+    exec(compile(block.group(1), "README.md quick tour", "exec"), {})
